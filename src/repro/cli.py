@@ -390,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz = sub.add_parser(
         "fuzz",
         help="differential fuzzing of the replay tiers "
-        "(event path vs batched vs vectorised)",
+        "(event path vs batched fast path)",
     )
     fuzz.add_argument(
         "--runs", type=int, default=50, help="number of random cases"
@@ -924,16 +924,14 @@ def _cmd_chaos(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     from .experiments.fuzz import FuzzSpec, check_spec, fuzz
-    from .gpu.fastpath import HAVE_NUMPY
 
-    kernels = "event/scalar/global" + ("/vector" if HAVE_NUMPY else "")
     if args.spec:
         spec = FuzzSpec.from_json(args.spec)
         report = check_spec(spec)
         if report is not None:
             print(report)
             return 1
-        print(f"OK: all replay tiers agree ({kernels})")
+        print("OK: all replay tiers agree (event/fastpath)")
         return 0
 
     def progress(i, runs, spec):
@@ -953,7 +951,7 @@ def _cmd_fuzz(args) -> int:
             print(report)
             print()
         return 1
-    print(f"fuzz campaign clean: {args.runs} cases, tiers {kernels}")
+    print(f"fuzz campaign clean: {args.runs} cases, tiers event/fastpath")
     return 0
 
 

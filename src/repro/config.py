@@ -478,15 +478,6 @@ class SystemConfig:
     #: upper bound on accesses replayed per lane in one batch commit;
     #: part of the cache key so tuning it can never serve stale results.
     fastpath_batch_limit: int = 4096
-    #: replay parked runs with the numpy block-scan kernel instead of the
-    #: scalar per-access loop (DESIGN.md §8.6).  Silently degrades to the
-    #: scalar loop when numpy is unavailable or ``REPRO_NO_NUMPY=1``;
-    #: results are identical either way.
-    fastpath_vectorised: bool = True
-    #: park/unpark lanes per GPU (driver_busy gauges) instead of only
-    #: when the whole driver is idle, so pure-replay GPUs keep batching
-    #: while another GPU faults or migrates.
-    fastpath_per_gpu: bool = True
 
     #: local DRAM access latency (cycles) for data and page-table reads.
     dram_latency: int = 100

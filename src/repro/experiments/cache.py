@@ -158,7 +158,7 @@ def cache_key(
 
     The whole ``SystemConfig`` is folded in via ``asdict``, so every
     new knob — including replay-tier selection like
-    ``fastpath_vectorised`` / ``fastpath_per_gpu`` — invalidates cached
+    ``fastpath_enabled`` / ``fastpath_batch_limit`` — invalidates cached
     results automatically; results must never be shared across replay
     tiers even though the tiers are equivalence-tested, because a
     kernel bug would otherwise be *served from cache* after the fix.

@@ -1,14 +1,14 @@
 """Differential fuzzing of the replay tiers.
 
 The two-tier replay core promises observational equivalence: for any
-workload and configuration, the pure event path, the scalar batched
-fast path and the vectorised replay kernel produce *identical*
-collected statistics, field for field.  The 20-seed suite in
-``tests/gpu/test_fastpath.py`` checks hand-picked corners; this module
-is the adversarial arm — it draws random ``(config, seed, topology)``
-triples from a much wider space (degenerate batch limits, single-entry
-windows, empty and single-access lanes, 1–8 GPUs, both invalidation
-schemes) and diffs every variant pair.
+workload and configuration, the pure event path and the batched fast
+path produce *identical* collected statistics, field for field.  The
+20-seed suite in ``tests/gpu/test_fastpath.py`` checks hand-picked
+corners; this module is the adversarial arm — it draws random
+``(config, seed, topology)`` triples from a much wider space
+(degenerate batch limits, single-entry windows, empty and
+single-access lanes, 1–8 GPUs, both invalidation schemes) and diffs
+the two tiers.
 
 On a mismatch the harness prints a **minimal repro spec**: a one-line
 JSON document that replays the exact failing triple via
@@ -18,11 +18,8 @@ whole campaign.
 
 Variants compared per spec:
 
-* ``event``   — fast path disabled (the reference tier);
-* ``scalar``  — batched fast path, scalar kernel, per-GPU parking;
-* ``global``  — scalar kernel, whole-driver-idle parking gate;
-* ``vector``  — numpy vectorised kernel (skipped when numpy is
-  unavailable, e.g. under ``REPRO_NO_NUMPY=1``).
+* ``event``    — fast path disabled (the reference tier);
+* ``fastpath`` — batched replay of parked lanes.
 """
 
 from __future__ import annotations
@@ -113,33 +110,7 @@ def _variant_configs(spec: FuzzSpec) -> List[Tuple[str, object]]:
         inflight_per_cu=spec.inflight_per_cu,
         fastpath_batch_limit=spec.batch_limit,
     )
-    variants: List[Tuple[str, object]] = [
-        ("event", base.with_fastpath(False)),
-        (
-            "scalar",
-            dataclasses.replace(
-                base, fastpath_vectorised=False, fastpath_per_gpu=True
-            ),
-        ),
-        (
-            "global",
-            dataclasses.replace(
-                base, fastpath_vectorised=False, fastpath_per_gpu=False
-            ),
-        ),
-    ]
-    from ..gpu.fastpath import HAVE_NUMPY
-
-    if HAVE_NUMPY:
-        variants.append(
-            (
-                "vector",
-                dataclasses.replace(
-                    base, fastpath_vectorised=True, fastpath_per_gpu=True
-                ),
-            )
-        )
-    return variants
+    return [("event", base.with_fastpath(False)), ("fastpath", base)]
 
 
 def run_variants(spec: FuzzSpec) -> Dict[str, Dict[str, object]]:

@@ -168,7 +168,7 @@ def tlb_resident_replay(tracer: TraceRecorder) -> None:
     first-touch faults: after 4 cold misses, every access is an L1 TLB
     hit on a local page — the batched replay tier's best case (>90% of
     accesses are fast).  Traced runs always take the pure event path,
-    so this fixture pins the exact event sequence the replay kernels
+    so this fixture pins the exact event sequence the replay kernel
     must be equivalent to, access by access."""
     pages = [_BASE_VPN + i for i in range(4)]
     trace = [(3, pages[i % 4], (i % 7) == 3) for i in range(120)]

@@ -8,11 +8,12 @@ computation — and what makes memory-intensive traces (small gaps)
 sensitive to invalidation-induced latency, exactly as §5.2 describes.
 
 When the system's :class:`~repro.gpu.fastpath.FastPath` is active, a
-lane *parks* whenever the whole system is quiescent: it hands its trace
+lane *parks* whenever it has no slow access in flight and no driver
+episode touches its GPU (``gpu.driver_busy == 0``): it hands its trace
 position to the batched replay tier and resumes (possibly thousands of
 accesses later) only when an access needs the full event pipeline or
-quiescence is lost.  See ``fastpath.py`` for the protocol and the
-observational-equivalence argument.
+its GPU's driver gauge rises.  See ``fastpath.py`` for the protocol
+and the observational-equivalence argument.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class Lane:
         request = window.request
         i = 0
         while i < n:
-            if fp is not None and self._slow == 0 and fp.park_ok(gpu):
+            if fp is not None and self._slow == 0 and not gpu.driver_busy:
                 i, arrival = yield fp.park(self, i)
                 if i >= n:
                     break
@@ -210,7 +211,7 @@ class Lane:
             i += 1
             if i >= n:
                 break
-            if fp is not None and self._slow == 0 and fp.park_ok(gpu):
+            if fp is not None and self._slow == 0 and not gpu.driver_busy:
                 i, arrival = yield fp.park(self, i)
                 if i >= n:
                     break

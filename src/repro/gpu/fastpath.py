@@ -16,25 +16,10 @@ L1, touch a remote or gated page, collide with an MSHR entry or a
 pending IRMB invalidation — or the moment the UVM driver starts an
 episode touching the lane's GPU.
 
-Two replay kernels implement the identical contract:
-
-* the **scalar** kernel — a per-access Python loop, always available;
-* the **vectorised** kernel — a numpy block scan over the trace columns
-  (``config.fastpath_vectorised``, the default when numpy imports).
-  The window recurrence has a ``W``-cycle lag (access ``i`` waits on
-  the release of access ``i - W``), so with the substitution
-  ``y_i = issue_i - prefix_gaps_i`` it becomes
-  ``y_i = max(y_{i-1}, ring_head_i - prefix_gaps_i)`` — a running
-  maximum — and blocks of ``W`` accesses fall to one
-  ``np.maximum.accumulate`` each.  The escape predicate is evaluated
-  once per *unique* VPN in the bite (simulator state cannot change
-  mid-replay: the batcher only runs between calendar events), and the
-  first escape index plus a ``searchsorted`` against the event bound
-  cut the bite exactly where the scalar loop would have stopped.
-
-numpy is a **soft** dependency: selected at import, with
-``REPRO_NO_NUMPY=1`` forcing the scalar kernel (CI runs the tier-1
-suite both ways so the fallback cannot rot).
+The replay kernel (:meth:`FastPath._replay`) is a per-access Python
+loop over the trace columns.  Bites are short — the merge discipline in
+:meth:`FastPath.try_batch` cuts each one at the runner-up lane's next
+issue — so per-call overhead, not per-access arithmetic, sets its cost.
 
 Parking protocol
 ----------------
@@ -47,12 +32,11 @@ deep).  The engine's :attr:`~repro.sim.engine.Engine.batcher` hook calls
 *between every two calendar events* — and replay is bounded by the next
 calendar event's timestamp.
 
-Parking is gated per GPU (``config.fastpath_per_gpu``, default): a lane
-parks while its own GPU's ``driver_busy`` gauge is zero (no fault it
-raised, no invalidation targeting it, no migration it is an endpoint
-of) and is unparked the round after the gauge rises, so pure-replay
-GPUs keep batching while another GPU migrates.  Setting the knob False
-restores the original whole-driver-idle gate (:meth:`eligible`).
+Parking is gated per GPU: a lane parks while its own GPU's
+``driver_busy`` gauge is zero (no fault it raised, no invalidation
+targeting it, no migration it is an endpoint of) and is unparked the
+round after the gauge rises, so pure-replay GPUs keep batching while
+another GPU migrates.
 
 Unparking succeeds the park event with ``(index, arrival)``.  The lane
 generator resumes at the current (earlier or equal) engine time and
@@ -96,33 +80,16 @@ turn it off explicitly.
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 from ..memory import pte as pte_bits
 from ..memory.physmem import PhysicalMemory
 from ..sim.engine import Engine, Event
 
-if os.environ.get("REPRO_NO_NUMPY") == "1":  # forced pure-Python fallback
-    np = None
-else:
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY CI leg
-        np = None
-
-__all__ = ["FastPath", "ParkedLane", "HAVE_NUMPY"]
-
-#: True when the vectorised kernel can be selected in this process.
-HAVE_NUMPY = np is not None
+__all__ = ["FastPath", "ParkedLane"]
 
 _INF = float("inf")
-
-#: "ring not yet full" sentinel for the vectorised head column: small
-#: enough to never win a max against a real timestamp, large enough that
-#: subtracting a prefix sum cannot underflow int64.
-_NEG = -(1 << 62)
 
 
 class ParkedLane:
@@ -153,21 +120,10 @@ class ParkedLane:
 class FastPath:
     """Coordinates parked lanes and replays them in bulk."""
 
-    def __init__(self, engine: Engine, config, gpus: List, driver,
-                 interconnect) -> None:
+    def __init__(self, engine: Engine, config, driver) -> None:
         self.engine = engine
-        self.config = config
-        self.gpus = gpus
         self.driver = driver
-        self.interconnect = interconnect
         self.batch_limit = max(1, config.fastpath_batch_limit)
-        #: True = numpy block-scan kernel; False = scalar loop (forced
-        #: when numpy is unavailable or REPRO_NO_NUMPY=1).
-        self.vectorised = bool(config.fastpath_vectorised) and np is not None
-        self._replay = self._replay_vectorised if self.vectorised else self._replay_scalar
-        #: True = per-GPU driver_busy park gauges; False = the original
-        #: whole-driver-idle gate.
-        self.per_gpu = bool(config.fastpath_per_gpu)
         self._parked: Dict[object, ParkedLane] = {}
         #: id() of every parked lane's window Resource — identifies
         #: calendar entries (window.release bound methods) that are
@@ -184,48 +140,17 @@ class FastPath:
         engine.batch_mode = True
 
     # ------------------------------------------------------------------
-    # Eligibility
-    # ------------------------------------------------------------------
-
-    def eligible(self) -> bool:
-        """True while no driver episode is in flight anywhere.
-
-        Shootdowns, migration gates and ownership changes — the only
-        mutations of state the replay predicate reads — occur strictly
-        inside driver episodes, and each episode raises one of these
-        gauges in its very first event.  Per-lane concerns (in-flight
-        slow accesses) are the lane's own parking precondition, not a
-        system-wide one.
-        """
-        driver = self.driver
-        if driver._gates or driver._migrating or driver._inflight_invals \
-                or driver._inflight_faults:
-            return False
-        # Chaos campaigns run the hardened protocol, whose in-flight
-        # invalidations live in the tracker rather than the fast-path
-        # ledger.
-        tracker = driver.tracker
-        return tracker is None or not tracker.has_pending()
-
-    def park_ok(self, gpu) -> bool:
-        """May a lane of ``gpu`` park right now?
-
-        Per-GPU mode needs only ``gpu``'s own gauge: episodes touching
-        other GPUs cannot mutate state this GPU's replay predicate reads
-        except through the gate table, which the predicate checks per
-        access.  Global mode keeps the original conservative gate.
-        """
-        if self.per_gpu:
-            return gpu.driver_busy == 0
-        return self.eligible()
-
-    # ------------------------------------------------------------------
     # Park / unpark
     # ------------------------------------------------------------------
 
     def park(self, lane, index: int) -> Event:
         """Park ``lane`` before issuing access ``index``; returns the
-        event whose value ``(index, arrival)`` resumes the lane."""
+        event whose value ``(index, arrival)`` resumes the lane.
+
+        Callers park only while ``lane.gpu.driver_busy`` is zero:
+        episodes touching other GPUs cannot mutate state this GPU's
+        replay predicate reads except through the gate table, which the
+        predicate checks per access."""
         engine = self.engine
         window = lane._window
         releases = lane._releases
@@ -300,13 +225,9 @@ class FastPath:
         releases.extend(ring)
         rec.event.succeed((rec.index, rec.arrival))
 
-    def _unpark_all(self) -> None:
-        for rec in list(self._parked.values()):
-            self._unpark(rec)
-
     def _head_escapes(self, rec: ParkedLane) -> bool:
         """Read-only escape probe of ``rec``'s next access — exactly the
-        replay kernels' predicate, with no commit and no LRU touch."""
+        replay kernel's predicate, with no commit and no LRU touch."""
         lane = rec.lane
         gpu = lane.gpu
         if rec.gen != gpu.inval_generation:
@@ -353,19 +274,14 @@ class FastPath:
         engine = self.engine
         heap = engine._heap
         parked_windows = self._parked_windows
-        per_gpu = self.per_gpu
         while True:
             unparked = False
-            if per_gpu:
-                # Evict only lanes whose own GPU became busy; the rest
-                # keep batching through the episode.
-                for rec in list(parked.values()):
-                    if rec.lane.gpu.driver_busy:
-                        self._unpark(rec)
-                        unparked = True
-            elif not self.eligible():
-                self._unpark_all()
-                return True
+            # Evict only lanes whose own GPU became busy; the rest keep
+            # batching through the episode.
+            for rec in list(parked.values()):
+                if rec.lane.gpu.driver_busy:
+                    self._unpark(rec)
+                    unparked = True
             if unparked:
                 return True
             bound = heap[0][0] if heap else _INF
@@ -452,10 +368,10 @@ class FastPath:
             return False
 
     # ------------------------------------------------------------------
-    # Scalar replay kernel (always available)
+    # The replay kernel
     # ------------------------------------------------------------------
 
-    def _replay_scalar(self, rec: ParkedLane, bound) -> int:
+    def _replay(self, rec: ParkedLane, bound) -> int:
         """Replay ``rec``'s lane arithmetically until ``bound``, an
         escape, the batch limit, or end of trace.  Returns the number of
         accesses replayed."""
@@ -537,200 +453,5 @@ class FastPath:
         rec.arrival = arrival
         rec.backed = backed
         if escaped or i >= n:
-            self._unpark(rec)
-        return count
-
-    # ------------------------------------------------------------------
-    # Vectorised replay kernel (numpy block scan)
-    # ------------------------------------------------------------------
-
-    def _replay_vectorised(self, rec: ParkedLane, bound) -> int:
-        """Bit-for-bit the scalar kernel's contract, as a numpy block
-        scan: the same accesses replay, the same escape fires, and every
-        piece of bookkeeping (ring, arrival, backed, counters, L1 LRU
-        order) matches the scalar loop's final state exactly.
-
-        Shape: evaluate the escape predicate once per unique VPN of the
-        bite (state is frozen mid-replay), solve the window recurrence
-        in blocks of ``W = capacity`` via a running maximum on
-        ``issue - prefix_gaps``, then cut at ``min(first predicate
-        failure, first issue >= bound, batch limit, end of trace)`` —
-        testing the bound *before* the predicate at the cut index, as
-        the scalar loop does.
-        """
-        lane = rec.lane
-        gpu = lane.gpu
-        if rec.gen != gpu.inval_generation:
-            self._unpark(rec)
-            return 0
-        i0 = rec.index
-        n = lane._n
-        navail = n - i0
-        limit = self.batch_limit
-        if navail > limit:
-            navail = limit
-        gaps_np, vpns_np = lane.trace.columns64()
-        g = gaps_np[i0:i0 + navail]
-
-        # --- bound pre-cut ---------------------------------------------
-        # issue_j >= arrival_0 + (S_j - g_0) (arrivals alone, ignoring
-        # the window), so indices whose gap prefix sum already reaches
-        # the bound can never replay this round.  Trimming the bite here
-        # keeps the per-call cost proportional to the work actually
-        # available — the bound is often one window-release away.
-        S = np.add.accumulate(g)
-        jcap = int(np.searchsorted(S, bound - rec.arrival + int(g[0]),
-                                   side="left"))
-        if jcap == 0:
-            return 0
-        if jcap < navail:
-            navail = jcap
-            g = g[:navail]
-            S = S[:navail]
-        v = vpns_np[i0:i0 + navail]
-
-        # --- escape predicate, once per unique VPN of the bite --------
-        l1 = gpu.l1_tlbs[lane.lane_id]
-        sets = l1._sets
-        nsets = len(sets)
-        single = sets[0] if nsets == 1 else None
-        owner_of = PhysicalMemory.owner_of
-        ppn = pte_bits.ppn
-        gpu_id = gpu.gpu_id
-        irmb = gpu.irmb
-        irmb_peek = (
-            irmb.peek if irmb is not None and not irmb.is_empty else None
-        )
-        mshr1 = gpu.l1_mshrs[lane.lane_id]._pending
-        mshr2 = gpu.l2_mshr._pending
-        gates = self.driver._gates
-
-        uniq, inverse = np.unique(v, return_inverse=True)
-        ok = np.empty(len(uniq), dtype=bool)
-        for k, vpn in enumerate(uniq.tolist()):
-            entry_set = single if single is not None else sets[vpn % nsets]
-            word = entry_set.get(vpn)
-            ok[k] = (
-                word is not None
-                and owner_of(ppn(word)) == gpu_id
-                and not (irmb_peek is not None and irmb_peek(vpn))
-                and vpn not in mshr1
-                and vpn not in mshr2
-                and not (gates and vpn in gates)
-            )
-        bad = ~ok[inverse]
-        fb = int(np.argmax(bad)) if bad.any() else navail
-
-        # --- window recurrence over [0, M): issues of every candidate
-        # access plus (when escaping) the failing access, whose issue
-        # decides bound-break vs escape exactly as the scalar loop does.
-        M = fb + 1 if fb < navail else navail
-        capacity = lane._capacity
-        fast_latency = gpu._fast_latency
-        B = len(rec.ring)
-        issue = None
-        if B == capacity:
-            # Saturated-window closed form.  With a full ring, *if* the
-            # window binds every access (arrival_j <= ring-head release),
-            # the recurrence degenerates to per-residue arithmetic:
-            # c_j = ring[j mod W] + (j // W) * L.  Candidate plus
-            # vectorised verification (arrival_0 <= c_0 and
-            # c_j - c_{j-1} >= g_j, which by induction makes every
-            # arrival land at or below its ring head) replaces the block
-            # scan with a handful of whole-bite ufuncs — and in replay
-            # steady state (small gaps, full ring) it almost always
-            # holds.  Any miss falls back to the exact block scan.
-            ncop = -(-M // capacity)
-            c = np.tile(np.asarray(rec.ring, dtype=np.int64), ncop)[:M]
-            c += np.repeat(
-                np.arange(ncop, dtype=np.int64) * fast_latency, capacity
-            )[:M]
-            if rec.arrival <= int(c[0]) and (
-                M == 1 or bool((c[1:] - c[:M - 1] >= g[1:M]).all())
-            ):
-                issue = c
-        if issue is None:
-            issue = np.empty(M, dtype=np.int64)
-            head = np.empty(M, dtype=np.int64)  # ring-head release per access
-            slack = capacity - B              # accesses before the ring fills
-            k = slack if slack < M else M
-            if k > 0:
-                head[:k] = _NEG               # ring not yet full: no wait
-            if M > slack:
-                take = min(M - slack, B)
-                head[slack:slack + take] = list(rec.ring)[:take]
-            # head[j] for j >= capacity is this bite's own release
-            # j-capacity, filled block-by-block below.  y = issue - S
-            # obeys y_j = max(y_{j-1}, head_j - S_j); carry seeds
-            # arrival_0.
-            carry = rec.arrival - int(g[0])
-            pos = 0
-            while pos < M:
-                end = pos + capacity
-                if end > M:
-                    end = M
-                lo = capacity if pos < capacity else pos
-                if lo < end:
-                    np.add(issue[lo - capacity:end - capacity], fast_latency,
-                           out=head[lo:end])
-                t = head[pos:end] - S[pos:end]
-                if t[0] < carry:
-                    t[0] = carry
-                np.maximum.accumulate(t, out=t)
-                np.add(t, S[pos:end], out=issue[pos:end])
-                carry = issue[end - 1] - S[end - 1]
-                pos = end
-
-        # --- cut: first issue at/past the next calendar event ---------
-        cut = int(np.searchsorted(issue, bound, side="left"))
-        if fb < navail:
-            if cut <= fb:
-                count, escaped = cut, False   # bound breaks first
-            else:
-                count, escaped = fb, True
-        else:
-            count, escaped = cut, False
-
-        if count:
-            # --- side effects, exactly the scalar loop's -------------
-            # L1 LRU: per unique replayed VPN, one move_to_end in
-            # ascending order of last occurrence (the net effect of the
-            # scalar loop's per-access refreshes).
-            vc = v[:count]
-            ruline, rfirst = np.unique(vc[::-1], return_index=True)
-            for k in np.argsort(rfirst)[::-1].tolist():
-                vpn = int(ruline[k])
-                entry_set = single if single is not None else sets[vpn % nsets]
-                entry_set.move_to_end(vpn)
-            gpu.instructions += int(S[count - 1]) + count
-            l1._hits.value += count
-            gpu._n_local.value += count
-            gpu._n_completed.value += count
-            self.replayed += count
-            # Ring rebuild: the last min(B + count, capacity) releases of
-            # [old ring..., issue_0 + L, ..., issue_{count-1} + L].
-            total = B + count
-            pops = total - capacity if total > capacity else 0
-            if pops >= B:
-                rec.ring = deque(
-                    (issue[count - capacity:count] + fast_latency).tolist()
-                )
-                rec.backed = 0
-            else:
-                ring = rec.ring
-                for _ in range(pops):
-                    ring.popleft()
-                ring.extend((issue[:count] + fast_latency).tolist())
-                rec.backed = rec.backed - pops if rec.backed > pops else 0
-            i = i0 + count
-            rec.index = i
-            if i < n:
-                rec.arrival = int(issue[count - 1]) + int(gaps_np[i])
-            elif count >= 2:
-                # End of trace: the scalar loop leaves ``arrival`` at the
-                # last access's own arrival (mirrored for checkpoint
-                # byte-equality; the value is never consumed).
-                rec.arrival = int(issue[count - 2]) + int(g[count - 1])
-        if escaped or rec.index >= n:
             self._unpark(rec)
         return count

@@ -116,7 +116,7 @@ class GPU:
         #: faults it raised, invalidations targeting it, migrations it is
         #: source or destination of).  The per-GPU park/unpark gauge:
         #: lanes park only while it is zero, and a parked lane is
-        #: unparked the round after it rises (DESIGN.md §8.6).
+        #: unparked the round after it rises (DESIGN.md §8.2).
         self.driver_busy = 0
 
         # Hot-path bindings: these run once per simulated memory access,

@@ -92,9 +92,7 @@ class MultiGPUSystem:
         ):
             from .fastpath import FastPath
 
-            self.fastpath = FastPath(
-                self.engine, config, self.gpus, self.driver, self.interconnect
-            )
+            self.fastpath = FastPath(self.engine, config, self.driver)
             for gpu in self.gpus:
                 gpu.fastpath = self.fastpath
         self.finish_time: int = 0

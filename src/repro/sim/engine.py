@@ -187,11 +187,10 @@ class Engine:
         hold no calendar entries: the batcher is the only thing that can
         finish the run once every lane is parked.
 
-        The engine is agnostic to *how* the batcher replays: scalar
-        loop or vectorised kernel, whole-driver or per-GPU parking
-        gates (repro.gpu.fastpath) — the contract is only that the hook
-        runs between two calendar events (so simulator state is frozen
-        while it executes) and returns True when it may have created
+        The engine is agnostic to *how* the batcher replays
+        (repro.gpu.fastpath) — the contract is only that the hook runs
+        between two calendar events (so simulator state is frozen while
+        it executes) and returns True when it may have created
         ready-queue work.
         """
         ready = self._ready

@@ -71,7 +71,7 @@ __all__ = [
 ]
 
 FORMAT_MAGIC = b"RCKP"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: TraceBuffer no longer pickles a numpy column cache
 _HEADER = struct.Struct("<4sIQ")  # magic, version, payload length
 _DIGEST_LEN = 32
 

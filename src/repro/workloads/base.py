@@ -36,7 +36,7 @@ class TraceBuffer:
     code and the event-path lane loop are representation-agnostic.
     """
 
-    __slots__ = ("gaps", "vpns", "writes", "_np")
+    __slots__ = ("gaps", "vpns", "writes")
 
     def __init__(self, gaps: array, vpns: array, writes: bytearray) -> None:
         if not (len(gaps) == len(vpns) == len(writes)):
@@ -44,22 +44,6 @@ class TraceBuffer:
         self.gaps = gaps
         self.vpns = vpns
         self.writes = writes
-        self._np = None
-
-    def columns64(self):
-        """Zero-copy ``numpy.int64`` views ``(gaps, vpns)`` over the
-        columnar arrays, built lazily and cached.  Traces are immutable
-        once a workload is constructed, so the views stay valid for the
-        buffer's lifetime.  Callers (the vectorised replay kernel) must
-        only request this when numpy is importable."""
-        if self._np is None:
-            import numpy
-
-            self._np = (
-                numpy.frombuffer(self.gaps, dtype=numpy.int64),
-                numpy.frombuffer(self.vpns, dtype=numpy.int64),
-            )
-        return self._np
 
     @classmethod
     def from_records(cls, records: Iterable[Access]) -> "TraceBuffer":

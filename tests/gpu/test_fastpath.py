@@ -146,9 +146,10 @@ class TestEngagement:
 
 
 class TestReplayKernelCorners:
-    """Degenerate shapes the vectorised kernel and per-GPU parking must
+    """Degenerate shapes the replay kernel and per-GPU parking must
     survive bit-for-bit: pathological batch limits, empty and
-    single-access lanes, wide topologies, and every knob combination."""
+    single-access lanes, wide topologies, and every combination of the
+    knobs the replay predicate and window recurrence read."""
 
     def _assert_equivalent(self, config, workload):
         _, fast = run_stats(config, workload)
@@ -163,17 +164,16 @@ class TestReplayKernelCorners:
         config = replace(small_config(2), fastpath_batch_limit=batch_limit)
         self._assert_equivalent(config, random_workload(17, 2))
 
-    @pytest.mark.parametrize("vectorised", [False, True])
-    @pytest.mark.parametrize("per_gpu", [False, True])
+    @pytest.mark.parametrize("idyll", [False, True])
+    @pytest.mark.parametrize("tight_window", [False, True])
     @pytest.mark.parametrize("seed", [3, 8])
-    def test_kernel_knob_matrix(self, vectorised, per_gpu, seed):
-        """Equivalence must hold for every (kernel, parking-gate)
-        combination, not just the defaults."""
-        config = replace(
-            small_config(2),
-            fastpath_vectorised=vectorised,
-            fastpath_per_gpu=per_gpu,
-        )
+    def test_kernel_knob_matrix(self, idyll, tight_window, seed):
+        """Equivalence must hold with and without an IRMB in the escape
+        predicate (IDYLL vs broadcast) and with a one-slot window, where
+        every replayed access waits on the ring head."""
+        scheme = InvalidationScheme.IDYLL if idyll else InvalidationScheme.BROADCAST
+        config = replace(small_config(2, scheme),
+                         inflight_per_cu=1 if tight_window else 4)
         self._assert_equivalent(config, random_workload(seed, 2))
 
     def test_empty_and_single_access_lanes(self):
@@ -241,9 +241,9 @@ class TestCheckpointMidBatch:
             assert asdict(resumed) == asdict(base), f"resume of {path} diverged"
 
     def test_parked_ring_pickles_to_plain_ints(self, tmp_path):
-        """The vectorised kernel rebuilds rings from numpy arrays; the
-        snapshot layer pickles them, so they must be Python ints (a
-        numpy scalar would silently change the checkpoint bytes)."""
+        """The snapshot layer pickles parked replay state, so it must be
+        plain Python ints (any other integer type would silently change
+        the checkpoint bytes)."""
         import glob
 
         from repro.sim import snapshot as snap

@@ -3,8 +3,7 @@ equivalence.
 
 Three layers of checking:
 
-* a short random campaign must come back clean (the real gate — CI runs
-  it with and without numpy);
+* a short random campaign must come back clean (the real gate);
 * a *sabotaged* kernel must be caught, proving the harness can actually
   see a divergence (a fuzzer that never fails is indistinguishable from
   a fuzzer that never looks);
@@ -13,11 +12,6 @@ Three layers of checking:
 """
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -30,8 +24,6 @@ from repro.experiments.fuzz import (
     run_variants,
 )
 from repro.gpu.fastpath import FastPath
-
-REPO = Path(__file__).resolve().parents[2]
 
 
 class TestCampaign:
@@ -57,7 +49,7 @@ class TestDetection:
     """The harness must detect a broken kernel, not just pass clean ones."""
 
     def test_sabotaged_kernel_is_caught(self, monkeypatch):
-        real = FastPath._replay_scalar
+        real = FastPath._replay
 
         def sabotaged(self, rec, bound):
             count = real(self, rec, bound)
@@ -65,7 +57,7 @@ class TestDetection:
                 rec.lane.gpu.instructions += 1  # drift one counter
             return count
 
-        monkeypatch.setattr(FastPath, "_replay_scalar", sabotaged)
+        monkeypatch.setattr(FastPath, "_replay", sabotaged)
         # Private-only pages: the lanes park and replay heavily, so the
         # sabotage is guaranteed to fire.
         spec = FuzzSpec(seed=123, num_gpus=2, accesses=200,
@@ -76,17 +68,17 @@ class TestDetection:
         assert spec.to_json() in report
 
     def test_sabotage_report_names_the_tier(self, monkeypatch):
-        real = FastPath._replay_scalar
+        real = FastPath._replay
 
         def sabotaged(self, rec, bound):
             count = real(self, rec, bound)
             rec.lane.gpu._n_local.value += count  # double-count locals
             return count
 
-        monkeypatch.setattr(FastPath, "_replay_scalar", sabotaged)
+        monkeypatch.setattr(FastPath, "_replay", sabotaged)
         report = check_spec(FuzzSpec(seed=7, num_gpus=2, accesses=200,
                                      shared_pages=0, private_pages=4))
-        assert report is not None and "scalar vs event" in report
+        assert report is not None and "fastpath vs event" in report
 
 
 class TestSpecPlumbing:
@@ -101,8 +93,7 @@ class TestSpecPlumbing:
 
     def test_variants_include_reference_tier(self):
         results = run_variants(FuzzSpec(seed=4, num_gpus=1, accesses=8))
-        assert "event" in results and "scalar" in results
-        assert "global" in results
+        assert set(results) == {"event", "fastpath"}
 
     def test_cli_spec_replay(self, capsys):
         spec = FuzzSpec(seed=11, num_gpus=2, accesses=20)
@@ -114,19 +105,3 @@ class TestSpecPlumbing:
         rc = cli_main(["fuzz", "--runs", "3", "--seed", "8", "--quiet"])
         out = capsys.readouterr().out
         assert rc == 0 and "fuzz campaign clean: 3 cases" in out
-
-
-class TestNumpyFallback:
-    def test_campaign_under_forced_fallback(self):
-        """One tiny campaign in a REPRO_NO_NUMPY=1 subprocess: the
-        scalar-only tier set must also agree (and must not import
-        numpy through the fast path)."""
-        env = dict(os.environ, REPRO_NO_NUMPY="1")
-        env["PYTHONPATH"] = str(REPO / "src")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "fuzz", "--runs", "2",
-             "--seed", "1", "--quiet"],
-            capture_output=True, text=True, env=env, cwd=REPO,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "vector" not in proc.stdout.splitlines()[-1]

@@ -1,5 +1,6 @@
 """Checkpoint file format: framing, validation, atomicity, controller."""
 
+import hashlib
 import os
 import pickle
 
@@ -20,6 +21,15 @@ from repro.sim.snapshot import (
 
 def _payload():
     return {"version": FORMAT_VERSION, "now": 1234, "gpus": [{"x": 1}]}
+
+
+def _framed(payload, version):
+    blob = pickle.dumps(payload)
+    return (
+        _HEADER.pack(FORMAT_MAGIC, version, len(blob))
+        + hashlib.sha256(blob).digest()
+        + blob
+    )
 
 
 class TestFormat:
@@ -67,16 +77,17 @@ class TestValidation:
 
     def test_unknown_version(self, tmp_path):
         path = tmp_path / "a.ckpt"
-        blob = pickle.dumps(_payload())
-        import hashlib
-
-        data = (
-            _HEADER.pack(FORMAT_MAGIC, FORMAT_VERSION + 9, len(blob))
-            + hashlib.sha256(blob).digest()
-            + blob
-        )
-        path.write_bytes(data)
+        path.write_bytes(_framed(_payload(), FORMAT_VERSION + 9))
         with pytest.raises(CheckpointError, match="format version"):
+            load_checkpoint(path)
+
+    def test_stale_version(self, tmp_path):
+        # A version-1 file pickles TraceBuffer with a ``_np`` slot the
+        # class no longer has; the header check must reject it before
+        # unpickling can fail some other way.
+        path = tmp_path / "a.ckpt"
+        path.write_bytes(_framed({"version": 1, "now": 0}, 1))
+        with pytest.raises(CheckpointError, match="format version 1"):
             load_checkpoint(path)
 
     def test_bit_flip_fails_digest(self, tmp_path):
