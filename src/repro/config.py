@@ -475,8 +475,9 @@ class SystemConfig:
     #: (observationally equivalent to the pure event path; ``repro run
     #: --no-fastpath`` and this flag both force the event path).
     fastpath_enabled: bool = True
-    #: upper bound on accesses replayed per lane in one batch commit;
-    #: part of the cache key so tuning it can never serve stale results.
+    #: upper bound on accesses one merged replay pass commits, across
+    #: all parked lanes; part of the cache key so tuning it can never
+    #: serve stale results.
     fastpath_batch_limit: int = 4096
 
     #: local DRAM access latency (cycles) for data and page-table reads.

@@ -16,10 +16,12 @@ L1, touch a remote or gated page, collide with an MSHR entry or a
 pending IRMB invalidation — or the moment the UVM driver starts an
 episode touching the lane's GPU.
 
-The replay kernel (:meth:`FastPath._replay`) is a per-access Python
-loop over the trace columns.  Bites are short — the merge discipline in
-:meth:`FastPath.try_batch` cuts each one at the runner-up lane's next
-issue — so per-call overhead, not per-access arithmetic, sets its cost.
+The replay kernel (:meth:`FastPath._replay_pass`) is one merged pass
+over all parked lanes.  A ``heapq`` keyed by (next issue time, park
+order) interleaves their trace columns, so accesses commit one at a
+time in global issue order — the order the event path would issue
+them in — and one call replays every access up to the next calendar
+event, however finely the lanes interleave.
 
 Parking protocol
 ----------------
@@ -80,8 +82,9 @@ turn it off explicitly.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Set
+from collections import OrderedDict, deque
+from heapq import heapify, heappop, heapreplace
+from typing import Dict, Optional, Set, Tuple
 
 from ..memory import pte as pte_bits
 from ..memory.physmem import PhysicalMemory
@@ -134,6 +137,7 @@ class FastPath:
         # results, which are asserted equal to event-path results).
         self.replayed = 0
         self.parks = 0
+        self.passes = 0
         # Select the batched drain loop; the hook itself is installed
         # only while lanes are parked (see park/_unpark), so runs with no
         # parking pay one None check per event.
@@ -225,29 +229,32 @@ class FastPath:
         releases.extend(ring)
         rec.event.succeed((rec.index, rec.arrival))
 
-    def _head_escapes(self, rec: ParkedLane) -> bool:
-        """Read-only escape probe of ``rec``'s next access — exactly the
-        replay kernel's predicate, with no commit and no LRU touch."""
+    def _replayable(self, rec: ParkedLane, vpn: int) -> Optional[OrderedDict]:
+        """``try_fast_access``'s acceptance test for an access by
+        ``rec``'s lane to ``vpn``, read-only: the L1 set holding
+        ``vpn`` when the access may be replayed now, else None (the
+        access escapes to the event path)."""
         lane = rec.lane
         gpu = lane.gpu
         if rec.gen != gpu.inval_generation:
-            return True
-        vpn = lane._vpns[rec.index]
+            return None
         sets = gpu.l1_tlbs[lane.lane_id]._sets
-        entry_set = sets[0] if len(sets) == 1 else sets[vpn % len(sets)]
+        entry_set = sets[vpn % len(sets)]
         word = entry_set.get(vpn)
         if word is None or PhysicalMemory.owner_of(pte_bits.ppn(word)) != gpu.gpu_id:
-            return True
+            return None
         irmb = gpu.irmb
         if irmb is not None and not irmb.is_empty and irmb.peek(vpn):
-            return True
+            return None
         if (
             vpn in gpu.l1_mshrs[lane.lane_id]._pending
             or vpn in gpu.l2_mshr._pending
         ):
-            return True
+            return None
         gates = self.driver._gates
-        return bool(gates) and vpn in gates
+        if gates and vpn in gates:
+            return None
+        return entry_set
 
     @staticmethod
     def _head_issue(rec: ParkedLane) -> int:
@@ -274,86 +281,50 @@ class FastPath:
         engine = self.engine
         heap = engine._heap
         parked_windows = self._parked_windows
+        cap = None
+        unparked = False
         while True:
-            unparked = False
             # Evict only lanes whose own GPU became busy; the rest keep
             # batching through the episode.
-            for rec in list(parked.values()):
-                if rec.lane.gpu.driver_busy:
-                    self._unpark(rec)
-                    unparked = True
-            if unparked:
+            busy = [rec for rec in parked.values() if rec.lane.gpu.driver_busy]
+            for rec in busy:
+                self._unpark(rec)
+            if busy:
                 return True
-            bound = heap[0][0] if heap else _INF
-            work = 0
-            # Merge discipline: commit replayed accesses in globally
-            # nondecreasing issue order across all parked lanes.  A
-            # parked lane's escape re-enters the event path at its
-            # escape arrival and can mutate shared translation state
-            # (access-counter migrations, faults, invalidations) that
-            # the escape predicate snapshots per bite — so no lane may
-            # replay past another parked lane's next issue time.  The
-            # calendar bound alone cannot see those future escapes:
-            # parked lanes have no heap entries beyond consumed window
-            # releases.  Each round picks the lane with the earliest
-            # pending issue and replays it up to the runner-up's head
-            # (ties advance one issue instant: state mutations from a
-            # concurrently-issued slow access always land strictly
-            # after its issue time, so same-instant replays are exact).
-            head_issue = self._head_issue
-            esc_cap = _INF
-            while parked:
-                best = None
-                best_h = _INF
-                second = _INF
-                for rec in parked.values():
-                    h = head_issue(rec)
-                    if h < best_h:
-                        second = best_h
-                        best_h = h
-                        best = rec
-                    elif h < second:
-                        second = h
-                if second <= best_h:
-                    second = best_h + 1
-                cap = bound if bound < second else second
-                if esc_cap < cap:
-                    cap = esc_cap
-                n = self._replay(best, cap)
-                work += n
-                if best.lane not in parked:
-                    unparked = True
-                    if best.index < best.lane._n:
-                        # Escape (not end-of-trace): the lane re-enters
-                        # the event path at ``arrival`` and may mutate
-                        # shared state strictly after that instant —
-                        # siblings may still commit through it, but not
-                        # beyond.  Probing them now (rather than after
-                        # the resumed lane runs) also keeps same-instant
-                        # escapes unparking in park order, preserving
-                        # the event path's sequence numbering.
-                        a = best.arrival + 1
-                        if a < esc_cap:
-                            esc_cap = a
-                    continue
-                if n == 0:
-                    break
-            # Discovery pass: escapes must be found (and their resumes
-            # scheduled) as early as possible so the resume wake-ups
-            # carry sequence numbers close to the ones the event path
-            # assigned when the lanes originally blocked — otherwise
-            # same-instant wake-ups drain in the wrong order.  Probe
-            # every lane still parked against the pass-start bound,
-            # read-only: commits above respect the merge caps, the
-            # probe only asks "would the head access take the slow
-            # path right now?".
-            head_escapes = self._head_escapes
-            for rec in list(parked.values()):
-                if head_issue(rec) < bound and head_escapes(rec):
-                    self._unpark(rec)
-                    unparked = True
+            if cap is None:
+                bound = cap = heap[0][0] if heap else _INF
+            # Lanes may park inside run_batch_until below, but never
+            # during a pass (no event runs there): a smaller count after
+            # the pass means it unparked a lane.
+            waiting = len(parked)
+            commits, cap = self._replay_pass(cap)
+            if len(parked) < waiting:
+                unparked = True
+            if commits >= self.batch_limit:
+                # Limit cut: the pass is not finished.  The next one
+                # resumes under the same bound and escape cap; the
+                # discovery probe and the window-release consumption
+                # below wait for a pass that ends on its own, because
+                # consuming a release now would move the clock past
+                # accesses not yet committed.
+                continue
             if unparked:
-                # The resumed lane(s) must run before further replay.
+                # Discovery: escapes must be found (and their resumes
+                # scheduled) as early as possible so the resume wake-ups
+                # carry sequence numbers close to the ones the event path
+                # assigned when the lanes originally blocked — otherwise
+                # same-instant wake-ups drain in the wrong order.  Probe
+                # every lane still parked against the pass-start bound,
+                # read-only: commits respect the escape cap, the probe
+                # only asks "would the head access take the slow path
+                # right now?".  The resumed lanes must run before
+                # further replay.
+                for rec in list(parked.values()):
+                    if (
+                        self._head_issue(rec) < bound
+                        and self._replayable(rec, rec.lane._vpns[rec.index]) is None
+                    ):
+                        self._unpark(rec)
                 return True
             if heap:
                 entry = heap[0]
@@ -362,96 +333,104 @@ class FastPath:
                     # Next event is a parked lane's own window release —
                     # benign: consume it and keep replaying.
                     engine.run_batch_until(entry[0])
+                    cap = None
                     continue
-            if work:
-                continue  # batch-limit chunking: take another bite
             return False
 
     # ------------------------------------------------------------------
     # The replay kernel
     # ------------------------------------------------------------------
 
-    def _replay(self, rec: ParkedLane, bound) -> int:
-        """Replay ``rec``'s lane arithmetically until ``bound``, an
-        escape, the batch limit, or end of trace.  Returns the number of
-        accesses replayed."""
-        lane = rec.lane
-        gpu = lane.gpu
-        if rec.gen != gpu.inval_generation:
-            self._unpark(rec)
-            return 0
-        gaps = lane._gaps
-        vpns = lane._vpns
-        n = lane._n
-        i = rec.index
-        arrival = rec.arrival
-        ring = rec.ring
-        backed = rec.backed
-        capacity = lane._capacity
-        fast_latency = gpu._fast_latency
-        l1 = gpu.l1_tlbs[lane.lane_id]
-        sets = l1._sets
-        nsets = len(sets)
-        single = sets[0] if nsets == 1 else None
-        owner_of = PhysicalMemory.owner_of
-        ppn = pte_bits.ppn
-        gpu_id = gpu.gpu_id
-        irmb = gpu.irmb
-        irmb_peek = (
-            irmb.peek if irmb is not None and not irmb.is_empty else None
-        )
-        mshr1 = gpu.l1_mshrs[lane.lane_id]._pending
-        mshr2 = gpu.l2_mshr._pending
-        gates = self.driver._gates
-        ring_pop = ring.popleft
-        ring_push = ring.append
+    def _replay_pass(self, cap: float) -> Tuple[int, float]:
+        """One merged pass over every parked lane: commit replayable
+        accesses in global (issue time, park order) order while they
+        issue before ``cap``, for at most ``batch_limit`` commits.
+
+        The order matters because the calendar bound cannot see a parked
+        lane's coming escape: the lane holds no calendar entry for it,
+        and once back on the event path its slow access can change
+        shared translation state (access-counter migrations, faults,
+        invalidations) that the other lanes' predicate reads.  A lane
+        that escapes (or whose invalidation generation moved) is
+        unparked when it reaches the queue head, and ``cap`` drops to its
+        arrival + 1: the lane re-enters the event path at ``arrival``
+        and may mutate shared translation state strictly after that
+        instant, so siblings may commit through it but not beyond.
+
+        Each lane's ``index``, ``arrival`` and ``backed`` are kept in its
+        :class:`ParkedLane` as they advance, and its counters are added
+        before it is unparked and before the pass returns, because
+        :meth:`_unpark` and checkpoints read them.  Returns
+        ``(commits, cap)``."""
+        self.passes += 1
+        queue = []
+        for order, rec in enumerate(self._parked.values()):
+            issue = self._head_issue(rec)
+            if issue < cap:
+                lane = rec.lane
+                queue.append((issue, order, rec, (
+                    rec.index, {}, lane._vpns, lane._gaps, lane._n, rec.ring,
+                    lane._capacity, lane.gpu._fast_latency,
+                )))
+        heapify(queue)
         limit = self.batch_limit
-        count = 0
-        instructions = 0
-        escaped = False
-        while count < limit:
-            if len(ring) >= capacity:
-                head = ring[0]
-                issue = head if head > arrival else arrival
-            else:
-                issue = arrival
-            if issue >= bound:
+        commits = 0
+        while queue and commits < limit:
+            issue, order, rec, state = queue[0]
+            if issue >= cap:
                 break
+            start, accepted, vpns, gaps, n, ring, capacity, fast_latency = state
+            i = rec.index
             vpn = vpns[i]
-            entry_set = single if single is not None else sets[vpn % nsets]
-            word = entry_set.get(vpn)
-            if (
-                word is None
-                or owner_of(ppn(word)) != gpu_id
-                or (irmb_peek is not None and irmb_peek(vpn))
-                or vpn in mshr1
-                or vpn in mshr2
-                or (gates and vpn in gates)
-            ):
-                escaped = True
-                break
-            # Exactly try_fast_access's side effects, in bulk.
+            # No event runs inside a pass, so the predicate's verdict on
+            # a page holds for the whole pass: ``accepted`` maps each page
+            # it has passed to its L1 set.
+            entry_set = accepted.get(vpn)
+            if entry_set is None:
+                entry_set = self._replayable(rec, vpn)
+                if entry_set is None:
+                    heappop(queue)
+                    self._retire(rec, start)
+                    self._unpark(rec)
+                    if rec.arrival + 1 < cap:
+                        cap = rec.arrival + 1
+                    continue
+                accepted[vpn] = entry_set
+            # Exactly try_fast_access's side effects; the counters are
+            # added per lane by _retire.
             entry_set.move_to_end(vpn)
             if len(ring) >= capacity:
-                ring_pop()
-                if backed:
-                    backed -= 1
-            ring_push(issue + fast_latency)
-            instructions += gaps[i] + 1
-            count += 1
+                ring.popleft()
+                if rec.backed:
+                    rec.backed -= 1
+            ring.append(issue + fast_latency)
+            commits += 1
             i += 1
+            rec.index = i
             if i >= n:
-                break
+                heappop(queue)
+                self._retire(rec, start)
+                self._unpark(rec)
+                continue
             arrival = issue + gaps[i]
+            rec.arrival = arrival
+            issue = arrival
+            if len(ring) >= capacity and ring[0] > arrival:
+                issue = ring[0]
+            heapreplace(queue, (issue, order, rec, state))
+        for _issue, _order, rec, state in queue:
+            self._retire(rec, state[0])
+        return commits, cap
+
+    def _retire(self, rec: ParkedLane, start: int) -> None:
+        """Add the counters of ``rec``'s accesses replayed this pass —
+        trace indices ``start`` to ``rec.index`` — to its GPU and L1."""
+        count = rec.index - start
         if count:
-            gpu.instructions += instructions
-            l1._hits.value += count
+            lane = rec.lane
+            gpu = lane.gpu
+            gpu.instructions += sum(lane._gaps[start:rec.index]) + count
+            gpu.l1_tlbs[lane.lane_id]._hits.value += count
             gpu._n_local.value += count
             gpu._n_completed.value += count
             self.replayed += count
-        rec.index = i
-        rec.arrival = arrival
-        rec.backed = backed
-        if escaped or i >= n:
-            self._unpark(rec)
-        return count

@@ -14,6 +14,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
+from repro.bench import _tlb_resident_workload
 from repro.config import InvalidationScheme, baseline_config
 from repro.gpu.system import MultiGPUSystem
 from repro.sim.trace import TraceRecorder
@@ -139,6 +140,16 @@ class TestEngagement:
         diff = {k: (fast[k], slow[k]) for k in fast if fast[k] != slow[k]}
         assert not diff, diff
 
+    def test_merged_pass_replays_many_accesses_per_pass(self):
+        """Machine-independent speed guard: one kernel pass replays every
+        parked lane up to the next calendar event.  Per-lane bites cut at
+        the runner-up lane's next issue gave about one access per call."""
+        config = baseline_config(4).with_scheme(InvalidationScheme.IDYLL)
+        system = MultiGPUSystem(config, seed=7)
+        system.run(_tlb_resident_workload(4, 4, 1500, 16))
+        fastpath = system.fastpath
+        assert fastpath.replayed / fastpath.passes >= 100
+
     def test_no_fastpath_flag_disables_construction(self):
         config = small_config(2).with_fastpath(False)
         system = MultiGPUSystem(config, seed=7)
@@ -157,12 +168,18 @@ class TestReplayKernelCorners:
         diff = {k: (fast[k], slow[k]) for k in fast if fast[k] != slow[k]}
         assert not diff, f"fastpath changed observable stats: {diff}"
 
-    # 59 = run length - 1: the last access of a 60-access lane always
-    # spills into a second bite.
-    @pytest.mark.parametrize("batch_limit", [1, 2, 59])
+    # 59 = run length - 1: even a lane replayed alone needs a second
+    # pass.  The 1-GPU seed-19 input diverges at limits 1 and 3 when a
+    # pass cut by the limit is treated as finished (the next window
+    # release consumed, the bound recomputed); the seed-17 input does
+    # not.
+    @pytest.mark.parametrize("batch_limit", [1, 2, 3, 59])
     def test_degenerate_batch_limits(self, batch_limit):
         config = replace(small_config(2), fastpath_batch_limit=batch_limit)
         self._assert_equivalent(config, random_workload(17, 2))
+        if batch_limit in (1, 3):
+            config = replace(small_config(1), fastpath_batch_limit=batch_limit)
+            self._assert_equivalent(config, random_workload(19, 1, accesses=120))
 
     @pytest.mark.parametrize("idyll", [False, True])
     @pytest.mark.parametrize("tight_window", [False, True])
@@ -196,6 +213,11 @@ class TestReplayKernelCorners:
         self._assert_equivalent(config, random_workload(3, 8))
         config = small_config(8, InvalidationScheme.BROADCAST)
         self._assert_equivalent(config, random_workload(4, 8))
+        # One-slot windows: lanes park inside the batcher call while it
+        # consumes a parked lane's window release, and a later pass's
+        # unpark must still end the call.
+        config = replace(config, inflight_per_cu=1)
+        self._assert_equivalent(config, random_workload(0, 8))
 
 
 class TestCheckpointMidBatch:

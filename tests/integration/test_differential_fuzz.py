@@ -49,15 +49,16 @@ class TestDetection:
     """The harness must detect a broken kernel, not just pass clean ones."""
 
     def test_sabotaged_kernel_is_caught(self, monkeypatch):
-        real = FastPath._replay
+        real = FastPath._replay_pass
 
-        def sabotaged(self, rec, bound):
-            count = real(self, rec, bound)
-            if count:
-                rec.lane.gpu.instructions += 1  # drift one counter
-            return count
+        def sabotaged(self, cap):
+            lanes = list(self._parked)
+            commits, cap = real(self, cap)
+            if commits:
+                lanes[0].gpu.instructions += 1  # drift one counter
+            return commits, cap
 
-        monkeypatch.setattr(FastPath, "_replay", sabotaged)
+        monkeypatch.setattr(FastPath, "_replay_pass", sabotaged)
         # Private-only pages: the lanes park and replay heavily, so the
         # sabotage is guaranteed to fire.
         spec = FuzzSpec(seed=123, num_gpus=2, accesses=200,
@@ -68,14 +69,16 @@ class TestDetection:
         assert spec.to_json() in report
 
     def test_sabotage_report_names_the_tier(self, monkeypatch):
-        real = FastPath._replay
+        real = FastPath._replay_pass
 
-        def sabotaged(self, rec, bound):
-            count = real(self, rec, bound)
-            rec.lane.gpu._n_local.value += count  # double-count locals
-            return count
+        def sabotaged(self, cap):
+            lanes = list(self._parked)
+            commits, cap = real(self, cap)
+            if commits:
+                lanes[0].gpu._n_local.value += commits  # double-count locals
+            return commits, cap
 
-        monkeypatch.setattr(FastPath, "_replay", sabotaged)
+        monkeypatch.setattr(FastPath, "_replay_pass", sabotaged)
         report = check_spec(FuzzSpec(seed=7, num_gpus=2, accesses=200,
                                      shared_pages=0, private_pages=4))
         assert report is not None and "fastpath vs event" in report
