@@ -31,11 +31,9 @@ from typing import List, Optional
 from . import experiments
 from .config import InvalidationScheme, MigrationPolicy, baseline_config
 from .experiments.runner import ExperimentRunner
-from .gpu.system import MultiGPUSystem
 from .metrics.export import series_to_csv, series_to_json
 from .metrics.report import format_series, format_table
 from .workloads.dnn import DNN_MODELS
-from .workloads.io import save_workload
 from .workloads.suite import APP_ORDER, APPS
 
 __all__ = ["main"]
@@ -571,6 +569,8 @@ def _cmd_run(args) -> int:
         # Faulted/audited/checkpointed runs bypass the memoising runner
         # so the abort diagnostics (protocol-state dump) and checkpoint
         # controller stay accessible.
+        from .gpu.system import MultiGPUSystem
+
         workload = runner.workload(args.app, num_gpus=args.gpus)
         tracer = None
         if args.trace:
@@ -752,6 +752,8 @@ def _cmd_golden(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .workloads.io import save_workload
+
     runner = _runner_for(args)
     workload = runner.workload(args.app, num_gpus=args.gpus)
     save_workload(workload, args.output)
@@ -861,6 +863,7 @@ def _cmd_chaos_run(args) -> int:
 def _cmd_chaos_dump(args) -> int:
     from .faults.history import ProtocolHistory, first_violating_vpn, format_history
     from .faults.profiles import parse_fault_spec
+    from .gpu.system import MultiGPUSystem
 
     config = baseline_config(args.gpus).with_scheme(
         InvalidationScheme(args.scheme)

@@ -83,6 +83,9 @@ __all__ = ["ParallelRunner", "SweepInterrupted", "SweepSupervisor"]
 #: one grid entry: (app, config, scale).
 Request = Tuple[str, SystemConfig, float]
 
+#: result-queue message that carries nothing (see SweepSupervisor.wake).
+_WAKE = ("wake", None, None, None)
+
 
 class SweepInterrupted(RuntimeError):
     """A supervised sweep was stopped by SIGINT/SIGTERM after a graceful
@@ -313,7 +316,10 @@ class SweepSupervisor:
         # Introspection counters (tests and progress reporting).
         self.failures = 0
         self.worker_deaths = 0
+        #: spawns that replaced a worker retired by death, hang or
+        #: preemption (a pool's first spawns are not respawns).
         self.respawns = 0
+        self._unreplaced = 0
         self.quarantined = 0
         self._workers: Dict[int, _Worker] = {}
         self._next_worker = 0
@@ -332,6 +338,21 @@ class SweepSupervisor:
         if not self._stop:
             self._stop = True
             self._stop_at = time.monotonic()
+
+    def wake(self) -> None:
+        """End the current :meth:`step`'s wait for a worker message now
+        rather than after ``TICK``: an embedding service calls this when
+        it has admitted work or is closing.  Callable from any thread
+        but not from a signal handler (the queue takes a lock); a no-op
+        before :meth:`start` and after :meth:`shutdown`, including one
+        that races this call."""
+        result_queue = self._result_queue
+        if result_queue is None:
+            return
+        try:
+            result_queue.put_nowait(_WAKE)
+        except ValueError:  # closed by a concurrent shutdown
+            pass
 
     def run(self, tasks: Sequence[Tuple[str, str, SystemConfig, float]]
             ) -> Dict[str, SimulationResult]:
@@ -560,6 +581,7 @@ class SweepSupervisor:
         worker = self._workers.pop(wid, None)
         if worker is None:
             return
+        self._unreplaced += 1
         try:
             worker.queue.close()
             worker.queue.cancel_join_thread()
@@ -655,6 +677,8 @@ class SweepSupervisor:
 
     def _handle(self, msg, state: Dict[str, _Task]) -> None:
         kind, wid, key, payload = msg
+        if kind == "wake":
+            return  # posted by wake(): it only ended the tick's wait
         worker = self._workers.get(wid)
         if kind in ("start", "hb"):
             if worker is not None:
@@ -710,7 +734,9 @@ class SweepSupervisor:
             )
             while len(self._workers) < min(self.jobs, open_tasks):
                 self._spawn_worker()
-                self.respawns += 1
+                if self._unreplaced:
+                    self._unreplaced -= 1
+                    self.respawns += 1
 
     # -- outcomes ------------------------------------------------------------
 

@@ -30,7 +30,6 @@ import warnings
 from typing import Dict, Optional, Tuple
 
 from ..config import SystemConfig
-from ..gpu.system import MultiGPUSystem
 from ..metrics.collector import SimulationResult
 from ..workloads.base import Workload
 from ..workloads.dnn import DNN_MODELS, build_dnn_workload
@@ -152,6 +151,10 @@ def simulate(
             accesses_per_lane=accesses_per_lane,
             seed=seed,
         )
+    # Imported here, not at the top: `repro list`, a warm `repro figure`
+    # and the job server import this module without simulating.
+    from ..gpu.system import MultiGPUSystem
+
     system = MultiGPUSystem(config, seed=seed)
     result = system.run(
         workload, checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir

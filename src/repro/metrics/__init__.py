@@ -1,22 +1,6 @@
-"""Metrics: per-run collection and report formatting."""
+"""Metrics: per-run collection and report formatting.
 
-from .collector import SimulationResult, collect
-from .export import result_to_json, results_to_csv, series_to_csv, series_to_json
-from .report import format_series, format_table, geomean, mean
-from .trace_export import trace_lines, trace_to_chrome, trace_to_jsonl
-
-__all__ = [
-    "SimulationResult",
-    "collect",
-    "format_series",
-    "format_table",
-    "geomean",
-    "mean",
-    "result_to_json",
-    "results_to_csv",
-    "series_to_csv",
-    "series_to_json",
-    "trace_lines",
-    "trace_to_chrome",
-    "trace_to_jsonl",
-]
+Import the submodule you need (``repro.metrics.collector``,
+``repro.metrics.export``, ...): the package re-exports nothing, so a
+user of the report helpers does not load the trace recorder.
+"""

@@ -26,8 +26,8 @@ One manager owns the whole job lifecycle behind the HTTP layer:
   instead of restarting it.
 
 Thread discipline: the supervisor is touched *only* by the scheduler
-thread (plus the idempotent ``request_stop``); HTTP threads touch the
-queue, the journal, and the job table under one lock.
+thread (plus the idempotent ``request_stop`` and ``wake``); HTTP
+threads touch the queue, the journal, and the job table under one lock.
 """
 
 from __future__ import annotations
@@ -143,6 +143,7 @@ class JobManager:
             self._draining = True
             self._drain_deadline = time.monotonic() + (budget if drain else 0.0)
         self.supervisor.request_stop()
+        self.supervisor.wake()
         thread = self._thread
         if thread is not None:
             thread.join(budget + 30.0)
@@ -183,6 +184,8 @@ class JobManager:
             # id, a crash cannot lose the job.
             self.journal.record("queued", job_id, spec=spec.to_dict())
         self.events.emit(job_id, "queued", queue_depth=self.queue.depth())
+        # After "queued" is emitted, so it stays the job's first event.
+        self.supervisor.wake()
         return record
 
     def get(self, job_id: str) -> Optional[JobRecord]:
@@ -306,19 +309,22 @@ class JobManager:
     # -- scheduling (the manager thread) -------------------------------------
 
     def _loop(self) -> None:
+        # Each step waits up to a supervisor tick for worker messages;
+        # submit() and close() wake it, so admission and shutdown act
+        # at once instead of on the next tick.
         while True:
             with self._lock:
                 draining = self._draining
                 deadline = self._drain_deadline
-            if not draining:
-                self._admit_from_queue()
-            for event in self.supervisor.step(respawn=not draining):
-                self._translate(event)
             if draining:
                 drained = self.supervisor.running_count() == 0
                 if drained or (deadline is not None
                                and time.monotonic() > deadline):
                     break
+            else:
+                self._admit_from_queue()
+            for event in self.supervisor.step(respawn=not draining):
+                self._translate(event)
         self._finish_drain()
 
     def _ckpt_dir(self, job_id: str, task_key: str) -> str:

@@ -92,15 +92,24 @@ class _Handler(BaseHTTPRequestHandler):
     ) -> None:
         self._send_json(status, {"error": message}, headers=headers)
 
+    def _reject_unread_body(self, status: int, message: str) -> None:
+        """Refuse a request whose body stays unread, and close the
+        connection: on a kept-alive one the unread bytes would be parsed
+        as the next request."""
+        self.close_connection = True
+        self._send_error_json(status, message, headers={"Connection": "close"})
+
     def _read_body(self) -> Optional[bytes]:
         """Bounded body read; answers 413/400 itself and returns None."""
         try:
             length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:  # read(-1) would wait for the client's EOF
+                raise ValueError(length)
         except ValueError:
-            self._send_error_json(400, "bad Content-Length")
+            self._reject_unread_body(400, "bad Content-Length")
             return None
         if length > MAX_BODY_BYTES:
-            self._send_error_json(
+            self._reject_unread_body(
                 413, f"request body exceeds {MAX_BODY_BYTES} bytes"
             )
             return None

@@ -1,30 +1,6 @@
-"""Discrete-event simulation kernel (engine, processes, stats, RNG)."""
+"""Discrete-event simulation kernel (engine, processes, stats, RNG).
 
-from .engine import AllOf, Engine, Event, Interrupt, Process, SimulationError, Timeout
-from .process import Gate, Resource, Store
-from .rng import derive_seed, stream
-from .stats import Counter, Histogram, LatencyStat, StatsGroup
-from .trace import NULL_TRACER, NullTracer, TraceRecord, TraceRecorder
-
-__all__ = [
-    "AllOf",
-    "Engine",
-    "Event",
-    "Interrupt",
-    "Process",
-    "SimulationError",
-    "Timeout",
-    "Gate",
-    "Resource",
-    "Store",
-    "derive_seed",
-    "stream",
-    "Counter",
-    "Histogram",
-    "LatencyStat",
-    "StatsGroup",
-    "NULL_TRACER",
-    "NullTracer",
-    "TraceRecord",
-    "TraceRecorder",
-]
+Import the submodule you need (``repro.sim.engine``, ``repro.sim.rng``,
+...): the package re-exports nothing, so a light user such as the
+workload generators does not load the engine.
+"""

@@ -79,7 +79,7 @@ class TestWorkerCrashRecovery:
                     for worker in list(supervisor._workers.values()):
                         if worker.task_key is not None and worker.proc.is_alive():
                             os.kill(worker.proc.pid, signal.SIGKILL)
-                            killed.append(worker.proc.pid)
+                            killed.append(supervisor)
                             return
                 time.sleep(0.01)
 
@@ -90,6 +90,8 @@ class TestWorkerCrashRecovery:
         assert killed, "kill thread never found a busy worker"
         for have, want in zip(got, expected):
             assert asdict(have) == asdict(want)
+        (supervisor,) = killed
+        assert supervisor.respawns >= 1
 
 
 class TestPoisonQuarantine:

@@ -1,6 +1,7 @@
 """End-to-end service behaviour over real HTTP: submit → stream →
 artifact, cache-hit fast path, validation at the door, overload
-backpressure, worker SIGKILL survival.
+backpressure, worker SIGKILL survival, a scheduler that acts on
+admission and shutdown without waiting out its tick.
 
 Everything runs against the stdlib server on an ephemeral port with a
 real spawn-context worker pool — the same stack `repro serve` boots.
@@ -9,12 +10,15 @@ real spawn-context worker pool — the same stack `repro serve` boots.
 import http.client
 import json
 import os
+import re
 import signal
+import socket
 import time
 
 import pytest
 
 from repro.experiments.cache import ResultCache
+from repro.experiments.parallel import SweepSupervisor
 from repro.experiments.runner import simulate
 from repro.metrics.export import result_to_json_bytes
 from repro.service import JobHTTPServer, JobManager
@@ -92,15 +96,36 @@ def service(tmp_path):
         server.stop(drain=False)
 
 
-def direct_bytes(spec_dict):
-    """What the CLI would produce for the same run — the byte-equality
-    oracle for service artifacts."""
+def direct_result(spec_dict):
+    """The spec's single run, simulated in this process."""
     run = JobSpec.from_dict(spec_dict).runs[0]
-    result = simulate(
+    return simulate(
         run.app, run.to_config(), run.scale,
         lanes=run.lanes, accesses_per_lane=run.accesses, seed=run.seed,
     )
-    return result_to_json_bytes(result)
+
+
+def direct_bytes(spec_dict):
+    """What the CLI would produce for the same run — the byte-equality
+    oracle for service artifacts."""
+    return result_to_json_bytes(direct_result(spec_dict))
+
+
+def raw_exchange(host, port, data, timeout=5.0):
+    """Send raw bytes on one connection; return everything the server
+    sends back before it closes (or goes quiet for ``timeout``)."""
+    received = b""
+    with socket.create_connection((host, port), timeout=timeout) as sock:
+        sock.sendall(data)
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                received += chunk
+        except socket.timeout:
+            pass
+    return received
 
 
 class TestLifecycle:
@@ -127,6 +152,8 @@ class TestLifecycle:
         assert status == 200
         assert headers["Content-Type"] == "application/x-ndjson"
         assert blob == direct_bytes(SMALL)
+        # The pool's first spawns are not respawns.
+        assert client.request("GET", "/metrics")[3]["worker_respawns"] == 0
 
     def test_resubmission_is_a_cache_hit(self, service):
         manager, client = service()
@@ -191,6 +218,29 @@ class TestValidationAtTheDoor:
         conn.request("POST", "/jobs", body=b"x" * (1_048_576 + 1))
         assert conn.getresponse().status == 413
         conn.close()
+
+    @pytest.mark.parametrize("length, status", [
+        ("2000000", 413), ("nope", 400), ("-1", 400),
+    ])
+    def test_unread_body_is_not_served_as_a_request(self, service, length, status):
+        """A body the server refuses without reading must end the
+        connection: here it is a complete job submission, which a
+        kept-alive connection would parse and admit."""
+        manager, client = service()
+        spec = json.dumps(SMALL).encode()
+        smuggled = (
+            b"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(spec), spec)
+        )
+        head = (
+            f"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode()
+        reply = raw_exchange(client.host, client.port, head + smuggled)
+        assert re.findall(rb"^HTTP/1\.1 (\d{3}) ", reply, re.M) == [
+            str(status).encode()
+        ]
+        assert manager.list_jobs() == []
 
     def test_unknown_job_is_404(self, service):
         _, client = service()
@@ -262,7 +312,32 @@ class TestWorkerCrash:
         final = client.wait_terminal(job_id)
         assert final["state"] == "done"
         assert manager.supervisor.worker_deaths >= 1
+        assert manager.supervisor.respawns >= 1
         kinds = client.stream_events(job_id)
         assert "retry" in kinds  # the death was surfaced to the client
         _, _, blob, _ = client.request("GET", f"/jobs/{job_id}/artifact")
         assert blob == direct_bytes(SLOW)
+
+
+class TestSchedulerWake:
+    def test_admission_and_stop_do_not_wait_for_the_tick(self, tmp_path, monkeypatch):
+        """With a 60 s supervisor tick, a cache-hit job still finishes
+        and a non-draining stop still returns at once: submit() and
+        close() wake the scheduler."""
+        monkeypatch.setattr(SweepSupervisor, "TICK", 60.0)
+        cache = ResultCache(str(tmp_path / "cache"))
+        (key,) = JobSpec.from_dict(SMALL).task_keys()
+        cache.put(key, direct_result(SMALL))
+        server = JobHTTPServer(
+            JobManager(cache, workers=1, checkpoint_every=None), port=0
+        )
+        server.start()
+        try:
+            client = Client(*server.address)
+            _, _, _, doc = client.request("POST", "/jobs", SMALL)
+            assert client.wait_terminal(doc["id"], timeout=10)["state"] == "done"
+        finally:
+            start = time.monotonic()
+            server.stop(drain=False)
+            stop_s = time.monotonic() - start
+        assert stop_s < 10
