@@ -116,21 +116,23 @@ def _simulate_job(job: Tuple) -> SimulationResult:
     )
 
 
-def _parent_watchdog() -> None:
+def _parent_watchdog(supervisor_pid: int) -> None:
     """Hard-exit when our supervisor dies: a host agent SIGKILLed by a
     chaos drill (or a real crash) must not leak grandchildren that keep
     burning CPU on a sweep nobody will collect.  Polling ``getppid``
-    beats prctl(PR_SET_PDEATHSIG) here because it is portable and
-    survives the spawn-context double fork."""
-    parent = os.getppid()
-    while True:
+    beats prctl(PR_SET_PDEATHSIG) here because it is portable.
+
+    The supervisor's pid comes in with the spawn arguments rather than
+    from ``getppid`` at thread start: a worker whose supervisor died
+    before this thread first ran is already re-parented, and must exit
+    at the first check instead of adopting its new parent."""
+    while os.getppid() == supervisor_pid:
         time.sleep(1.0)
-        if os.getppid() != parent:
-            os._exit(1)
+    os._exit(1)
 
 
 def _worker_main(worker_id: int, task_queue, result_queue,
-                 heartbeat_interval: float) -> None:
+                 heartbeat_interval: float, supervisor_pid: int) -> None:
     """Supervised worker loop: take tasks, emit heartbeats, post results.
 
     Workers ignore SIGINT so a ^C lands on the supervisor alone, which
@@ -141,7 +143,7 @@ def _worker_main(worker_id: int, task_queue, result_queue,
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
-    threading.Thread(target=_parent_watchdog, daemon=True).start()
+    threading.Thread(target=_parent_watchdog, args=(supervisor_pid,), daemon=True).start()
     while True:
         task = task_queue.get()
         if task is None:
@@ -570,7 +572,8 @@ class SweepSupervisor:
         task_queue = self._ctx.Queue()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(wid, task_queue, self._result_queue, self.heartbeat_interval),
+            args=(wid, task_queue, self._result_queue, self.heartbeat_interval,
+                  os.getpid()),
             daemon=True,
             name=f"repro-sweep-{wid}",
         )

@@ -16,12 +16,17 @@ from typing import List, Optional
 from ..config import GMMUConfig
 from ..memory.page_table import PageTable
 from ..memory.walk_cache import PageWalkCache
-from ..sim.engine import Engine, Event, Process
+from ..sim.engine import Engine, Event
 from ..sim.process import Resource, Store
 from ..sim.stats import StatsGroup
 from .request import WalkKind, WalkRequest
 
 __all__ = ["GMMU"]
+
+# Bound once: enum member access is a metaclass lookup, and these are
+# tested several times per walk.
+_DEMAND = WalkKind.DEMAND
+_INVALIDATE = WalkKind.INVALIDATE
 
 
 class GMMU:
@@ -32,6 +37,7 @@ class GMMU:
         "_tracer", "pwc", "queue", "walkers", "_idle_waiters",
         "_inval_inflight", "_inval_since", "_inval_busy",
         "_any_inflight", "_any_since", "_any_busy", "_kind_stats",
+        "_next_request",
     )
 
     def __init__(
@@ -67,7 +73,11 @@ class GMMU:
         # key construction plus StatsGroup dict probe is measurable at
         # one-per-walk rates.
         self._kind_stats: dict = {}
-        engine.process(self._dispatcher())
+        #: the request the dispatcher holds while it waits for a walker.
+        self._next_request: Optional[WalkRequest] = None
+        # The dispatcher's first step, queued where a dispatcher process
+        # would have been started.
+        engine._ready.append((self._dispatch, ()))
 
     def _stats_for(self, kind: WalkKind) -> tuple:
         stats = self._kind_stats.get(kind)
@@ -89,7 +99,7 @@ class GMMU:
         """Enqueue a walk; the returned event fires when it is *accepted*
         into the queue (backpressure when the 64-entry queue is full)."""
         self._stats_for(request.kind)[0].add()
-        if request.kind is WalkKind.INVALIDATE:
+        if request.kind is _INVALIDATE:
             if self._inval_inflight == 0:
                 self._inval_since = self.engine.now
             self._inval_inflight += 1
@@ -126,21 +136,37 @@ class GMMU:
 
     # -- internals ----------------------------------------------------------
 
-    def _dispatcher(self):
-        while True:
-            request: WalkRequest = yield self.queue.get()
-            yield self.walkers.request()
-            Process(self.engine, self._walk(request))
+    # The dispatcher and each walk are callback state machines: every
+    # ready-queue append and heap push happens where the generator
+    # processes they replace would have made it, so the event calendar
+    # is unchanged (DESIGN.md §7.1).
 
-    def _walk(self, request: WalkRequest):
+    def _dispatch(self) -> None:
+        """Dispatcher step: wait for the next queued request."""
+        self.queue.get().add_callback(self._dispatch_got)
+
+    def _dispatch_got(self, ev: Event) -> None:
+        self._next_request = ev._value
+        self.walkers.request().add_callback(self._dispatch_granted)
+
+    def _dispatch_granted(self, _ev: Event) -> None:
+        # A walker is ours: start the walk (one ready hop, as a new
+        # process would take), then go back for the next request.
+        request, self._next_request = self._next_request, None
+        self.engine._ready.append((self._walk, (request,)))
+        self.queue.get().add_callback(self._dispatch_got)
+
+    def _walk(self, request: WalkRequest) -> None:
         # One tracer-enabled test per call, not one per emission site:
         # the untraced fast path pays a single branch.
         tracer = self._tracer
         traced = tracer.enabled
-        _, lat_queue_wait, lat_levels, lat_total = self._stats_for(request.kind)
-        request.started_at = self.engine.now
+        # (submitted, queue_wait, walk_levels, total) for this kind,
+        # carried along the walk's calendar entries.
+        stats = self._stats_for(request.kind)
+        request.started_at = self.engine._now
         queue_wait = request.started_at - request.issued_at
-        lat_queue_wait.record(queue_wait)
+        stats[1].record(queue_wait)
 
         if request.aborted:
             # Superseded while queued (a fresh mapping arrived): drop it.
@@ -168,14 +194,23 @@ class GMMU:
                         "fault.inject", self.name, request.vpn,
                         kind="walker_stall", cycles=stall,
                     )
-                yield stall
-        yield levels * self.config.walk_latency_per_level
+                self.engine.defer(stall, self._walk_levels, request, levels, stats)
+                return
+        self._walk_levels(request, levels, stats)
+
+    def _walk_levels(self, request: WalkRequest, levels: int, stats: tuple) -> None:
+        self.engine.defer(
+            levels * self.config.walk_latency_per_level, self._walk_done, request, levels, stats
+        )
+
+    def _walk_done(self, request: WalkRequest, levels: int, stats: tuple) -> None:
+        _, _, lat_levels, lat_total = stats
         self.pwc.fill(request.vpn)
         lat_levels.record(levels)
 
-        if request.kind is WalkKind.DEMAND:
+        if request.kind is _DEMAND:
             result = self.page_table.translate(request.vpn)
-        elif request.kind is WalkKind.INVALIDATE:
+        elif request.kind is _INVALIDATE:
             if request.aborted:
                 # A fresh mapping raced in while we were walking: leave it.
                 self.stats.counter("aborted_walks").add()
@@ -193,9 +228,10 @@ class GMMU:
             result = request.word
 
         self.walkers.release()
-        total = self.engine.now - request.issued_at
+        total = self.engine._now - request.issued_at
         lat_total.record(total)
-        if traced:
+        tracer = self._tracer
+        if tracer.enabled:
             tracer.emit(
                 "walk.done", self.name, request.vpn,
                 kind=request.kind.value, levels=levels, cycles=total,
@@ -205,7 +241,7 @@ class GMMU:
         self._wake_idle_waiters()
 
     def _account_done(self, request: WalkRequest) -> None:
-        if request.kind is WalkKind.INVALIDATE:
+        if request.kind is _INVALIDATE:
             self._inval_inflight -= 1
             if self._inval_inflight == 0:
                 self._inval_busy += self.engine.now - self._inval_since

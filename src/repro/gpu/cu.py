@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Tuple
 
-from ..sim.engine import Process
 from ..sim.process import Resource
 from ..workloads.base import TraceBuffer, _as_buffer
 
@@ -95,7 +94,7 @@ class Lane:
                 schedule(latency, window.release)
             else:
                 self._slow += 1
-                Process(engine, self._one_access(vpn, is_write, window))
+                gpu.access(self, vpn, is_write)
             i += 1
         # Drain: reacquire every slot so we return only when all
         # outstanding accesses have completed.
@@ -207,7 +206,7 @@ class Lane:
                 schedule(latency, window.release)
             else:
                 self._slow += 1
-                Process(engine, self._one_access(vpn, is_write, window))
+                gpu.access(self, vpn, is_write)
             i += 1
             if i >= n:
                 break
@@ -225,11 +224,3 @@ class Lane:
             yield request()
         for _ in range(capacity):
             yield request()
-
-    def _one_access(self, vpn: int, is_write: bool, window: Resource):
-        try:
-            yield from self.gpu.access(self.lane_id, vpn, is_write)
-            self.gpu._n_completed.add()
-        finally:
-            window.release()
-            self._slow -= 1

@@ -41,6 +41,11 @@ REMOTE_DATA_BYTES = 128
 
 _LAZY_SCHEMES = (InvalidationScheme.LAZY, InvalidationScheme.IDYLL)
 
+# Bound once: enum member access is a metaclass lookup, and the access
+# machine submits these walks once per L2 miss and far fault.
+_DEMAND = WalkKind.DEMAND
+_UPDATE = WalkKind.UPDATE
+
 
 class GPU:
     """A single GPU node in the multi-GPU system."""
@@ -158,206 +163,19 @@ class GPU:
         self._n_completed.add()
         return self._fast_latency
 
-    def access(self, lane: int, vpn: int, is_write: bool):
-        """Full memory access: translate, then perform the data access.
+    def access(self, lane, vpn: int, is_write: bool) -> None:
+        """Start one full memory access for ``lane`` (a
+        :class:`~repro.gpu.cu.Lane`): translate, stall while the page
+        migrates, then perform the data access.  On completion the
+        access retires, frees the lane's window slot and leaves the
+        lane's slow-access count."""
+        _Access(self, lane, lane.lane_id, vpn, is_write)
 
-        Re-translates when the target page is mid-migration (§5.2's page
-        migration waiting: requests to a migrating page stall until the
-        new mapping is established).
-        """
-        word = yield from self.translate(lane, vpn, is_write)
-        while True:
-            gate = self.driver.migration_gate(vpn)
-            if gate is None or gate.is_open:
-                break
-            t0 = self.engine.now
-            yield gate.wait()
-            self.stats.latency("migration_stall").record(self.engine.now - t0)
-            word = yield from self.translate(lane, vpn, is_write)
-        yield from self.data_access(vpn, word, is_write)
-
-    def translate(self, lane: int, vpn: int, is_write: bool):
-        """Translate ``vpn``; returns the PTE word.
-
-        Under fault injection every fill payload is *versioned* with the
-        per-VPN invalidation epoch (advanced by each applied hardened
-        sequence number, see :meth:`receive_invalidation`): a payload
-        released from an MSHR after a shootdown overtook it carries a
-        stale version and is dropped instead of installed, and the lane
-        re-translates.  Unfaulted runs take the original unversioned
-        path byte-for-byte (golden traces pin it).
-        """
-        l1 = self.l1_tlbs[lane]
-        faulted = self.injector is not None
-        yield self._l1_latency
-        while True:
-            word = l1.lookup(vpn)
-            if word is not None:
-                return word
-
-            mshr1 = self.l1_mshrs[lane]
-            if vpn in mshr1:
-                payload = yield mshr1.wait(vpn)
-                if not faulted:
-                    return payload
-                word, version = payload
-                if self._inval_epoch.get(vpn, 0) == version:
-                    return word
-                # A shootdown landed while this waiter was being
-                # released: the payload predates it.  Drop and retry.
-                self.stats.counter("stale_payload_drops").add()
-                yield self._l1_latency
-                continue
-            mshr1.allocate(vpn)
-
-            # L2 TLB and IRMB are probed in parallel; both fit in the L2 latency.
-            yield self._l2_latency
-            word = self.l2_tlb.lookup(vpn)
-            if word is not None:
-                version = self._inval_epoch.get(vpn, 0) if faulted else 0
-            else:
-                word, version = yield from self._l2_miss(vpn, is_write)
-            if faulted and self._inval_epoch.get(vpn, 0) != version:
-                # Versioned install: the fill is older than the newest
-                # invalidation applied to this page.  Propagate the
-                # stale payload (waiters re-validate it themselves) and
-                # re-translate instead of installing a pre-shootdown
-                # owner into the L1 TLB.
-                self.stats.counter("stale_payload_drops").add()
-                mshr1.complete(vpn, (word, version))
-                yield self._l1_latency
-                continue
-            l1.insert(vpn, word)
-            mshr1.complete(vpn, word if not faulted else (word, version))
-            return word
-
-    def _l2_miss(self, vpn: int, is_write: bool):
-        """Demand L2 TLB miss: IRMB bypass / page walk / far fault.
-
-        Returns ``(word, version)`` where ``version`` is the VPN's
-        invalidation epoch at the instant the word was known good
-        (always 0 in unfaulted runs)."""
-        t_miss = self.engine.now
-        if vpn in self.l2_mshr:
-            payload = yield self.l2_mshr.wait(vpn)
-            self.stats.latency("demand_miss_latency").record(self.engine.now - t_miss)
-            if self.injector is None:
-                return payload, 0
-            return payload  # (word, version) stamped by the primary
-        self.l2_mshr.allocate(vpn)
-
-        if (
-            self.lazy is not None
-            and self.config.irmb_bypass_enabled
-            and self.lazy.probe(vpn)
-        ):
-            # IRMB hit: the local PTE is stale — bypass the local walk and
-            # raise the far fault straight away (§6.3 scenario three).
-            self.stats.counter("irmb_bypasses").add()
-            if self._tracer.enabled:
-                self._tracer.emit("irmb.bypass", self.name, vpn)
-            word = yield from self._far_fault(vpn, is_write)
-        else:
-            request = self.gmmu.walk(vpn, WalkKind.DEMAND)
-            word = yield request.done
-            if word is None:
-                word = yield from self._far_fault(vpn, is_write)
-
-        self.l2_tlb.insert(vpn, word)
-        if self.injector is None:
-            version = 0
-            self.l2_mshr.complete(vpn, word)
-        else:
-            version = self._inval_epoch.get(vpn, 0)
-            self.l2_mshr.complete(vpn, (word, version))
-        self.stats.latency("demand_miss_latency").record(self.engine.now - t_miss)
-        return word, version
-
-    def _far_fault(self, vpn: int, is_write: bool):
-        """Resolve a far fault; returns the new PTE word (installed in the
-        local page table via an UPDATE walk before returning)."""
-        t0 = self.engine.now
-        self.stats.counter("far_faults").add()
-
-        # Version the payload at *fetch* time, not install time: a
-        # shootdown applied anywhere between raising the fault and the
-        # UPDATE walk retiring makes the reply stale, and capturing the
-        # epoch after the reply arrives would silently absorb any bump
-        # that landed during the round trip.
-        epoch = self._inval_epoch.get(vpn, 0) if self.injector is not None else 0
-        word: Optional[int] = None
-        if self.transfw is not None:
-            word = yield from self._transfw_forward(vpn)
-        if word is None:
-            word = yield self.driver.raise_far_fault(self.gpu_id, vpn, is_write)
-
-        while True:
-            if self.lazy is not None:
-                cancelled = self.lazy.on_new_mapping(vpn)
-                if cancelled and self.injector is not None:
-                    # The buffered invalidation will never apply, so its
-                    # apply-time raced-fill flush will never run: evict
-                    # any fill that raced with the original shootdown
-                    # before the fresh mapping becomes the truth.
-                    self._flush_raced_fills(vpn)
-            update = self.gmmu.walk(vpn, WalkKind.UPDATE, word=word)
-            yield update.done
-            if self.injector is None or self._inval_epoch.get(vpn, 0) == epoch:
-                break
-            # A shootdown overtook the UPDATE walk (possible once faults
-            # stall walkers or delay messages): the word just installed
-            # is already stale.  Undo the install and refetch.
-            self.stats.counter("stale_install_races").add()
-            if self._tracer.enabled:
-                self._tracer.emit("fault.stale_install", self.name, vpn)
-            self._shootdown_tlbs(vpn)
-            self.page_table.invalidate(vpn)
-            epoch = self._inval_epoch.get(vpn, 0)
-            word = yield self.driver.raise_far_fault(self.gpu_id, vpn, is_write)
-        self.stats.latency("far_fault_latency").record(self.engine.now - t0)
-        return word
-
-    def _transfw_forward(self, vpn: int):
-        """Trans-FW (§7.5): try to fetch the translation from a remote
-        GPU's page table instead of faulting to the host."""
-        assert self.transfw is not None
-        owner = self.transfw.probe(vpn)
-        if owner is None or owner == self.gpu_id:
-            return None
-        yield self.interconnect.gpu_to_gpu(self.gpu_id, owner, CONTROL_MESSAGE_BYTES)
-        yield self.config.transfw.remote_lookup_latency
-        remote_word = self.driver.gpus[owner].page_table.translate(vpn)
-        yield self.interconnect.gpu_to_gpu(owner, self.gpu_id, CONTROL_MESSAGE_BYTES)
-        if remote_word is None:
-            self.stats.counter("transfw_misforwards").add()
-            self.transfw.forget(vpn)
-            return None
-        actual_owner = PhysicalMemory.owner_of(pte_bits.ppn(remote_word))
-        if actual_owner == self.gpu_id:
-            word = pte_bits.make_pte(pte_bits.ppn(remote_word))
-        else:
-            word = pte_bits.make_remote_pte(pte_bits.ppn(remote_word), actual_owner)
-        self.driver.note_transfw_mapping(vpn, self.gpu_id)
-        self.stats.counter("transfw_forwards").add()
-        return word
-
-    def data_access(self, vpn: int, word: int, is_write: bool):
-        """Serve the data once translation is done: local DRAM or remote
-        GPU memory over NVLink (remote data is not cached, §3.2)."""
-        if is_write and self.config.page_replication:
-            # A write to a (possibly replicated) page collapses replicas.
-            if self.driver.replicas.is_replicated(vpn):
-                yield self.engine.process(self.driver.collapse_replicas(vpn))
-        owner = PhysicalMemory.owner_of(pte_bits.ppn(word))
-        if owner == self.gpu_id:
-            self._n_local.add()
-            yield self._dram_latency
-            return
-        self._n_remote.add()
-        self.driver.note_remote_access(self.gpu_id, vpn)
-        yield self.interconnect.gpu_to_gpu(self.gpu_id, owner, CONTROL_MESSAGE_BYTES)
-        yield self.config.dram_latency
-        yield self.interconnect.gpu_to_gpu(owner, self.gpu_id, REMOTE_DATA_BYTES)
+    def translate(self, lane: int, vpn: int, is_write: bool) -> Event:
+        """Translate ``vpn`` through lane ``lane``'s TLB hierarchy alone
+        (no migration stall, no data access); the returned event fires
+        with the PTE word."""
+        return _Translation(self, lane, vpn, is_write).done
 
     # ------------------------------------------------------------------
     # Shootdown handling (driver-facing)
@@ -540,3 +358,341 @@ class GPU:
             self.lazy.restore(state["lazy"])
         if self.transfw is not None:
             self.transfw.restore(state["transfw"])
+
+
+class _Access:
+    """One slow memory access, run as a callback state machine.
+
+    The translation pipeline (L1 TLB + MSHR, L2 TLB probed in parallel
+    with the IRMB, GMMU demand walk, far fault plus UPDATE walk, the
+    Trans-FW forward) is followed by the migration-gate stall with its
+    re-translate loop, and by the local or remote (NVLink) data access.
+    Each method is one state: it runs what a generator process would
+    run between two yields, then registers the next state.  Every
+    ready-queue append and every heap push happens at the same point
+    and in the same order as in the generator chain this replaces
+    (``Engine.defer`` for a bare-int wait, ``add_callback`` for an
+    event wait), so the event calendar is unchanged (DESIGN.md §7.1).
+
+    Under fault injection every fill payload is *versioned* with the
+    per-VPN invalidation epoch (advanced by each applied hardened
+    sequence number, see :meth:`GPU.receive_invalidation`): a payload
+    released from an MSHR after a shootdown overtook it carries a stale
+    version and is dropped instead of installed, and the access
+    re-translates.  Unfaulted runs take the original unversioned arms
+    byte-for-byte (golden traces pin them).
+    """
+
+    __slots__ = (
+        "gpu", "lane", "lane_id", "vpn", "is_write", "word", "owner",
+        "epoch", "t_miss", "t_fault", "t_stall",
+    )
+
+    def __init__(self, gpu: GPU, lane, lane_id: int, vpn: int, is_write: bool) -> None:
+        self.gpu = gpu
+        self.lane = lane
+        self.lane_id = lane_id
+        self.vpn = vpn
+        self.is_write = is_write
+        #: the PTE word in hand (translation result, or the far fault's
+        #: mapping, or the Trans-FW remote PTE while it is fetched).
+        self.word: Optional[int] = None
+        #: the remote GPU a Trans-FW forward or a data access talks to.
+        self.owner = -1
+        #: the far fault's fetch-time invalidation epoch.
+        self.epoch = 0
+        self.t_miss = self.t_fault = self.t_stall = 0
+        # Mirrors a process start: the first step is one ready hop away.
+        gpu.engine._ready.append((self._translate, ()))
+
+    # -- translation: L1 TLB, L2 TLB + IRMB ---------------------------------
+
+    def _translate(self) -> None:
+        gpu = self.gpu
+        gpu.engine.defer(gpu._l1_latency, self._l1_lookup)
+
+    def _l1_lookup(self) -> None:
+        gpu = self.gpu
+        vpn = self.vpn
+        word = gpu.l1_tlbs[self.lane_id].lookup(vpn)
+        if word is not None:
+            self._translated(word)
+            return
+        mshr1 = gpu.l1_mshrs[self.lane_id]
+        if vpn in mshr1:
+            mshr1.wait(vpn).add_callback(self._l1_coalesced)
+            return
+        mshr1.allocate(vpn)
+        # L2 TLB and IRMB are probed in parallel; both fit in the L2 latency.
+        gpu.engine.defer(gpu._l2_latency, self._l2_lookup)
+
+    def _l1_coalesced(self, ev: Event) -> None:
+        gpu = self.gpu
+        if gpu.injector is None:
+            self._translated(ev._value)
+            return
+        word, version = ev._value
+        if gpu._inval_epoch.get(self.vpn, 0) == version:
+            self._translated(word)
+            return
+        # A shootdown landed while this waiter was being released: the
+        # payload predates it.  Drop and retry.
+        gpu.stats.counter("stale_payload_drops").add()
+        gpu.engine.defer(gpu._l1_latency, self._l1_lookup)
+
+    def _l2_lookup(self) -> None:
+        gpu = self.gpu
+        vpn = self.vpn
+        word = gpu.l2_tlb.lookup(vpn)
+        if word is not None:
+            self._l1_fill(word, gpu._inval_epoch.get(vpn, 0) if gpu.injector is not None else 0)
+            return
+        # Demand L2 TLB miss: IRMB bypass / page walk / far fault.
+        self.t_miss = gpu.engine._now
+        l2_mshr = gpu.l2_mshr
+        if vpn in l2_mshr:
+            l2_mshr.wait(vpn).add_callback(self._l2_coalesced)
+            return
+        l2_mshr.allocate(vpn)
+        lazy = gpu.lazy
+        if lazy is not None and gpu.config.irmb_bypass_enabled and lazy.probe(vpn):
+            # IRMB hit: the local PTE is stale — bypass the local walk and
+            # raise the far fault straight away (§6.3 scenario three).
+            gpu.stats.counter("irmb_bypasses").add()
+            if gpu._tracer.enabled:
+                gpu._tracer.emit("irmb.bypass", gpu.name, vpn)
+            self._far_fault()
+            return
+        gpu.gmmu.walk(vpn, _DEMAND).done.add_callback(self._walked)
+
+    def _l2_coalesced(self, ev: Event) -> None:
+        gpu = self.gpu
+        gpu.stats.latency("demand_miss_latency").record(gpu.engine._now - self.t_miss)
+        if gpu.injector is None:
+            self._l1_fill(ev._value, 0)
+        else:
+            word, version = ev._value  # stamped by the primary
+            self._l1_fill(word, version)
+
+    def _walked(self, ev: Event) -> None:
+        word = ev._value
+        if word is None:
+            self._far_fault()
+        else:
+            self._l2_fill(word)
+
+    def _l2_fill(self, word: int) -> None:
+        """The L2 miss resolved: fill the L2 TLB, release its waiters.
+        ``version`` is the VPN's invalidation epoch at the instant the
+        word was known good (always 0 in unfaulted runs)."""
+        gpu = self.gpu
+        vpn = self.vpn
+        gpu.l2_tlb.insert(vpn, word)
+        if gpu.injector is None:
+            version = 0
+            gpu.l2_mshr.complete(vpn, word)
+        else:
+            version = gpu._inval_epoch.get(vpn, 0)
+            gpu.l2_mshr.complete(vpn, (word, version))
+        gpu.stats.latency("demand_miss_latency").record(gpu.engine._now - self.t_miss)
+        self._l1_fill(word, version)
+
+    def _l1_fill(self, word: int, version: int) -> None:
+        gpu = self.gpu
+        vpn = self.vpn
+        mshr1 = gpu.l1_mshrs[self.lane_id]
+        if gpu.injector is None:
+            gpu.l1_tlbs[self.lane_id].insert(vpn, word)
+            mshr1.complete(vpn, word)
+        elif gpu._inval_epoch.get(vpn, 0) != version:
+            # Versioned install: the fill is older than the newest
+            # invalidation applied to this page.  Propagate the stale
+            # payload (waiters re-validate it themselves) and
+            # re-translate instead of installing a pre-shootdown owner
+            # into the L1 TLB.
+            gpu.stats.counter("stale_payload_drops").add()
+            mshr1.complete(vpn, (word, version))
+            gpu.engine.defer(gpu._l1_latency, self._l1_lookup)
+            return
+        else:
+            gpu.l1_tlbs[self.lane_id].insert(vpn, word)
+            mshr1.complete(vpn, (word, version))
+        self._translated(word)
+
+    # -- far fault (driver round trip + UPDATE walk) ------------------------
+
+    def _far_fault(self) -> None:
+        gpu = self.gpu
+        self.t_fault = gpu.engine._now
+        gpu.stats.counter("far_faults").add()
+        # Version the payload at *fetch* time, not install time: a
+        # shootdown applied anywhere between raising the fault and the
+        # UPDATE walk retiring makes the reply stale, and capturing the
+        # epoch after the reply arrives would silently absorb any bump
+        # that landed during the round trip.
+        self.epoch = gpu._inval_epoch.get(self.vpn, 0) if gpu.injector is not None else 0
+        if gpu.transfw is not None:
+            self._transfw_forward()
+        else:
+            self._raise_fault()
+
+    def _raise_fault(self) -> None:
+        gpu = self.gpu
+        gpu.driver.raise_far_fault(gpu.gpu_id, self.vpn, self.is_write).add_callback(
+            self._fault_resolved
+        )
+
+    def _fault_resolved(self, ev: Event) -> None:
+        self._install(ev._value)
+
+    def _install(self, word: int) -> None:
+        """Install the fresh mapping in the local page table via an
+        UPDATE walk."""
+        gpu = self.gpu
+        vpn = self.vpn
+        self.word = word
+        if gpu.lazy is not None:
+            cancelled = gpu.lazy.on_new_mapping(vpn)
+            if cancelled and gpu.injector is not None:
+                # The buffered invalidation will never apply, so its
+                # apply-time raced-fill flush will never run: evict
+                # any fill that raced with the original shootdown
+                # before the fresh mapping becomes the truth.
+                gpu._flush_raced_fills(vpn)
+        gpu.gmmu.walk(vpn, _UPDATE, word=word).done.add_callback(self._installed)
+
+    def _installed(self, _ev: Event) -> None:
+        gpu = self.gpu
+        vpn = self.vpn
+        if gpu.injector is not None and gpu._inval_epoch.get(vpn, 0) != self.epoch:
+            # A shootdown overtook the UPDATE walk (possible once faults
+            # stall walkers or delay messages): the word just installed
+            # is already stale.  Undo the install and refetch.
+            gpu.stats.counter("stale_install_races").add()
+            if gpu._tracer.enabled:
+                gpu._tracer.emit("fault.stale_install", gpu.name, vpn)
+            gpu._shootdown_tlbs(vpn)
+            gpu.page_table.invalidate(vpn)
+            self.epoch = gpu._inval_epoch.get(vpn, 0)
+            self._raise_fault()
+            return
+        gpu.stats.latency("far_fault_latency").record(gpu.engine._now - self.t_fault)
+        self._l2_fill(self.word)
+
+    def _transfw_forward(self) -> None:
+        """Trans-FW (§7.5): try to fetch the translation from a remote
+        GPU's page table instead of faulting to the host."""
+        gpu = self.gpu
+        owner = gpu.transfw.probe(self.vpn)
+        if owner is None or owner == gpu.gpu_id:
+            self._raise_fault()
+            return
+        self.owner = owner
+        gpu.interconnect.gpu_to_gpu(gpu.gpu_id, owner, CONTROL_MESSAGE_BYTES).add_callback(
+            self._transfw_sent
+        )
+
+    def _transfw_sent(self, _ev: Event) -> None:
+        gpu = self.gpu
+        gpu.engine.defer(gpu.config.transfw.remote_lookup_latency, self._transfw_lookup)
+
+    def _transfw_lookup(self) -> None:
+        gpu = self.gpu
+        self.word = gpu.driver.gpus[self.owner].page_table.translate(self.vpn)
+        gpu.interconnect.gpu_to_gpu(self.owner, gpu.gpu_id, CONTROL_MESSAGE_BYTES).add_callback(
+            self._transfw_replied
+        )
+
+    def _transfw_replied(self, _ev: Event) -> None:
+        gpu = self.gpu
+        vpn = self.vpn
+        remote_word = self.word
+        if remote_word is None:
+            gpu.stats.counter("transfw_misforwards").add()
+            gpu.transfw.forget(vpn)
+            self._raise_fault()
+            return
+        actual_owner = PhysicalMemory.owner_of(pte_bits.ppn(remote_word))
+        if actual_owner == gpu.gpu_id:
+            word = pte_bits.make_pte(pte_bits.ppn(remote_word))
+        else:
+            word = pte_bits.make_remote_pte(pte_bits.ppn(remote_word), actual_owner)
+        gpu.driver.note_transfw_mapping(vpn, gpu.gpu_id)
+        gpu.stats.counter("transfw_forwards").add()
+        self._install(word)
+
+    # -- migration stall, then the data access ------------------------------
+
+    def _translated(self, word: int) -> None:
+        """Requests to a migrating page stall until the new mapping is
+        established, then re-translate (§5.2's page migration waiting)."""
+        gpu = self.gpu
+        self.word = word
+        gate = gpu.driver.migration_gate(self.vpn)
+        if gate is None or gate.is_open:
+            self._data_access()
+            return
+        self.t_stall = gpu.engine._now
+        gate.wait().add_callback(self._gate_opened)
+
+    def _gate_opened(self, _ev: Event) -> None:
+        gpu = self.gpu
+        gpu.stats.latency("migration_stall").record(gpu.engine._now - self.t_stall)
+        self._translate()
+
+    def _data_access(self) -> None:
+        """Serve the data once translation is done: local DRAM or remote
+        GPU memory over NVLink (remote data is not cached, §3.2)."""
+        gpu = self.gpu
+        if (
+            self.is_write
+            and gpu.config.page_replication
+            and gpu.driver.replicas.is_replicated(self.vpn)
+        ):
+            # A write to a replicated page collapses the replicas first.
+            gpu.engine.process(gpu.driver.collapse_replicas(self.vpn)).add_callback(self._fetch)
+            return
+        self._fetch()
+
+    def _fetch(self, _ev: Optional[Event] = None) -> None:
+        gpu = self.gpu
+        owner = PhysicalMemory.owner_of(pte_bits.ppn(self.word))
+        if owner == gpu.gpu_id:
+            gpu._n_local.add()
+            gpu.engine.defer(gpu._dram_latency, self._retire)
+            return
+        gpu._n_remote.add()
+        gpu.driver.note_remote_access(gpu.gpu_id, self.vpn)
+        self.owner = owner
+        gpu.interconnect.gpu_to_gpu(gpu.gpu_id, owner, CONTROL_MESSAGE_BYTES).add_callback(
+            self._remote_read
+        )
+
+    def _remote_read(self, _ev: Event) -> None:
+        gpu = self.gpu
+        gpu.engine.defer(gpu._dram_latency, self._remote_reply)
+
+    def _remote_reply(self) -> None:
+        gpu = self.gpu
+        gpu.interconnect.gpu_to_gpu(self.owner, gpu.gpu_id, REMOTE_DATA_BYTES).add_callback(
+            self._retire
+        )
+
+    def _retire(self, _ev: Optional[Event] = None) -> None:
+        lane = self.lane
+        self.gpu._n_completed.add()
+        lane._window.release()
+        lane._slow -= 1
+
+
+class _Translation(_Access):
+    """Translation alone: ``done`` fires with the PTE word."""
+
+    __slots__ = ("done",)
+
+    def __init__(self, gpu: GPU, lane_id: int, vpn: int, is_write: bool) -> None:
+        super().__init__(gpu, None, lane_id, vpn, is_write)
+        self.done = Event(gpu.engine)
+
+    def _translated(self, word: int) -> None:
+        self.done.succeed(word)

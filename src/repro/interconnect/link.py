@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 
-from ..sim.engine import Engine, Event, Process
+from ..sim.engine import Engine, Event
 from ..sim.process import Resource
 from ..sim.stats import StatsGroup
 
@@ -23,31 +23,47 @@ _heappush = heapq.heappush
 CONTROL_MESSAGE_BYTES = 64
 
 
-class _FastTransfer:
-    """Flattened transfer state machine.
+class _FastTransfer(Event):
+    """Flattened transfer state machine, and the event that fires once
+    the payload has fully arrived at the far end.
 
-    An exact mirror of the :meth:`Link._transfer` generator run by a
-    :class:`Process`: every ready-queue append and every heap push (and
-    therefore every sequence-number allocation) happens at the same
-    point in the same order, so the event calendar — and with it every
-    golden trace — is bit-for-bit identical.  What it drops is the
-    per-transfer Process object, generator frame, and the
+    An exact mirror of the generator a :class:`~repro.sim.engine.Process`
+    would run for one transfer (hold ``extra_delay``, take the port,
+    serialise, release, propagate): every ready-queue append and every
+    heap push (and therefore every sequence-number allocation) happens
+    at the same point in the same order, so the event calendar — and
+    with it every golden trace — is bit-for-bit identical.  What it
+    drops is the per-transfer Process object, generator frame, and the
     resume/callback indirection around each hop, which is most of a
     transfer's simulation cost.
-
-    Only zero ``extra_delay`` transfers take this path; the fault
-    injector's delayed packets keep the legacy generator.
     """
 
-    __slots__ = ("link", "num_bytes", "done", "t0")
+    __slots__ = ("link", "num_bytes", "t0")
 
-    def __init__(self, link: "Link", num_bytes: int, done: Event) -> None:
+    def __init__(self, link: "Link", num_bytes: int, extra_delay: int = 0) -> None:
+        # Flattened Event.__init__: one transfer per control message,
+        # data reply and page move.
+        self.engine = link.engine
+        self._callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
         self.link = link
         self.num_bytes = num_bytes
-        self.done = done
         self.t0 = 0
         # Mirrors Process.__init__'s ready append (process start).
-        link.engine._ready.append((self._begin, ()))
+        if extra_delay:
+            link.engine._ready.append((self._hold, (extra_delay,)))
+        else:
+            link.engine._ready.append((self._begin, ()))
+
+    def _hold(self, extra_delay: int) -> None:
+        # A delayed packet (fault injector, chaos): counted on the first
+        # step, then held ``extra_delay`` cycles before it contends for
+        # the port.
+        link = self.link
+        link.stats.counter("delayed_transfers").add()
+        link.engine.defer(extra_delay, self._begin)
 
     def _begin(self) -> None:
         # Mirrors the generator's first resume: t0, then port.request().
@@ -104,7 +120,7 @@ class _FastTransfer:
         link._t_transfer.record(link.engine._now - self.t0)
         if link.owner is not None:
             link.owner.inflight -= 1
-        self.done.succeed()
+        self.succeed()
 
 
 class Link:
@@ -168,37 +184,9 @@ class Link:
         port — the fault injector's knob for delaying (and, with a large
         enough value, reordering) individual packets on the wire.
         """
-        done = Event(self.engine)
         if self.owner is not None:
             self.owner.inflight += 1
-        if extra_delay:
-            Process(self.engine, self._transfer(num_bytes, done, extra_delay))
-        else:
-            _FastTransfer(self, num_bytes, done)
-        return done
-
-    def _transfer(self, num_bytes: int, done: Event, extra_delay: int = 0):
-        # Positive delays yield bare ints (the process fast path — no
-        # Timeout/Event allocation per hop); a zero latency must still
-        # defer through the ready queue exactly as a Timeout(0) would.
-        if extra_delay:
-            self.stats.counter("delayed_transfers").add()
-            yield extra_delay
-        t0 = self.engine.now
-        yield self._port.request()
-        yield self.serialisation_cycles(num_bytes)
-        self._port.release()
-        latency = self.latency
-        if latency > 0:
-            yield latency
-        else:
-            yield self.engine.timeout(0)
-        self._n_transfers.add()
-        self._n_bytes.add(num_bytes)
-        self._t_transfer.record(self.engine.now - t0)
-        if self.owner is not None:
-            self.owner.inflight -= 1
-        done.succeed()
+        return _FastTransfer(self, num_bytes, extra_delay)
 
     def snapshot(self) -> dict:
         """Stats only: at a quiescent instant the port is free and no

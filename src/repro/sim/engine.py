@@ -125,6 +125,22 @@ class Engine:
         self._seq += 1
         _heappush(self._heap, (self._now + delay, self._seq, fn, args))
 
+    def defer(self, delay: int, fn: Callable[..., None], *args: Any) -> None:
+        """Continue a callback state machine ``delay`` cycles from now.
+
+        The exact calendar effect of a :class:`Process` yielding the bare
+        int ``delay``: a positive delay is one heap entry, zero runs
+        ``fn(*args)`` at once (a process continues without a ready-queue
+        hop), and a negative delay is an error.
+        """
+        if delay > 0:
+            self._seq += 1
+            _heappush(self._heap, (self._now + delay, self._seq, fn, args))
+        elif delay == 0:
+            fn(*args)
+        else:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+
     def event(self) -> "Event":
         """Create a fresh one-shot event bound to this engine."""
         return Event(self)

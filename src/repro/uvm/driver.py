@@ -136,13 +136,18 @@ class UVMDriver:
         self.stats.counter("far_faults").add()
         if self._tracer.enabled:
             self._tracer.emit("fault.raise", self.name, vpn, gpu=gpu_id, write=is_write)
-        self.engine.process(self._deliver_fault(fault))
+        # Delivery starts one ready hop away, as a process would.
+        self.engine._ready.append((self._deliver_fault, (fault,)))
         return fault.resolved
 
-    def _deliver_fault(self, fault: FarFault):
+    def _deliver_fault(self, fault: FarFault) -> None:
         # GPU fault buffer -> interrupt -> driver fetches the fault info.
-        yield self.interconnect.gpu_to_host(fault.gpu_id, CONTROL_MESSAGE_BYTES)
-        yield self.fault_queue.put(fault)
+        # The put into the unbounded fault queue completes at once; the
+        # resume a process would take after it does nothing, so it is the
+        # one hop not mirrored (DESIGN.md §7.1).
+        self.interconnect.gpu_to_host(fault.gpu_id, CONTROL_MESSAGE_BYTES).add_callback(
+            lambda _ev: self.fault_queue.try_put(fault)
+        )
 
     def _fault_service_loop(self):
         """Batch faults (≤256 per batch); a bounded pool of service
@@ -169,9 +174,7 @@ class UVMDriver:
     def _service_batch(self, batch: List[FarFault]):
         try:
             yield self.config.uvm.fault_handling_latency
-            resolutions = [
-                self.engine.process(self._resolve_and_reply(f)) for f in batch
-            ]
+            resolutions = [_FaultResolution(self, f).done for f in batch]
             yield AllOf(self.engine, resolutions)
         finally:
             self._batch_slots.release()
@@ -179,80 +182,6 @@ class UVMDriver:
     #: bound on stale-reply re-resolutions; retry passes never migrate,
     #: so two racing on-touch faults cannot ping-pong a page forever.
     MAX_REPLY_RETRIES = 3
-
-    def _resolve_and_reply(self, fault: FarFault):
-        attempts = 0
-        while True:
-            generation = self._generation.get(fault.vpn, 0)
-            word = yield self.engine.process(
-                self._resolve(fault, allow_migrate=attempts == 0)
-            )
-            yield self.interconnect.host_to_gpu(fault.gpu_id, CONTROL_MESSAGE_BYTES)
-            if self._generation.get(fault.vpn, 0) == generation and fault.vpn not in self._gates:
-                break
-            attempts += 1
-            if attempts > self.MAX_REPLY_RETRIES:
-                # Accept the (possibly already-stale) mapping: the GPU
-                # will simply fault again on its next shootdown.  Record
-                # the pair so the invariant auditor knows this bounded
-                # staleness was a counted decision, not a protocol leak.
-                self.stats.counter("stale_replies_accepted").add()
-                self._stale_accepted.add((fault.gpu_id, fault.vpn))
-                break
-            # The page migrated underneath us: the resolved mapping is
-            # stale; re-resolve rather than install it.
-            self.stats.counter("stale_replies_retried").add()
-        self.stats.latency("fault_latency").record(self.engine.now - fault.raised_at)
-        if self._tracer.enabled:
-            self._tracer.emit(
-                "fault.resolve", self.name, fault.vpn,
-                gpu=fault.gpu_id, cycles=self.engine.now - fault.raised_at,
-            )
-        self._inflight_faults -= 1
-        self.gpus[fault.gpu_id].driver_busy -= 1
-        fault.resolved.succeed(word)
-
-    def _resolve(self, fault: FarFault, allow_migrate: bool = True):
-        """Resolve one fault against the host page table; returns the PTE
-        word the faulting GPU should install."""
-        vpn, gpu_id = fault.vpn, fault.gpu_id
-        gate = self._gates.get(vpn)
-        if gate is not None:
-            yield gate.wait()
-
-        yield self.host_walkers.request()
-        yield self.config.uvm.host_walk_latency
-        self.host_walkers.release()
-
-        word = self.host_page_table.translate(vpn)
-        if word is None:
-            return (yield self.engine.process(self._first_touch(vpn, gpu_id)))
-
-        owner = PhysicalMemory.owner_of(pte_bits.ppn(word))
-        if owner == gpu_id:
-            self._record_resident(vpn, gpu_id)
-            return pte_bits.make_pte(pte_bits.ppn(word))
-
-        if self.config.page_replication:
-            return (
-                yield self.engine.process(
-                    self._resolve_replicated(vpn, gpu_id, owner, word, fault.is_write)
-                )
-            )
-
-        if self.config.migration_policy is MigrationPolicy.ON_TOUCH and allow_migrate:
-            yield self.engine.process(self._migrate(vpn, gpu_id, push_mapping=False))
-            new_word = self.host_page_table.translate(vpn)
-            if new_word is not None and PhysicalMemory.owner_of(pte_bits.ppn(new_word)) == gpu_id:
-                return pte_bits.make_pte(pte_bits.ppn(new_word))
-            # Migration raced/failed; fall through to a remote mapping.
-            word = new_word if new_word is not None else word
-            owner = PhysicalMemory.owner_of(pte_bits.ppn(word))
-
-        # first-touch (pinned) and access-counter: hand out a remote mapping.
-        self._record_resident(vpn, gpu_id)
-        self.stats.counter("remote_mappings").add()
-        return pte_bits.make_remote_pte(pte_bits.ppn(word), owner)
 
     def _first_touch(self, vpn: int, gpu_id: int):
         """Page still in CPU memory: migrate it to the first-touching GPU."""
@@ -423,7 +352,7 @@ class UVMDriver:
         returned event fires when the driver holds a (surviving) ack.
 
         Without fault injection this is the original fire-once round
-        trip — same yields, same trace — plus a pure-bookkeeping ledger
+        trip (:class:`_Invalidation`) plus a pure-bookkeeping ledger
         entry so the invariant auditor can see the in-flight window.
         With faults enabled, every invalidation goes through the
         sequence-numbered retry/timeout protocol instead.
@@ -435,31 +364,7 @@ class UVMDriver:
         key = (gpu_id, vpn)
         self._inflight_invals[key] = self._inflight_invals.get(key, 0) + 1
         self.gpus[gpu_id].driver_busy += 1
-        return self.engine.process(self._send_invalidation_tracked(gpu_id, vpn, dst))
-
-    def _send_invalidation_tracked(self, gpu_id: int, vpn: int, dst: int):
-        try:
-            yield from self._send_invalidation(gpu_id, vpn, dst)
-        finally:
-            self.gpus[gpu_id].driver_busy -= 1
-            key = (gpu_id, vpn)
-            count = self._inflight_invals.get(key, 0) - 1
-            if count <= 0:
-                self._inflight_invals.pop(key, None)
-            else:
-                self._inflight_invals[key] = count
-
-    def _send_invalidation(self, gpu_id: int, vpn: int, dst: int):
-        """Driver → GPU invalidation round trip (§3.3 steps 2-3)."""
-        self.stats.counter("invalidations_sent").add()
-        if self._tracer.enabled:
-            self._tracer.emit("inval.send", self.name, vpn, gpu=gpu_id)
-        yield self.interconnect.host_to_gpu(gpu_id, CONTROL_MESSAGE_BYTES)
-        ack = self.gpus[gpu_id].receive_invalidation(vpn, dst)
-        yield ack
-        yield self.interconnect.gpu_to_host(gpu_id, CONTROL_MESSAGE_BYTES)
-        if self._tracer.enabled:
-            self._tracer.emit("inval.ack", self.name, vpn, gpu=gpu_id)
+        return _Invalidation(self, gpu_id, vpn, dst).done
 
     # ------------------------------------------------------------------
     # Hardened invalidation (fault injection active)
@@ -644,3 +549,201 @@ class UVMDriver:
             self.gpus[holder].memory.free(replica_ppn)
         yield AllOf(self.engine, acks)
         self.stats.counter("replica_collapses").add()
+
+
+# ----------------------------------------------------------------------
+# Callback state machines
+# ----------------------------------------------------------------------
+#
+# Each replaces a generator process: every ready-queue append and every
+# heap push happens at the same point and in the same order as in the
+# generator, so the event calendar is unchanged (DESIGN.md §7.1).
+
+
+class _FaultResolution:
+    """Resolve one batched far fault and reply to the faulting GPU.
+
+    Resolution runs against the host page table (gate wait, host walk,
+    then first touch, a local or remote mapping, replication or an
+    on-touch migration); the reply crosses PCIe.  If the page migrated
+    while the reply was in flight the mapping is stale, and the fault is
+    re-resolved (at most :attr:`UVMDriver.MAX_REPLY_RETRIES` times,
+    never migrating again).  ``done`` fires once the GPU holds the
+    reply; first touch, migration and replication run as child
+    processes it waits on.
+    """
+
+    __slots__ = ("driver", "fault", "done", "attempts", "generation", "word")
+
+    def __init__(self, driver: UVMDriver, fault: FarFault) -> None:
+        self.driver = driver
+        self.fault = fault
+        self.done = Event(driver.engine)
+        self.attempts = 0
+        self.generation = 0
+        self.word = 0
+        driver.engine._ready.append((self._attempt, ()))
+
+    def _attempt(self) -> None:
+        driver = self.driver
+        self.generation = driver._generation.get(self.fault.vpn, 0)
+        # The resolution was a child process: one ready hop to its start.
+        driver.engine._ready.append((self._resolve, ()))
+
+    def _resolve(self) -> None:
+        gate = self.driver._gates.get(self.fault.vpn)
+        if gate is not None:
+            gate.wait().add_callback(self._walk_host)
+            return
+        self._walk_host()
+
+    def _walk_host(self, _ev: Optional[Event] = None) -> None:
+        self.driver.host_walkers.request().add_callback(self._host_walker)
+
+    def _host_walker(self, _ev: Event) -> None:
+        driver = self.driver
+        driver.engine.defer(driver.config.uvm.host_walk_latency, self._host_walked)
+
+    def _host_walked(self) -> None:
+        driver = self.driver
+        fault = self.fault
+        vpn, gpu_id = fault.vpn, fault.gpu_id
+        driver.host_walkers.release()
+
+        word = driver.host_page_table.translate(vpn)
+        if word is None:
+            driver.engine.process(driver._first_touch(vpn, gpu_id)).add_callback(self._child_done)
+            return
+
+        owner = PhysicalMemory.owner_of(pte_bits.ppn(word))
+        if owner == gpu_id:
+            driver._record_resident(vpn, gpu_id)
+            self._resolved(pte_bits.make_pte(pte_bits.ppn(word)))
+            return
+
+        if driver.config.page_replication:
+            driver.engine.process(
+                driver._resolve_replicated(vpn, gpu_id, owner, word, fault.is_write)
+            ).add_callback(self._child_done)
+            return
+
+        if driver.config.migration_policy is MigrationPolicy.ON_TOUCH and self.attempts == 0:
+            self.word = word
+            driver.engine.process(
+                driver._migrate(vpn, gpu_id, push_mapping=False)
+            ).add_callback(self._migrated)
+            return
+        self._remote_mapping(word)
+
+    def _migrated(self, _ev: Event) -> None:
+        driver = self.driver
+        vpn, gpu_id = self.fault.vpn, self.fault.gpu_id
+        new_word = driver.host_page_table.translate(vpn)
+        if new_word is not None and PhysicalMemory.owner_of(pte_bits.ppn(new_word)) == gpu_id:
+            self._resolved(pte_bits.make_pte(pte_bits.ppn(new_word)))
+            return
+        # Migration raced/failed; fall through to a remote mapping.
+        self._remote_mapping(new_word if new_word is not None else self.word)
+
+    def _remote_mapping(self, word: int) -> None:
+        # first-touch (pinned) and access-counter: hand out a remote mapping.
+        driver = self.driver
+        driver._record_resident(self.fault.vpn, self.fault.gpu_id)
+        driver.stats.counter("remote_mappings").add()
+        owner = PhysicalMemory.owner_of(pte_bits.ppn(word))
+        self._resolved(pte_bits.make_remote_pte(pte_bits.ppn(word), owner))
+
+    def _child_done(self, ev: Event) -> None:
+        self._resolved(ev._value)
+
+    def _resolved(self, word: int) -> None:
+        # The resolution process returning woke its waiter one ready hop
+        # later; the reply leaves from there.
+        self.driver.engine._ready.append((self._reply, (word,)))
+
+    def _reply(self, word: int) -> None:
+        driver = self.driver
+        self.word = word
+        driver.interconnect.host_to_gpu(self.fault.gpu_id, CONTROL_MESSAGE_BYTES).add_callback(
+            self._replied
+        )
+
+    def _replied(self, _ev: Event) -> None:
+        driver = self.driver
+        fault = self.fault
+        if driver._generation.get(fault.vpn, 0) != self.generation or fault.vpn in driver._gates:
+            self.attempts += 1
+            if self.attempts > driver.MAX_REPLY_RETRIES:
+                # Accept the (possibly already-stale) mapping: the GPU
+                # will simply fault again on its next shootdown.  Record
+                # the pair so the invariant auditor knows this bounded
+                # staleness was a counted decision, not a protocol leak.
+                driver.stats.counter("stale_replies_accepted").add()
+                driver._stale_accepted.add((fault.gpu_id, fault.vpn))
+            else:
+                # The page migrated underneath us: the resolved mapping
+                # is stale; re-resolve rather than install it.
+                driver.stats.counter("stale_replies_retried").add()
+                self._attempt()
+                return
+        engine = driver.engine
+        driver.stats.latency("fault_latency").record(engine._now - fault.raised_at)
+        if driver._tracer.enabled:
+            driver._tracer.emit(
+                "fault.resolve", driver.name, fault.vpn,
+                gpu=fault.gpu_id, cycles=engine._now - fault.raised_at,
+            )
+        driver._inflight_faults -= 1
+        driver.gpus[fault.gpu_id].driver_busy -= 1
+        fault.resolved.succeed(self.word)
+        self.done.succeed(None)
+
+
+class _Invalidation:
+    """Driver → GPU invalidation round trip without fault injection
+    (§3.3 steps 2-3): request over PCIe, the GPU's ack, the ack home.
+    ``done`` fires once the driver holds the ack; the in-flight ledger
+    and the GPU's ``driver_busy`` gauge drop just before."""
+
+    __slots__ = ("driver", "gpu_id", "vpn", "dst", "done")
+
+    def __init__(self, driver: UVMDriver, gpu_id: int, vpn: int, dst: int) -> None:
+        self.driver = driver
+        self.gpu_id = gpu_id
+        self.vpn = vpn
+        self.dst = dst
+        self.done = Event(driver.engine)
+        driver.engine._ready.append((self._send, ()))
+
+    def _send(self) -> None:
+        driver = self.driver
+        driver.stats.counter("invalidations_sent").add()
+        if driver._tracer.enabled:
+            driver._tracer.emit("inval.send", driver.name, self.vpn, gpu=self.gpu_id)
+        driver.interconnect.host_to_gpu(self.gpu_id, CONTROL_MESSAGE_BYTES).add_callback(
+            self._delivered
+        )
+
+    def _delivered(self, _ev: Event) -> None:
+        self.driver.gpus[self.gpu_id].receive_invalidation(self.vpn, self.dst).add_callback(
+            self._acked
+        )
+
+    def _acked(self, _ev: Event) -> None:
+        self.driver.interconnect.gpu_to_host(self.gpu_id, CONTROL_MESSAGE_BYTES).add_callback(
+            self._ack_home
+        )
+
+    def _ack_home(self, _ev: Event) -> None:
+        driver = self.driver
+        gpu_id, vpn = self.gpu_id, self.vpn
+        if driver._tracer.enabled:
+            driver._tracer.emit("inval.ack", driver.name, vpn, gpu=gpu_id)
+        driver.gpus[gpu_id].driver_busy -= 1
+        key = (gpu_id, vpn)
+        count = driver._inflight_invals.get(key, 0) - 1
+        if count <= 0:
+            driver._inflight_invals.pop(key, None)
+        else:
+            driver._inflight_invals[key] = count
+        self.done.succeed(None)

@@ -124,13 +124,9 @@ def test_probe_hit_always_bypasses_local_walk(seed):
         gpu.lazy.accept_invalidation(vpn)
         assert gpu.lazy.probe(vpn) is True
 
-        outcome = {}
-
-        def access(vpn=vpn, outcome=outcome):
-            outcome["word"] = yield from gpu.translate(0, vpn, False)
-
-        system.engine.process(access())
+        translated = gpu.translate(0, vpn, False)
         system.engine.run()
+        outcome = {"word": translated.value}
 
         assert outcome["word"] is not None
         mine = [r for r in tracer.records() if r.vpn == vpn]

@@ -11,7 +11,9 @@ These tests exercise the fault-tolerance contract of
   quarantined task is not retried on resume;
 * worker teardown escalates terminate → kill, so even a child that
   ignores the first signal never outlives the supervisor (the orphaned
-  pool-worker regression).
+  pool-worker regression);
+* a worker whose supervisor is SIGKILLed exits on its own, even when
+  the supervisor died before the worker's watchdog thread started.
 """
 
 import multiprocessing
@@ -214,3 +216,59 @@ class TestTerminateEscalation:
         assert not proc.is_alive(), "stubborn child orphaned"
         # Escalation is bounded: grace + kill, not the child's 120s nap.
         assert elapsed < 30
+
+
+def _doomed_supervisor(report) -> None:
+    """Child-process body: a supervisor that hands its one worker a long
+    task, reports the worker's pid, and waits to be SIGKILLed."""
+    supervisor = SweepSupervisor(jobs=1, lanes=4, accesses_per_lane=50_000, seed=1)
+    supervisor.start()
+    supervisor._spawn_worker()
+    supervisor.submit("busy", "PR", baseline_config(2), 1.0)
+    supervisor.step()
+    report.put([worker.proc.pid for worker in supervisor._workers.values()])
+    time.sleep(120)
+
+
+def _gone(pid: int) -> bool:
+    """True once ``pid`` has exited; an unreaped zombie counts as gone
+    (a container's init may never reap re-parented orphans)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return True
+    except OSError:  # pragma: no cover - no procfs
+        return not _pid_alive(pid)
+    return state in ("Z", "X")
+
+
+class TestSupervisorDeath:
+    def test_worker_exits_after_supervisor_sigkill(self):
+        """The supervisor is killed right after dispatch, typically
+        before its worker has finished booting: the worker must still
+        notice and exit within a few seconds instead of adopting its
+        new parent."""
+        ctx = multiprocessing.get_context("spawn")
+        report = ctx.Queue()
+        # Not daemonic: a daemonic process may not spawn the worker.
+        supervisor = ctx.Process(target=_doomed_supervisor, args=(report,))
+        supervisor.start()
+        workers = []
+        try:
+            workers = report.get(timeout=60)
+            assert len(workers) == 1
+            os.kill(supervisor.pid, signal.SIGKILL)
+            supervisor.join(timeout=10)
+            assert not supervisor.is_alive()
+            deadline = time.monotonic() + 15
+            while time.monotonic() < deadline and not all(map(_gone, workers)):
+                time.sleep(0.1)
+            assert all(map(_gone, workers)), "worker outlived its SIGKILLed supervisor"
+        finally:
+            for pid in workers:
+                if not _gone(pid):
+                    os.kill(pid, signal.SIGKILL)
+            if supervisor.is_alive():
+                supervisor.kill()
+                supervisor.join(timeout=10)
