@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional, Tuple
 
-from .address import AddressLayout
+from .address import BITS_PER_LEVEL, AddressLayout
 from ..sim.stats import StatsGroup
 
 __all__ = ["PageWalkCache"]
@@ -31,6 +31,16 @@ class PageWalkCache:
         self.layout = layout
         self.stats = StatsGroup(name)
         self._tags: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
+        # Bound once: every walk probes and fills, level by level.
+        # ``(level, shift)`` pairs, leaf-most first: ``vpn >> shift`` is
+        # ``layout.prefix(vpn, level)`` without its range check.
+        self._probe_order = tuple(
+            (level, BITS_PER_LEVEL * level) for level in range(1, layout.levels)
+        )
+        self._fill_order = self._probe_order[::-1]
+        self._hits = self.stats.counter("hits")
+        self._misses = self.stats.counter("misses")
+        self._evictions = self.stats.counter("evictions")
 
     def __len__(self) -> int:
         return len(self._tags)
@@ -42,29 +52,31 @@ class PageWalkCache:
         root-child hit, or None on a complete miss.  Probing refreshes
         LRU state of the hit tag only.
         """
-        for level in range(1, self.layout.levels):
-            tag = (level, self.layout.prefix(vpn, level))
-            if tag in self._tags:
-                self._tags.move_to_end(tag)
-                self.stats.counter("hits").add()
+        tags = self._tags
+        for level, shift in self._probe_order:
+            tag = (level, vpn >> shift)
+            if tag in tags:
+                tags.move_to_end(tag)
+                self._hits.add()
                 return level
-        self.stats.counter("misses").add()
+        self._misses.add()
         return None
 
     def fill(self, vpn: int, down_to_level: int = 1) -> None:
         """Install node pointers learned by a walk, levels ``levels-1``
         down to ``down_to_level``."""
-        for level in range(self.layout.levels - 1, down_to_level - 1, -1):
-            self._insert((level, self.layout.prefix(vpn, level)))
-
-    def _insert(self, tag: Tuple[int, int]) -> None:
-        if tag in self._tags:
-            self._tags.move_to_end(tag)
-            return
-        if len(self._tags) >= self.entries:
-            self._tags.popitem(last=False)
-            self.stats.counter("evictions").add()
-        self._tags[tag] = None
+        tags = self._tags
+        for level, shift in self._fill_order:
+            if level < down_to_level:
+                break
+            tag = (level, vpn >> shift)
+            if tag in tags:
+                tags.move_to_end(tag)
+                continue
+            if len(tags) >= self.entries:
+                tags.popitem(last=False)
+                self._evictions.add()
+            tags[tag] = None
 
     def invalidate_all(self) -> None:
         self._tags.clear()
@@ -82,7 +94,7 @@ class PageWalkCache:
         self.stats.restore(state["stats"])
 
     def hit_rate(self) -> float:
-        hits = self.stats.counter("hits").value
-        misses = self.stats.counter("misses").value
+        hits = self._hits.value
+        misses = self._misses.value
         total = hits + misses
         return hits / total if total else 0.0

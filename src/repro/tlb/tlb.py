@@ -23,7 +23,7 @@ class TLB:
     """One TLB level: ``sets`` LRU sets of ``associativity`` ways."""
 
     __slots__ = (
-        "config", "name", "stats", "_tracer", "_sets",
+        "config", "name", "stats", "_tracer", "_sets", "_n_sets",
         "_hits", "_misses", "_evictions", "_shootdowns",
     )
 
@@ -32,8 +32,11 @@ class TLB:
         self.name = name
         self.stats = StatsGroup(name)
         self._tracer = tracer
+        # Bound once: ``TLBConfig.sets`` is a property, and every lookup,
+        # fill and shootdown picks a set.
+        self._n_sets = config.sets
         self._sets: List["OrderedDict[int, int]"] = [
-            OrderedDict() for _ in range(config.sets)
+            OrderedDict() for _ in range(self._n_sets)
         ]
         # Counters pre-bound once: lookup() runs per memory access, so the
         # per-call StatsGroup dict lookup is worth removing.
@@ -43,7 +46,7 @@ class TLB:
         self._shootdowns = self.stats.counter("shootdowns")
 
     def _set_for(self, vpn: int) -> "OrderedDict[int, int]":
-        return self._sets[vpn % self.config.sets]
+        return self._sets[vpn % self._n_sets]
 
     @property
     def lookup_latency(self) -> int:
@@ -52,7 +55,7 @@ class TLB:
     def lookup(self, vpn: int) -> Optional[int]:
         """PTE word on hit (refreshing LRU), None on miss."""
         tracer = self._tracer
-        entry_set = self._sets[vpn % self.config.sets]
+        entry_set = self._sets[vpn % self._n_sets]
         word = entry_set.get(vpn)
         if word is None:
             self._misses.add()
@@ -71,11 +74,11 @@ class TLB:
 
     def peek(self, vpn: int) -> Optional[int]:
         """Entry lookup without touching LRU or stats (simulator-internal)."""
-        return self._set_for(vpn).get(vpn)
+        return self._sets[vpn % self._n_sets].get(vpn)
 
     def insert(self, vpn: int, word: int) -> None:
         tracer = self._tracer
-        entry_set = self._set_for(vpn)
+        entry_set = self._sets[vpn % self._n_sets]
         if vpn in entry_set:
             entry_set[vpn] = word
             entry_set.move_to_end(vpn)
