@@ -1,11 +1,16 @@
 """Unit tests for the GMMU: walk latency, queueing, contention, aborts."""
 
+import heapq
+import random
+from collections import deque
+
 from repro.config import GMMUConfig
 from repro.gmmu.gmmu import GMMU
 from repro.gmmu.request import WalkKind
 from repro.memory import pte
 from repro.memory.address import LAYOUT_4K
 from repro.memory.page_table import PageTable
+from repro.memory.walk_cache import PageWalkCache
 from repro.sim.engine import Engine
 
 
@@ -131,6 +136,30 @@ class TestContention:
         assert gmmu.stats.latency("queue_wait.demand").max > 0
 
 
+class TestZeroLatencyWalks:
+    """A zero-cycle walk completes without a calendar hop, and a walker
+    freed by a stall hands itself down a long queue without recursing."""
+
+    class _StallFirst:
+        def __init__(self):
+            self.stalled = False
+
+        def walker_stall(self, _name):
+            stall, self.stalled = (0 if self.stalled else 50), True
+            return stall
+
+    def test_queue_behind_stalled_walker_drains(self):
+        engine = Engine()
+        table = PageTable(LAYOUT_4K)
+        config = GMMUConfig(walker_threads=1, walk_latency_per_level=0)
+        gmmu = GMMU(engine, config, table, injector=self._StallFirst())
+        requests = [gmmu.walk(i, WalkKind.DEMAND) for i in range(3000)]
+        engine.run()
+        assert all(r.done.triggered for r in requests)
+        assert requests[-1].started_at == 50
+        assert gmmu.is_idle
+
+
 class TestIdleTracking:
     def test_idle_transitions(self):
         engine, table, gmmu = make_gmmu()
@@ -165,3 +194,85 @@ class TestIdleTracking:
         engine.run()
         assert gmmu.invalidation_busy_cycles() == 0
         assert gmmu.any_busy_cycles() == 400
+
+
+def _reference_walks(submits, walkers, pwc_entries, per_level):
+    """Analytic FIFO walker pool over a shared PWC.  ``submits`` is a
+    list of ``(cycle, vpn)`` at distinct, increasing cycles.  A walk
+    probes the PWC when it wins a walker and fills it when it retires;
+    a retiring walk hands its walker to the head of the queue.  A
+    submission is handled before any walk retiring in the same cycle.
+    Returns each walk's ``(start, end)`` cycles."""
+    pwc = PageWalkCache(pwc_entries, LAYOUT_4K)
+    spans = [None] * len(submits)
+    retiring = []  # (end cycle, start order, walk index)
+    queue = deque()
+    free = walkers
+    starts = 0
+
+    def start(i, now):
+        nonlocal starts
+        cached = pwc.deepest_cached_level(submits[i][1])
+        levels = LAYOUT_4K.levels if cached is None else cached
+        spans[i] = (now, now + levels * per_level)
+        heapq.heappush(retiring, (spans[i][1], starts, i))
+        starts += 1
+
+    def retire_until(cycle):
+        nonlocal free
+        while retiring and retiring[0][0] < cycle:
+            now, _order, i = heapq.heappop(retiring)
+            pwc.fill(submits[i][1])
+            if queue:
+                start(queue.popleft(), now)
+            else:
+                free += 1
+
+    for i, (cycle, _vpn) in enumerate(submits):
+        retire_until(cycle)
+        if free and not queue:
+            free -= 1
+            start(i, cycle)
+        else:
+            queue.append(i)
+    retire_until(float("inf"))
+    return spans
+
+
+class TestWalkerTiming:
+    """A seeded mix of demand, invalidate and update walks on two
+    walkers and a 16-entry PWC pins every walk's start cycle."""
+
+    def test_seeded_mix_start_cycles(self):
+        rng = random.Random(5)
+        engine, table, gmmu = make_gmmu(walkers=2, queue=64, pwc=16)
+        regions = [r << 27 | s << 18 for r in range(3) for s in range(4)]
+        submits, kinds, cycle = [], [], 0
+        for i in range(300):
+            cycle += rng.choice((1, 2, 7, 60, 150, 400, 900))
+            vpn = rng.choice(regions) | rng.randrange(1 << 12)
+            submits.append((cycle, vpn))
+            kinds.append(rng.choice((WalkKind.DEMAND,) * 3 + (WalkKind.INVALIDATE, WalkKind.UPDATE)))
+            table.set_entry(vpn, pte.make_pte(i + 1))
+        requests = [None] * len(submits)
+
+        def submit(i):
+            word = pte.make_pte(7) if kinds[i] is WalkKind.UPDATE else None
+            requests[i] = gmmu.walk(submits[i][1], kinds[i], word=word)
+
+        for i, (cycle, _vpn) in enumerate(submits):
+            engine.schedule(cycle, submit, i)
+        engine.run()
+
+        spans = _reference_walks(submits, walkers=2, pwc_entries=16, per_level=100)
+        assert [r.started_at for r in requests] == [start for start, _end in spans]
+        waits = [start - cycle for (start, _end), (cycle, _vpn) in zip(spans, submits)]
+        assert sum(1 for w in waits if w > 0) > 50  # the queue is exercised
+        for kind in WalkKind:
+            totals = [
+                end - cycle
+                for (_start, end), (cycle, _vpn), k in zip(spans, submits, kinds)
+                if k is kind
+            ]
+            stat = gmmu.stats.latency(f"total.{kind.value}")
+            assert (stat.count, stat.total, stat.max) == (len(totals), sum(totals), max(totals))

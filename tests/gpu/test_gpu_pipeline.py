@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 
-from repro.config import InvalidationScheme, baseline_config
+from repro.config import GMMUConfig, InvalidationScheme, TLBConfig, baseline_config
 from repro.gpu.system import MultiGPUSystem
 from repro.memory import pte
 from repro.workloads.base import Workload
@@ -53,6 +53,34 @@ class TestTLBHierarchy:
             lanes=[[(0, PAGE, False)], [(0, PAGE, False)]],
         )
         assert result.far_faults == 1  # single fault despite two lanes
+
+
+class TestZeroLatencies:
+    """Zero-cycle L1 lookups and walks run their next state inline: a
+    run must still complete without unbounded recursion."""
+
+    def zero_config(self):
+        return tiny_config(
+            l1_tlb=TLBConfig(32, 32, 0),
+            gmmu=GMMUConfig(walk_latency_per_level=0),
+            fastpath_enabled=False,
+        )
+
+    def test_zero_latency_run_completes(self):
+        trace = [(i % 3, PAGE + (i % 40) * 4096, i % 5 == 0) for i in range(400)]
+        workload = Workload(name="manual", traces=[[trace, trace[::-1]], [trace, []]])
+        result = MultiGPUSystem(self.zero_config()).run(workload)
+        assert not result.aborted
+        assert result.accesses == workload.total_accesses()
+
+    def test_translate_fires_on_zero_latency_l1_hit(self):
+        system = MultiGPUSystem(self.zero_config())
+        gpu = system.gpus[0]
+        word = pte.make_pte(5)
+        gpu.l1_tlbs[0].insert(PAGE, word)
+        translated = gpu.translate(0, PAGE, False)
+        system.engine.run()
+        assert translated.value == word
 
 
 class TestFastPath:

@@ -1,5 +1,7 @@
 """Unit tests for links and topology."""
 
+import random
+
 import pytest
 
 from repro.config import InterconnectConfig
@@ -96,3 +98,70 @@ class TestInterconnect:
         net2.host_to_gpu(0, 1 << 20)
         engine2.run()
         assert engine2.now > nv
+
+
+def _reference_arrivals(issues, link):
+    """Analytic FIFO port: a packet is ready at its issue cycle plus its
+    hold; ready packets take the port in (ready cycle, undelayed first,
+    issue order); each occupies it for its serialisation time, then
+    propagates for the link latency."""
+    order = sorted(
+        range(len(issues)),
+        key=lambda i: (issues[i][0] + issues[i][2], issues[i][2] > 0, i),
+    )
+    arrivals = [0] * len(issues)
+    free_at = 0
+    for i in order:
+        issued, size, hold = issues[i]
+        start = max(issued + hold, free_at)
+        free_at = start + link.serialisation_cycles(size)
+        arrivals[i] = free_at + link.latency
+    return arrivals
+
+
+class TestPortTiming:
+    """A seeded schedule pins every arrival cycle on one link: control
+    packets, cache lines and pages, same-cycle bursts, and packets held
+    by an ``extra_delay`` before they queue for the port."""
+
+    @staticmethod
+    def schedule(seed=11, count=300):
+        rng = random.Random(seed)
+        issues, cycle = [], 1
+        for _ in range(count):
+            cycle += rng.choice((0, 0, 0, 1, 3, 40, 150, 700))
+            size = rng.choice((64, 64, 128, 4096))
+            hold = rng.choice((1, 25, 130, 400)) if rng.random() < 0.1 else 0
+            issues.append((cycle, size, hold))
+        return issues
+
+    @pytest.mark.parametrize("latency", [0, 150])
+    def test_seeded_schedule_arrival_cycles(self, latency):
+        engine = Engine()
+        link = Link(engine, bandwidth_gbps=32.0, latency=latency, clock_ghz=1.0)
+        issues = self.schedule()
+        arrived = [None] * len(issues)
+
+        def issue(i, size, hold):
+            def landed(_ev, i=i):
+                arrived[i] = engine.now
+            link.transfer(size, extra_delay=hold).add_callback(landed)
+
+        for i, (cycle, size, hold) in enumerate(issues):
+            engine.schedule(cycle, issue, i, size, hold)
+        engine.run()
+
+        expected = _reference_arrivals(issues, link)
+        assert arrived == expected
+        assert any(h for _c, _s, h in issues)
+        waits = [a - (c + h) for a, (c, _s, h) in zip(expected, issues)]
+        stat = link.stats.latency("transfer_time")
+        assert (stat.count, stat.total, stat.min, stat.max) == (
+            len(issues), sum(waits), min(waits), max(waits),
+        )
+        # The schedule exercises queueing, not just free-port transfers.
+        assert max(waits) > link.serialisation_cycles(4096) + latency
+        assert link.stats.counter("delayed_transfers").value == sum(
+            1 for _c, _s, h in issues if h
+        )
+        assert link.stats.counter("transfers").value == len(issues)
