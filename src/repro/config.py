@@ -98,6 +98,8 @@ class GMMUConfig:
     walker_threads: int = 8
     walk_latency_per_level: int = 100
     walk_cache_entries: int = 128
+    #: Table 2's walk-queue size.  No submitter waits for a queue slot,
+    #: so the modelled queue is unbounded and this bounds nothing.
     walk_queue_entries: int = 64
 
     def __post_init__(self) -> None:

@@ -7,17 +7,22 @@ PWC.  Crucially, *all three* request kinds — demand translations, PTE
 invalidations, and PTE updates — traverse the same queue, PWC, and
 thread pool; the resulting contention is the phenomenon the paper
 measures (§5.2) and IDYLL removes.
+
+The queue and the thread pool form an analytic FIFO server: a walk
+starts at once when nothing is queued and a thread is free, a retiring
+walk hands its thread straight to the head of the queue, and each walk
+costs one calendar entry, at its completion.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from collections import deque
+from typing import Deque, List, Optional
 
 from ..config import GMMUConfig
 from ..memory.page_table import PageTable
 from ..memory.walk_cache import PageWalkCache
 from ..sim.engine import Engine, Event
-from ..sim.process import Resource, Store
 from ..sim.stats import StatsGroup
 from .request import WalkKind, WalkRequest
 
@@ -34,10 +39,9 @@ class GMMU:
 
     __slots__ = (
         "engine", "config", "page_table", "name", "_injector", "stats",
-        "_tracer", "pwc", "queue", "walkers", "_idle_waiters",
+        "_tracer", "pwc", "_queue", "_threads", "_busy", "_idle_waiters",
         "_inval_inflight", "_inval_since", "_inval_busy",
         "_any_inflight", "_any_since", "_any_busy", "_kind_stats",
-        "_next_request",
     )
 
     def __init__(
@@ -57,8 +61,11 @@ class GMMU:
         self.stats = StatsGroup(name)
         self._tracer = engine.tracer
         self.pwc = PageWalkCache(config.walk_cache_entries, page_table.layout, f"{name}.pwc")
-        self.queue: Store = Store(engine, capacity=config.walk_queue_entries)
-        self.walkers = Resource(engine, config.walker_threads)
+        #: walks waiting for a thread, oldest first.
+        self._queue: Deque[WalkRequest] = deque()
+        self._threads = config.walker_threads
+        #: walker threads currently running a walk.
+        self._busy = 0
         self._idle_waiters: List[Event] = []
         # Busy-time integrators: cycles during which >=1 invalidation
         # (resp. any) request was in the GMMU, submit-to-done.  Used by
@@ -73,11 +80,6 @@ class GMMU:
         # key construction plus StatsGroup dict probe is measurable at
         # one-per-walk rates.
         self._kind_stats: dict = {}
-        #: the request the dispatcher holds while it waits for a walker.
-        self._next_request: Optional[WalkRequest] = None
-        # The dispatcher's first step, queued where a dispatcher process
-        # would have been started.
-        engine._ready.append((self._dispatch, ()))
 
     def _stats_for(self, kind: WalkKind) -> tuple:
         stats = self._kind_stats.get(kind)
@@ -95,9 +97,9 @@ class GMMU:
 
     # -- submission --------------------------------------------------------
 
-    def submit(self, request: WalkRequest) -> Event:
-        """Enqueue a walk; the returned event fires when it is *accepted*
-        into the queue (backpressure when the 64-entry queue is full)."""
+    def submit(self, request: WalkRequest) -> None:
+        """Start the walk now if nothing is queued and a walker thread is
+        free, else queue it behind the walks already waiting."""
         self._stats_for(request.kind)[0].add()
         if request.kind is _INVALIDATE:
             if self._inval_inflight == 0:
@@ -106,7 +108,12 @@ class GMMU:
         if self._any_inflight == 0:
             self._any_since = self.engine.now
         self._any_inflight += 1
-        return self.queue.put(request)
+        if self._busy < self._threads and not self._queue:
+            self._busy += 1
+            if not self._walk(request):
+                self._release()
+        else:
+            self._queue.append(request)
 
     def walk(self, vpn: int, kind: WalkKind, word: Optional[int] = None) -> WalkRequest:
         """Convenience: build, submit, and return a request whose ``done``
@@ -122,41 +129,23 @@ class GMMU:
 
     @property
     def is_idle(self) -> bool:
-        return self.walkers.in_use == 0 and len(self.queue) == 0
+        return self._busy == 0 and not self._queue
 
     @property
     def has_available_walker(self) -> bool:
         """Queue drained and at least one walker thread free."""
-        return len(self.queue) == 0 and self.walkers.idle > 0
+        return not self._queue and self._busy < self._threads
 
     @property
     def load(self) -> int:
         """Queued plus in-flight walks."""
-        return len(self.queue) + self.walkers.in_use
+        return len(self._queue) + self._busy
 
     # -- internals ----------------------------------------------------------
 
-    # The dispatcher and each walk are callback state machines: every
-    # ready-queue append and heap push happens where the generator
-    # processes they replace would have made it, so the event calendar
-    # is unchanged (DESIGN.md §7.1).
-
-    def _dispatch(self) -> None:
-        """Dispatcher step: wait for the next queued request."""
-        self.queue.get().add_callback(self._dispatch_got)
-
-    def _dispatch_got(self, ev: Event) -> None:
-        self._next_request = ev._value
-        self.walkers.request().add_callback(self._dispatch_granted)
-
-    def _dispatch_granted(self, _ev: Event) -> None:
-        # A walker is ours: start the walk (one ready hop, as a new
-        # process would take), then go back for the next request.
-        request, self._next_request = self._next_request, None
-        self.engine._ready.append((self._walk, (request,)))
-        self.queue.get().add_callback(self._dispatch_got)
-
-    def _walk(self, request: WalkRequest) -> None:
+    def _walk(self, request: WalkRequest) -> bool:
+        """Run ``request`` on the walker thread it was just given; False
+        when it was aborted while queued and the thread is free again."""
         # One tracer-enabled test per call, not one per emission site:
         # the untraced fast path pays a single branch.
         tracer = self._tracer
@@ -173,11 +162,9 @@ class GMMU:
             self.stats.counter("aborted_walks").add()
             if traced:
                 tracer.emit("walk.abort", self.name, request.vpn, kind=request.kind.value)
-            self.walkers.release()
             self._account_done(request)
             request.done.succeed(None)
-            self._wake_idle_waiters()
-            return
+            return False
 
         cached_level = self.pwc.deepest_cached_level(request.vpn)
         levels = self.page_table.walk_levels(request.vpn, cached_level)
@@ -195,11 +182,15 @@ class GMMU:
                         kind="walker_stall", cycles=stall,
                     )
                 self.engine.defer(stall, self._walk_levels, request, levels, stats)
-                return
+                return True
         self._walk_levels(request, levels, stats)
+        return True
 
     def _walk_levels(self, request: WalkRequest, levels: int, stats: tuple) -> None:
-        self.engine.defer(
+        # ``schedule``, not ``defer``: a zero-cycle walk retires one
+        # ready hop later rather than inline, so a thread handed down a
+        # long queue of them never recurses.
+        self.engine.schedule(
             levels * self.config.walk_latency_per_level, self._walk_done, request, levels, stats
         )
 
@@ -227,7 +218,6 @@ class GMMU:
             self.page_table.set_entry(request.vpn, request.word)
             result = request.word
 
-        self.walkers.release()
         total = self.engine._now - request.issued_at
         lat_total.record(total)
         tracer = self._tracer
@@ -238,6 +228,16 @@ class GMMU:
             )
         self._account_done(request)
         request.done.succeed(result)
+        self._release()
+
+    def _release(self) -> None:
+        """A walk left its thread: hand the thread to the oldest queued
+        walk still live, or free it and wake the idle waiters."""
+        queue = self._queue
+        while queue:
+            if self._walk(queue.popleft()):
+                return
+        self._busy -= 1
         self._wake_idle_waiters()
 
     def _account_done(self, request: WalkRequest) -> None:

@@ -367,12 +367,10 @@ class _Access:
     with the IRMB, GMMU demand walk, far fault plus UPDATE walk, the
     Trans-FW forward) is followed by the migration-gate stall with its
     re-translate loop, and by the local or remote (NVLink) data access.
-    Each method is one state: it runs what a generator process would
-    run between two yields, then registers the next state.  Every
-    ready-queue append and every heap push happens at the same point
-    and in the same order as in the generator chain this replaces
-    (``Engine.defer`` for a bare-int wait, ``add_callback`` for an
-    event wait), so the event calendar is unchanged (DESIGN.md §7.1).
+    Each method is one state: it runs the work between two waits, then
+    registers the next state (``Engine.defer`` for a fixed latency,
+    ``add_callback`` for an event).  The first state runs inline, in
+    the lane step that issues the access.
 
     Under fault injection every fill payload is *versioned* with the
     per-VPN invalidation epoch (advanced by each applied hardened
@@ -402,8 +400,7 @@ class _Access:
         #: the far fault's fetch-time invalidation epoch.
         self.epoch = 0
         self.t_miss = self.t_fault = self.t_stall = 0
-        # Mirrors a process start: the first step is one ready hop away.
-        gpu.engine._ready.append((self._translate, ()))
+        self._translate()
 
     # -- translation: L1 TLB, L2 TLB + IRMB ---------------------------------
 
@@ -691,8 +688,10 @@ class _Translation(_Access):
     __slots__ = ("done",)
 
     def __init__(self, gpu: GPU, lane_id: int, vpn: int, is_write: bool) -> None:
-        super().__init__(gpu, None, lane_id, vpn, is_write)
+        # Set before the translation starts: a zero-cycle L1 hit fires
+        # ``done`` from inside the constructor.
         self.done = Event(gpu.engine)
+        super().__init__(gpu, None, lane_id, vpn, is_write)
 
     def _translated(self, word: int) -> None:
         self.done.succeed(word)

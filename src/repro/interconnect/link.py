@@ -5,6 +5,10 @@ serialisation time of a payload; propagation latency is pipelined (the
 link is free again while bits are in flight).  Control messages (an
 invalidation request, a fault interrupt) are a fixed small payload;
 page transfers occupy the link for ``page_size / bandwidth``.
+
+The port is an analytic FIFO server: it is summarised by the cycle it
+next falls idle, so a transfer reserves its serialisation slot when it
+joins the queue and costs one calendar entry, at its arrival.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import heapq
 
 from ..sim.engine import Engine, Event
-from ..sim.process import Resource
 from ..sim.stats import StatsGroup
 
 __all__ = ["Link", "CONTROL_MESSAGE_BYTES"]
@@ -24,18 +27,14 @@ CONTROL_MESSAGE_BYTES = 64
 
 
 class _FastTransfer(Event):
-    """Flattened transfer state machine, and the event that fires once
-    the payload has fully arrived at the far end.
+    """One transfer, and the event that fires once the payload has fully
+    arrived at the far end.
 
-    An exact mirror of the generator a :class:`~repro.sim.engine.Process`
-    would run for one transfer (hold ``extra_delay``, take the port,
-    serialise, release, propagate): every ready-queue append and every
-    heap push (and therefore every sequence-number allocation) happens
-    at the same point in the same order, so the event calendar — and
-    with it every golden trace — is bit-for-bit identical.  What it
-    drops is the per-transfer Process object, generator frame, and the
-    resume/callback indirection around each hop, which is most of a
-    transfer's simulation cost.
+    Joining the port queue reserves the slot ``[start, start +
+    serialisation)`` with ``start = max(now, link._free_at)`` and pushes
+    the one calendar entry, at ``start + serialisation + latency``.  A
+    delayed packet (fault injector, chaos) holds ``extra_delay`` cycles
+    first and joins the queue when its hold ends.
     """
 
     __slots__ = ("link", "num_bytes", "t0")
@@ -43,7 +42,8 @@ class _FastTransfer(Event):
     def __init__(self, link: "Link", num_bytes: int, extra_delay: int = 0) -> None:
         # Flattened Event.__init__: one transfer per control message,
         # data reply and page move.
-        self.engine = link.engine
+        engine = link.engine
+        self.engine = engine
         self._callbacks = []
         self._value = None
         self._ok = True
@@ -51,67 +51,21 @@ class _FastTransfer(Event):
         self.link = link
         self.num_bytes = num_bytes
         self.t0 = 0
-        # Mirrors Process.__init__'s ready append (process start).
         if extra_delay:
-            link.engine._ready.append((self._hold, (extra_delay,)))
+            link.stats.counter("delayed_transfers").add()
+            engine.defer(extra_delay, self._enqueue)
         else:
-            link.engine._ready.append((self._begin, ()))
+            self._enqueue()
 
-    def _hold(self, extra_delay: int) -> None:
-        # A delayed packet (fault injector, chaos): counted on the first
-        # step, then held ``extra_delay`` cycles before it contends for
-        # the port.
-        link = self.link
-        link.stats.counter("delayed_transfers").add()
-        link.engine.defer(extra_delay, self._begin)
-
-    def _begin(self) -> None:
-        # Mirrors the generator's first resume: t0, then port.request().
+    def _enqueue(self) -> None:
         link = self.link
         engine = link.engine
-        self.t0 = engine._now
-        port = link._port
-        if port._in_use < port.capacity:
-            # request() succeeded immediately; the Process would attach
-            # its wait callback to the already-triggered event, which
-            # defers one ready hop.
-            port._in_use += 1
-            engine._ready.append((self._granted, (None,)))
-        else:
-            ev = Event(engine)
-            ev.add_callback(self._granted)
-            port._waiters.append(ev)
-
-    def _granted(self, _ev) -> None:
-        # Mirrors `yield serialisation_cycles` (always > 0): the bare-int
-        # fast path pushes straight onto the heap.
-        engine = self.link.engine
+        now = self.t0 = engine._now
+        free_at = link._free_at
+        start = now if now >= free_at else free_at
+        serialised = link._free_at = start + link.serialisation_cycles(self.num_bytes)
         engine._seq += 1
-        _heappush(
-            engine._heap,
-            (engine._now + self.link.serialisation_cycles(self.num_bytes),
-             engine._seq, self._serialised, ()),
-        )
-
-    def _serialised(self) -> None:
-        link = self.link
-        engine = link.engine
-        link._port.release()
-        latency = link.latency
-        if latency > 0:
-            # Mirrors `yield latency`.
-            engine._seq += 1
-            _heappush(
-                engine._heap,
-                (engine._now + latency, engine._seq, self._arrive, ()),
-            )
-        else:
-            # Mirrors `yield engine.timeout(0)`: Timeout(0) defers through
-            # the ready queue twice (the _fire hop, then the wait callback).
-            engine._ready.append((self._latency0_fire, ()))
-
-    def _latency0_fire(self) -> None:
-        self.link.engine._ready.append((self._arrive, ()))
+        _heappush(engine._heap, (serialised + link.latency, engine._seq, self._arrive, ()))
 
     def _arrive(self) -> None:
         link = self.link
@@ -127,7 +81,7 @@ class Link:
     """One direction of a link; create two for full duplex."""
 
     __slots__ = (
-        "engine", "bandwidth_gbps", "latency", "clock_ghz", "stats", "_port",
+        "engine", "bandwidth_gbps", "latency", "clock_ghz", "stats", "_free_at",
         "_n_transfers", "_n_bytes", "_t_transfer", "_ser_cache", "owner",
     )
 
@@ -147,7 +101,8 @@ class Link:
         self.latency = latency
         self.clock_ghz = clock_ghz
         self.stats = StatsGroup(name)
-        self._port = Resource(engine, 1)
+        #: the cycle the port next falls idle (its FIFO queue, summarised).
+        self._free_at = 0
         # Bound once: these fire on every transfer, and payload sizes come
         # from a tiny set (control packet, cache line, page), so the
         # serialisation maths caches perfectly.
@@ -191,7 +146,7 @@ class Link:
     def snapshot(self) -> dict:
         """Stats only: at a quiescent instant the port is free and no
         payload is on the wire."""
-        if self._port._in_use or self._port._waiters:
+        if self._free_at > self.engine._now:
             raise RuntimeError("link snapshot with a transfer in flight")
         return {"stats": self.stats.snapshot()}
 

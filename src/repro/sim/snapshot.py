@@ -298,10 +298,11 @@ def _clear_transients(system) -> None:
     for links in (interconnect._nvlink_out, interconnect._pcie_up,
                   interconnect._pcie_down):
         for link in links.values():
-            link._port._in_use = 0
-            link._port._waiters.clear()
+            link._free_at = 0
     for gpu in system.gpus:
         gmmu = gpu.gmmu
+        gmmu._queue.clear()
+        gmmu._busy = 0
         gmmu._inval_inflight = gmmu._inval_since = 0
         gmmu._any_inflight = gmmu._any_since = 0
         for mshr in gpu.l1_mshrs:

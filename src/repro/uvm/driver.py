@@ -136,18 +136,12 @@ class UVMDriver:
         self.stats.counter("far_faults").add()
         if self._tracer.enabled:
             self._tracer.emit("fault.raise", self.name, vpn, gpu=gpu_id, write=is_write)
-        # Delivery starts one ready hop away, as a process would.
-        self.engine._ready.append((self._deliver_fault, (fault,)))
-        return fault.resolved
-
-    def _deliver_fault(self, fault: FarFault) -> None:
-        # GPU fault buffer -> interrupt -> driver fetches the fault info.
-        # The put into the unbounded fault queue completes at once; the
-        # resume a process would take after it does nothing, so it is the
-        # one hop not mirrored (DESIGN.md §7.1).
-        self.interconnect.gpu_to_host(fault.gpu_id, CONTROL_MESSAGE_BYTES).add_callback(
+        # GPU fault buffer -> interrupt -> driver fetches the fault info
+        # into the unbounded fault queue.
+        self.interconnect.gpu_to_host(gpu_id, CONTROL_MESSAGE_BYTES).add_callback(
             lambda _ev: self.fault_queue.try_put(fault)
         )
+        return fault.resolved
 
     def _fault_service_loop(self):
         """Batch faults (≤256 per batch); a bounded pool of service
@@ -555,9 +549,9 @@ class UVMDriver:
 # Callback state machines
 # ----------------------------------------------------------------------
 #
-# Each replaces a generator process: every ready-queue append and every
-# heap push happens at the same point and in the same order as in the
-# generator, so the event calendar is unchanged (DESIGN.md §7.1).
+# Each method is one state: it runs the work between two waits, then
+# registers the next state.  The first state runs inline, in the
+# constructor (DESIGN.md §7.1).
 
 
 class _FaultResolution:
@@ -582,16 +576,12 @@ class _FaultResolution:
         self.attempts = 0
         self.generation = 0
         self.word = 0
-        driver.engine._ready.append((self._attempt, ()))
+        self._attempt()
 
     def _attempt(self) -> None:
         driver = self.driver
         self.generation = driver._generation.get(self.fault.vpn, 0)
-        # The resolution was a child process: one ready hop to its start.
-        driver.engine._ready.append((self._resolve, ()))
-
-    def _resolve(self) -> None:
-        gate = self.driver._gates.get(self.fault.vpn)
+        gate = driver._gates.get(self.fault.vpn)
         if gate is not None:
             gate.wait().add_callback(self._walk_host)
             return
@@ -657,11 +647,7 @@ class _FaultResolution:
         self._resolved(ev._value)
 
     def _resolved(self, word: int) -> None:
-        # The resolution process returning woke its waiter one ready hop
-        # later; the reply leaves from there.
-        self.driver.engine._ready.append((self._reply, (word,)))
-
-    def _reply(self, word: int) -> None:
+        """Reply with the resolved mapping over PCIe."""
         driver = self.driver
         self.word = word
         driver.interconnect.host_to_gpu(self.fault.gpu_id, CONTROL_MESSAGE_BYTES).add_callback(
@@ -713,14 +699,10 @@ class _Invalidation:
         self.vpn = vpn
         self.dst = dst
         self.done = Event(driver.engine)
-        driver.engine._ready.append((self._send, ()))
-
-    def _send(self) -> None:
-        driver = self.driver
         driver.stats.counter("invalidations_sent").add()
         if driver._tracer.enabled:
-            driver._tracer.emit("inval.send", driver.name, self.vpn, gpu=self.gpu_id)
-        driver.interconnect.host_to_gpu(self.gpu_id, CONTROL_MESSAGE_BYTES).add_callback(
+            driver._tracer.emit("inval.send", driver.name, vpn, gpu=gpu_id)
+        driver.interconnect.host_to_gpu(gpu_id, CONTROL_MESSAGE_BYTES).add_callback(
             self._delivered
         )
 

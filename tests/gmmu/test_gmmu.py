@@ -171,13 +171,25 @@ class TestIdleTracking:
         assert gmmu.is_idle
 
     def test_wait_idle_fires_on_drain(self):
-        engine, table, gmmu = make_gmmu()
+        engine, table, gmmu = make_gmmu(walkers=1)
         table.set_entry(1, pte.make_pte(1))
         gmmu.walk(1, WalkKind.DEMAND)
         ev = gmmu.wait_idle()
         assert not ev.triggered
         engine.run()
         assert ev.triggered
+
+    def test_wait_idle_fires_at_once_while_a_walker_is_free(self):
+        """A walker is available when nothing is queued and a thread is
+        free, even with another thread mid-walk (§6.3)."""
+        engine, table, gmmu = make_gmmu(walkers=2)
+        table.set_entry(1, pte.make_pte(1))
+        request = gmmu.walk(1, WalkKind.DEMAND)
+        ev = gmmu.wait_idle()
+        assert ev.triggered
+        assert not gmmu.is_idle
+        engine.run()
+        assert request.done.triggered
 
     def test_invalidation_busy_cycles_accumulate(self):
         engine, table, gmmu = make_gmmu()

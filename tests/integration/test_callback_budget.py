@@ -13,14 +13,18 @@ from collections import Counter
 
 from repro.config import InvalidationScheme, baseline_config
 from repro.experiments.runner import build_app_workload
+from repro.gmmu.gmmu import GMMU
 from repro.gpu.system import MultiGPUSystem
+from repro.interconnect.link import _FastTransfer
+from repro.interconnect.topology import link_names
 from repro.sim import engine as engine_mod
 from repro.sim.engine import Engine, Process
 
 #: upper bounds per access for KM/IDYLL, 4 GPUs x 4 lanes x 300 accesses,
 #: seed 7.  The generator-chain event path drained 27.90 callbacks per
-#: access, 16.91 of them owned by a Process.
-MAX_TOTAL_PER_ACCESS = 27.90
+#: access, 16.91 of them owned by a Process; with links and walker pools
+#: as FIFO servers it drains 15.08, 3.94 of them Process-owned.
+MAX_TOTAL_PER_ACCESS = 15.10
 MAX_PROCESS_PER_ACCESS = 5.0
 
 
@@ -96,7 +100,8 @@ def test_callbacks_per_access_within_budget(monkeypatch):
         "KM", num_gpus=4, page_size=config.page_size, scale=1.0,
         lanes=4, accesses_per_lane=300, seed=7,
     )
-    result = MultiGPUSystem(config, seed=7).run(workload)
+    system = MultiGPUSystem(config, seed=7)
+    result = system.run(workload)
     assert not result.aborted
     assert result.accesses == workload.total_accesses()
 
@@ -104,3 +109,18 @@ def test_callbacks_per_access_within_budget(monkeypatch):
     breakdown = {k: round(v / accesses, 2) for k, v in counts.most_common()}
     assert sum(counts.values()) / accesses <= MAX_TOTAL_PER_ACCESS, breakdown
     assert counts[Process.__name__] / accesses <= MAX_PROCESS_PER_ACCESS, breakdown
+
+    # One calendar entry per transfer and per walk (none is delayed or
+    # stalled: no faults are injected).
+    transfers = sum(
+        system.interconnect.link(name).stats.counter("transfers").value
+        for name in link_names(config.num_gpus)
+    )
+    walks = sum(
+        counter.value
+        for gpu in system.gpus
+        for name, counter in gpu.gmmu.stats.counters.items()
+        if name.startswith("submitted.")
+    )
+    assert counts[_FastTransfer.__name__] == transfers > 0
+    assert counts[GMMU.__name__] == walks > 0

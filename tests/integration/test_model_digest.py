@@ -132,92 +132,92 @@ def _digest(app: str, config) -> tuple:
 
 EXPECTED = {
     'KM/broadcast': (
-        'cb3c8211100e68c24958ca0aa9038125685fee1e5047ddb4593e297bdc966dfd',
-        '9aa87dbf00336943ed07940f76f49f3886fd2f46e5a6f41e60775963d0cd18dc',
+        'b19c1ce82b75382fe1cf933c86b3d4cff918f5dd7b046ae68a776cb81b87643a',
+        '59493bfb4bfe4d7d3d854f35e055576aef7112da7823960a8e01de67637be2bd',
     ),
     'KM/zero-latency': (
-        '5e9e807ac6a5a19f71b0769b7b8149381f72bc11b5c35bccd77b4e19eef08ed3',
-        'c9a6470f713b899935831210f5c771375e87e3ed5c1e76fe6fe62edbfdbaa6d9',
+        '6532c7de75802d12d328ceac052c8f3aa468c0290ff0479da30109b61a27e539',
+        '308afdadd08e32fe664cb6a53e9a70f5ef9e7b977e3e62ec72e172d8c5b3201a',
     ),
     'KM/directory': (
-        '5c5c9159e56c577a9e4db9760d6c63fa90e2ba51a844a597defb10ff15ef778a',
-        '05c46b3a4d53a3ccbc7444513a29ed4aef11bac1fc1d753bdf723063d31423f6',
+        '2c920e106c92d6a0c12050543019982836aeeaf3b3faeabb887cbaacc46fabfe',
+        '1feb575d4a04e35f42c173202b2096b0d5ec3e7fa83a847eadb2e8606760d8fe',
     ),
     'KM/lazy': (
-        '5b4252a90e3a5226a07534828cded50a5d9abfdf97629604b5aa51843eb2459e',
-        '2b587299f7ad00a7a168943cbc68ff1825bda7fc9472d2ac962c495e62c8c245',
+        '70e306aa2f8fc8bb0c819c147585d1272abc6e5206d344aba6ca4101741910ed',
+        'a01e3e025a0e815783b2523ac6767dd6492be373ca70e8f6da60c8b9fce6ffe9',
     ),
     'KM/idyll': (
-        '9843bcf96df6b70aa4a135946814f1585a3d9a7d793fff97f1a77e378dddf404',
-        '851fc9c7f21fa06a0264bdf02f5e8538b3b4f84b005f295af539e8915725b3d6',
+        'cff5c3cbc9cb098b2f95d56e3eb13bc63f271ea67f4d0d67bcc9fee68be2be6d',
+        'ef6803bc246885024387ce725d9506ce626db5d5474f9c308ce7c15e66743eee',
     ),
     'PR/broadcast': (
-        '12076581d2a95728adf51151f92d135eda60b7b3004a73245101b4899b64a284',
-        '7a743b15ec6beadf79f1b9d3799d218e1e1dcb0d1862f93c00dd6ddce98ff6e6',
+        '1bc80aa6ad03e76cc9e170cd0356d3d2fcac6b556434540f86152fc547e74a02',
+        '3f46028a3a8cb9c8d8d8635240f5190792b463d942ff1265a2fef21c9da76e6b',
     ),
     'PR/zero-latency': (
-        '7f4801828a3d8633ad281b90c305649bb936e2102dc23a3f4dc583bfb66e396b',
-        '7b884642335121247bb72ee8c520cfb63420492b8c72f50b191a504f38fe9337',
+        'ba5c696394d7325f0927c2ca65d02a9180b72fa4934356be8b0926e9c665318f',
+        '2192f6cb25e106964bce7b9295b9851b4033ef5369f2034ba2c8b62aefb8c132',
     ),
     'PR/directory': (
-        '2781165d4440ef12401c78b7db4f46bee0509db64496c720823d243306ea7744',
-        '701b321d2b4acbafd6b74f10ba4ad23a2fb87b61a680843543bee12358afe164',
+        '623450d964d674fef6e6b0949134cdd45165fad32d839c8f38ec6e07e3bdbeca',
+        '13d078b9150f1299ff6ec34e7c3297c4920936be2ae80ed55d3bb1829e1cf86e',
     ),
     'PR/lazy': (
-        '18e1851c1111a0ad73cf3340f33ce0e86392bb920b3fc900fe63194ec6fa46b5',
-        '4b120fa4738aa1da6945f61b2864a00ec19fdd0d36bed650fa5001a66b105a48',
+        'ef6b3e93295ef395ab30c6f40d919a33d37a85c889d79a1095da81a2891d99fb',
+        'aaa0926076f9ad949990e9b0b923c3ee9d25b6db5fbf9dbe8fa4f1080a3aa4fb',
     ),
     'PR/idyll': (
-        'ad835edd64e15cadaa0cdc5d88d0d9e203e0be289d8be4eb7f0065c46ebfdde8',
-        'be520040da8395c7a3a4d4c118fd9ee79692fb9838e43c655360b1c7f3d51cdd',
+        '1e5b34512360140627ccb82781717cd10fe65cbf2381ee2aeb8ddb248f72223d',
+        '94bc3534d4ccb1ec5096955827427b20eb0a527152c7cd832b7c5a56374d0963',
     ),
     'KM/idyll/first-touch': (
-        '7b1a2caf557f82ba972c4494be4e75f2482f5eaae3b1e28c325dce9e8d51497e',
-        'f362c76191d011283a00d9df8cd011e67fc78f74372576ee4901df1a12b789f8',
+        '1cb2eba7414c4f6b54fa415367bbf0a06d6ec0f79c84b5d5d3a6f14b5f239eb0',
+        '8a2b9e54d87b73cdeab400047a27100963cfdc2563bff0082ec8b2a6907c66a5',
     ),
     'KM/idyll/on-touch': (
-        '304d1c8ab89a2e6987d9c171638243042226a4ed30b37d1e568be30054312fad',
-        '24a4f6d14480e8d9e36947049d875ebfe52c376242e1e8ad6a59767822e71ab4',
+        '2b552d57ba3a1290c3330859a37d775261cfcd6ec7334c9107dc82c5bbab1acb',
+        'e11c88e5cc6d4c7bf1eb4df8362929262471c2924393d8578a2d1110583ae4a5',
     ),
     'PR/broadcast/on-touch': (
-        'f6aff318c665065642f748ac5f9be2e5343b6654e6e5f3b5b304fca8c6f78907',
-        'c6ffb24aec0d9dc86f8920f6653459a9bba64fced26872eae11484653263a411',
+        'fe47fb80d12a48f13121d4f71d40d20c2a61d57f95a80d5130e6fe92ec2788df',
+        '34e17e908b602afa2a1a21de8e5247cfafb815c4559a23ecb4a716b676375348',
     ),
     'KM/idyll/in-memory': (
-        'b245165f2038fc67c6c4525214b7ab116ed6d756743270694372958e0dd7bf28',
-        '5cd0449c9e8d70beff52ea9ca842ee2e9184118db00654134f74e287b159c753',
+        'fb9a78dee12b3c5d2b00509f09c167a075e4a1a2a8350bbddf54f801ee809034',
+        '69cbdb622f28dcc647b76ae8e8d7c3141134cd6f3071b540673d0ac47b0d77a4',
     ),
     'KM/broadcast/transfw': (
-        '1a6cb06f5d519453c88c53567338646c788de20c40be4b3db1e3c72886b5cee9',
-        '2d7a15f7169b532f1ecc15c91c5cab62664d71f299600f56d912f92f787a3a2c',
+        '679113393315b81e0eeb6ba40587ac3ab7399809f9f1ecb36d6cbbd48d7af54d',
+        '6a192faa6d39a1b50c05bb795952b81b67860f5dda62411d7fb2dc956da3a460',
     ),
     'KM/idyll/transfw': (
-        '6d82a9cab0c4a53a0bb58814efc4e78cb4c3c4ae7e04a96143f78f3851991f8e',
-        '409557030575b2b9bbec772fc56c597765ef1719589b7b648dd8379623f90109',
+        '4b68bb4ce83ce04f7e40c21b2f073515dd5db1bac2beb30d62d4817b81614a92',
+        'b338e58b73fe509c3062c33f50e99c88637cdab979402e7c8036367b029ca3d3',
     ),
     'PR/idyll/replication': (
-        '4926115f179ba490b52f2fec3d6a7959bb21214eee5be1cc35bbb60f481266d2',
-        '97b889e370d72737abe0d1b4f8c061bdab1905d3af0495f5c8fe9dcc7f2b3006',
+        'b4e1b7daf519f21e51b14ef76fd7162d237517ef8d1405f3f73a199e2d2c1bff',
+        'bec12bbe68ba06bdeab167797a405c6c0bf711c3ab5ee10394362b12ae4e39ff',
     ),
     'MM/broadcast/replication': (
-        'a0fae45ca869355f6b7ccbd91fc14a27ebf966f17875f8edfe03c74a013d552b',
-        '2dad856e46c3b50ec3fca82c7e73d9d3c9b55a1babc85a691417b63fa7edf21c',
+        '9a7dad884b03fe8a62279d58014720bdb555504b0ac3928f461c43dd8f1e04be',
+        'ec1f5d68e16cdafbf94938420aedc3ca79b499a19970e18f059fa43f32e439fc',
     ),
     'ST/idyll/2mb': (
         '11a8197c99363880b31a456dcd6e5c8b05fcf95419ab85d9a82b847e5d635ad3',
         '8f3c4c692cb1dd70390eb64d31b91e6833bc1ea8d1833745edc7916383e99307',
     ),
     'KM/idyll/no-fastpath': (
-        '9843bcf96df6b70aa4a135946814f1585a3d9a7d793fff97f1a77e378dddf404',
-        '851fc9c7f21fa06a0264bdf02f5e8538b3b4f84b005f295af539e8915725b3d6',
+        'cff5c3cbc9cb098b2f95d56e3eb13bc63f271ea67f4d0d67bcc9fee68be2be6d',
+        'ef6803bc246885024387ce725d9506ce626db5d5474f9c308ce7c15e66743eee',
     ),
     'KM/idyll/faults-light': (
-        '38131b62f29f004be78aa1a7ea22352583248ca1a4795953b7322be46a96331d',
-        '2a531dee42ba4001322b9f90b184dc2476423981b8cffc3d842df4f5312eb42b',
+        'de42a8e2c67a67fe4827e35e9cb86989c9094c91df87a654a7a9831611a5d7fe',
+        '5129d8b64fe1c5d7ad18419410c350ded94bc4dcafe941dc223469c6cc5d0d6e',
     ),
     'PR/broadcast/faults-light': (
-        'f22ececd19d4309b3b479345c9896b457d349d23317a9845a009bf379aa02455',
-        'fd73016809f123d4bfee0659a048c6e9e2f479a573e5f9476b8f9a0e5426c947',
+        'f8535b786823403e4964b7ea8be85ef60188b22e2cae72e0326388d88761b3f8',
+        '56362448bead82fdf79ab611f3b057dceff817cc356dfdc08d128ef1073c4089',
     ),
 }
 
