@@ -232,13 +232,17 @@ class GMMU:
 
     def _release(self) -> None:
         """A walk left its thread: hand the thread to the oldest queued
-        walk still live, or free it and wake the idle waiters."""
+        walk still live, or free it and wake the idle waiters (the queue
+        is empty and a thread is free: a walker is available)."""
         queue = self._queue
         while queue:
             if self._walk(queue.popleft()):
                 return
         self._busy -= 1
-        self._wake_idle_waiters()
+        if self._idle_waiters:
+            waiters, self._idle_waiters = self._idle_waiters, []
+            for ev in waiters:
+                ev.succeed()
 
     def _account_done(self, request: WalkRequest) -> None:
         if request.kind is _INVALIDATE:
@@ -248,12 +252,6 @@ class GMMU:
         self._any_inflight -= 1
         if self._any_inflight == 0:
             self._any_busy += self.engine.now - self._any_since
-
-    def _wake_idle_waiters(self) -> None:
-        if self.has_available_walker:
-            waiters, self._idle_waiters = self._idle_waiters, []
-            for ev in waiters:
-                ev.succeed()
 
     def invalidation_busy_cycles(self) -> int:
         """Cycles so far during which >=1 invalidation was being handled."""

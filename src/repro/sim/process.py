@@ -2,10 +2,11 @@
 
 These mirror the queueing structures found in the modelled hardware:
 
-* :class:`Resource` — a counted server pool (page-table-walker threads,
-  DMA engines).  Requests queue FIFO.
-* :class:`Store` — an unbounded or bounded FIFO of items (page walk
-  queues, fault buffers).
+* :class:`Resource` — a counted server pool (host page-table walkers,
+  fault-batch service slots, a lane's in-flight window).  Requests
+  queue FIFO.
+* :class:`Store` — an unbounded or bounded FIFO of items (the driver's
+  fault queue).
 * :class:`Gate` — a reusable open/close barrier (pages blocked during
   migration).
 """
