@@ -137,8 +137,8 @@ class TestContention:
 
 
 class TestZeroLatencyWalks:
-    """A zero-cycle walk completes without a calendar hop, and a walker
-    freed by a stall hands itself down a long queue without recursing."""
+    """Zero-cycle walks complete, and a walker freed by a stall hands
+    itself down a long queue of them without recursing."""
 
     class _StallFirst:
         def __init__(self):

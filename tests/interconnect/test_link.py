@@ -154,13 +154,13 @@ class TestPortTiming:
         expected = _reference_arrivals(issues, link)
         assert arrived == expected
         assert any(h for _c, _s, h in issues)
-        waits = [a - (c + h) for a, (c, _s, h) in zip(expected, issues)]
+        times = [a - (c + h) for a, (c, _s, h) in zip(expected, issues)]
         stat = link.stats.latency("transfer_time")
         assert (stat.count, stat.total, stat.min, stat.max) == (
-            len(issues), sum(waits), min(waits), max(waits),
+            len(issues), sum(times), min(times), max(times),
         )
         # The schedule exercises queueing, not just free-port transfers.
-        assert max(waits) > link.serialisation_cycles(4096) + latency
+        assert max(times) > link.serialisation_cycles(4096) + latency
         assert link.stats.counter("delayed_transfers").value == sum(
             1 for _c, _s, h in issues if h
         )
