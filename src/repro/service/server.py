@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import json
 import signal
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -42,6 +44,12 @@ __all__ = ["JobHTTPServer", "serve"]
 #: request-body bound: a job spec is a few hundred bytes; anything
 #: megabyte-sized is abuse, not a sweep.
 MAX_BODY_BYTES = 1_048_576
+
+#: after refusing an unread body, how long and how much of it the
+#: server still reads and discards before it closes (see
+#: ``_Handler._reject_unread_body``).
+LINGER_SECONDS = 1.0
+LINGER_BYTES = 8 * MAX_BODY_BYTES
 
 #: SSE keepalive interval — also how fast a vanished client is noticed.
 SSE_KEEPALIVE_SECONDS = 15.0
@@ -95,9 +103,32 @@ class _Handler(BaseHTTPRequestHandler):
     def _reject_unread_body(self, status: int, message: str) -> None:
         """Refuse a request whose body stays unread, and close the
         connection: on a kept-alive one the unread bytes would be parsed
-        as the next request."""
+        as the next request.
+
+        The close lingers.  Closing a socket with input still arriving
+        resets the connection, and a client still sending the body then
+        fails mid-send, before it reads the reply.  So the server shuts
+        down its sending side after the reply and discards what the
+        client still sends, until the client closes or the
+        ``LINGER_SECONDS`` / ``LINGER_BYTES`` bound is reached."""
         self.close_connection = True
         self._send_error_json(status, message, headers={"Connection": "close"})
+        sock = self.connection
+        deadline = time.monotonic() + LINGER_SECONDS
+        budget = LINGER_BYTES
+        try:
+            sock.shutdown(socket.SHUT_WR)
+            while budget > 0:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                sock.settimeout(remaining)
+                chunk = sock.recv(min(budget, 65536))
+                if not chunk:
+                    break
+                budget -= len(chunk)
+        except OSError:  # includes the timeout: the client went quiet
+            pass
 
     def _read_body(self) -> Optional[bytes]:
         """Bounded body read; answers 413/400 itself and returns None."""

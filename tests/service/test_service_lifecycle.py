@@ -219,6 +219,22 @@ class TestValidationAtTheDoor:
         assert conn.getresponse().status == 413
         conn.close()
 
+    def test_refused_body_can_still_be_sent(self, service):
+        """A client still sending a body the server refused must not see
+        a reset: after the 413 the server half-closes and discards the
+        rest, so the send completes and the close is clean."""
+        _, client = service()
+        with socket.create_connection((client.host, client.port), timeout=10) as sock:
+            sock.sendall(b"POST /jobs HTTP/1.1\r\nHost: test\r\nContent-Length: 2000000\r\n\r\n")
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                reply += sock.recv(65536)
+            assert reply.startswith(b"HTTP/1.1 413 ")
+            time.sleep(0.05)  # well past the reply, well inside the linger
+            sock.sendall(b"x" * 1_000_000)
+            while sock.recv(65536):  # the rest of the reply, then EOF
+                pass
+
     @pytest.mark.parametrize("length, status", [
         ("2000000", 413), ("nope", 400), ("-1", 400),
     ])
