@@ -98,15 +98,11 @@ class GMMUConfig:
     walker_threads: int = 8
     walk_latency_per_level: int = 100
     walk_cache_entries: int = 128
-    #: Table 2's walk-queue size.  No submitter waits for a queue slot,
-    #: so the modelled queue is unbounded and this bounds nothing.
-    walk_queue_entries: int = 64
 
     def __post_init__(self) -> None:
         _require(self.walker_threads >= 1, "GMMU needs at least one walker thread")
         _require(self.walk_latency_per_level >= 0, "walk latency cannot be negative")
         _require(self.walk_cache_entries >= 0, "walk cache entries cannot be negative")
-        _require(self.walk_queue_entries >= 1, "walk queue needs at least one entry")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """GPU memory-management unit.
 
-Structure follows §3.1: a page-walk queue (64 entries) in front of a
-pool of walker threads (8, Table 2) that share one page-walk cache
-(128 entries).  A walk costs 100 cycles per level not covered by the
+Structure follows §3.1: a FIFO page-walk queue in front of a pool of
+walker threads (8, Table 2) that share one page-walk cache (128
+entries).  A walk costs 100 cycles per level not covered by the
 PWC.  Crucially, *all three* request kinds — demand translations, PTE
 invalidations, and PTE updates — traverse the same queue, PWC, and
 thread pool; the resulting contention is the phenomenon the paper
@@ -11,7 +11,9 @@ measures (§5.2) and IDYLL removes.
 The queue and the thread pool form an analytic FIFO server: a walk
 starts at once when nothing is queued and a thread is free, a retiring
 walk hands its thread straight to the head of the queue, and each walk
-costs one calendar entry, at its completion.
+costs one calendar entry, at its completion.  The queue is unbounded:
+no submitter ever waits for a slot, so Table 2's 64-entry size bounds
+nothing here and is not modelled.
 """
 
 from __future__ import annotations

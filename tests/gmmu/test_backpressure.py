@@ -1,4 +1,9 @@
-"""Edge-case tests: walk-queue backpressure and burst behaviour."""
+"""Edge-case tests: bursts on the GMMU's walk queue.
+
+The walk queue is an unbounded FIFO in front of the walker threads, so
+a burst larger than the pool queues in submission order and nothing is
+dropped or refused.
+"""
 
 from repro.config import GMMUConfig
 from repro.gmmu.gmmu import GMMU
@@ -9,17 +14,19 @@ from repro.memory.page_table import PageTable
 from repro.sim.engine import Engine
 
 
-def make_gmmu(walkers=1, queue=2):
+def make_gmmu(walkers=1):
     engine = Engine()
     table = PageTable(LAYOUT_4K)
-    config = GMMUConfig(walker_threads=walkers, walk_queue_entries=queue)
+    config = GMMUConfig(walker_threads=walkers)
     return engine, table, GMMU(engine, config, table)
 
 
 class TestQueueBackpressure:
+    """A burst beyond the walker pool waits in the FIFO queue."""
+
     def test_all_submissions_eventually_complete(self):
-        """Submissions beyond the 64-entry queue defer but never drop."""
-        engine, table, gmmu = make_gmmu(walkers=1, queue=2)
+        """Submissions beyond the free walkers queue but never drop."""
+        engine, table, gmmu = make_gmmu(walkers=1)
         requests = []
         for i in range(20):
             table.set_entry(i << 18, pte.make_pte(i))
@@ -29,7 +36,7 @@ class TestQueueBackpressure:
         assert gmmu.stats.latency("total.demand").count == 20
 
     def test_fifo_service_order(self):
-        engine, table, gmmu = make_gmmu(walkers=1, queue=2)
+        engine, table, gmmu = make_gmmu(walkers=1)
         order = []
         for i in range(6):
             table.set_entry(i << 18, pte.make_pte(i))
@@ -39,7 +46,7 @@ class TestQueueBackpressure:
         assert order == sorted(order)
 
     def test_queue_wait_grows_under_burst(self):
-        engine, table, gmmu = make_gmmu(walkers=1, queue=4)
+        engine, table, gmmu = make_gmmu(walkers=1)
         for i in range(10):
             table.set_entry(i << 18, pte.make_pte(i))
             gmmu.walk(i << 18, WalkKind.DEMAND)
@@ -49,7 +56,7 @@ class TestQueueBackpressure:
 
     def test_mixed_kinds_share_the_same_queue(self):
         """An invalidation burst delays a later demand walk (§5.2)."""
-        engine, table, gmmu = make_gmmu(walkers=1, queue=2)
+        engine, table, gmmu = make_gmmu(walkers=1)
         for i in range(8):
             table.set_entry(i << 18, pte.make_pte(i))
             gmmu.walk(i << 18, WalkKind.INVALIDATE)
@@ -59,7 +66,7 @@ class TestQueueBackpressure:
         assert demand.started_at - demand.issued_at >= 8 * 100
 
     def test_load_accounting(self):
-        engine, table, gmmu = make_gmmu(walkers=2, queue=4)
+        engine, table, gmmu = make_gmmu(walkers=2)
         for i in range(6):
             table.set_entry(i << 18, pte.make_pte(i))
             gmmu.walk(i << 18, WalkKind.DEMAND)

@@ -14,14 +14,13 @@ from repro.memory.walk_cache import PageWalkCache
 from repro.sim.engine import Engine
 
 
-def make_gmmu(walkers=2, queue=4, pwc=128):
+def make_gmmu(walkers=2, pwc=128):
     engine = Engine()
     table = PageTable(LAYOUT_4K)
     config = GMMUConfig(
         walker_threads=walkers,
         walk_latency_per_level=100,
         walk_cache_entries=pwc,
-        walk_queue_entries=queue,
     )
     return engine, table, GMMU(engine, config, table)
 
@@ -257,7 +256,7 @@ class TestWalkerTiming:
 
     def test_seeded_mix_start_cycles(self):
         rng = random.Random(5)
-        engine, table, gmmu = make_gmmu(walkers=2, queue=64, pwc=16)
+        engine, table, gmmu = make_gmmu(walkers=2, pwc=16)
         regions = [r << 27 | s << 18 for r in range(3) for s in range(4)]
         submits, kinds, cycle = [], [], 0
         for i in range(300):

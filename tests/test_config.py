@@ -29,7 +29,6 @@ class TestTable2Defaults:
         assert config.gmmu.walker_threads == 8
         assert config.gmmu.walk_latency_per_level == 100
         assert config.gmmu.walk_cache_entries == 128
-        assert config.gmmu.walk_queue_entries == 64
         assert config.uvm.access_counter_threshold == 256
         assert config.uvm.fault_batch_size == 256
         assert config.interconnect.nvlink_bandwidth_gbps == 300.0
