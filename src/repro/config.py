@@ -240,8 +240,8 @@ class FaultConfig:
     produces the same faults — and the same recovery trace — every run.
     The profile is **disabled by default** (all rates zero): the hardened
     retry protocol, watchdog, and auditors only switch on when a fault
-    rate is nonzero or they are explicitly enabled, so unfaulted runs
-    are byte-identical to the pre-fault-injection simulator.
+    rate is nonzero or they are explicitly enabled.  The GPU-side race
+    defences do not depend on it: they run in every run.
     """
 
     # -- interconnect message perturbation (invalidation + ack packets) --

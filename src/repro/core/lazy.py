@@ -53,10 +53,10 @@ class LazyInvalidationController:
         #: called with the VPN whenever a writeback walk actually applies
         #: (owner GPU hooks this to flush TLB fills that raced with it).
         self.on_applied = None
-        #: VPNs evicted from the IRMB but whose walk has not started yet.
-        self._queued_for_walk: Set[int] = set()
-        #: VPNs cancelled while queued (fresh mapping raced in).
-        self._cancelled: Set[int] = set()
+        #: VPNs evicted from the IRMB whose walk has not started yet, with
+        #: the number of queued walks still owed; a fresh mapping drops
+        #: the VPN, and a batch reaching a VPN owed nothing skips it.
+        self._queued: Dict[int, int] = {}
         #: invalidation walks in flight (submitted to the GMMU), by VPN.
         self._inflight_walks: Dict[int, WalkRequest] = {}
         if idle_writeback:
@@ -72,8 +72,7 @@ class LazyInvalidationController:
         evicted = self.irmb.insert(vpn)
         self.stats.counter("accepted").add()
         if evicted:
-            self._queued_for_walk.update(evicted)
-            self.engine.process(self._propagate(evicted))
+            self._queue(evicted)
         if self._nonempty_waiter is not None:
             waiter, self._nonempty_waiter = self._nonempty_waiter, None
             waiter.succeed()
@@ -98,8 +97,7 @@ class LazyInvalidationController:
             self.stats.counter("cancelled_by_mapping").add()
             if traced:
                 tracer.emit("lazy.cancel", self.name, vpn, where="irmb")
-        if vpn in self._queued_for_walk:
-            self._cancelled.add(vpn)
+        if self._queued.pop(vpn, 0):
             cancelled = True
             self.stats.counter("cancelled_queued").add()
             if traced:
@@ -123,8 +121,7 @@ class LazyInvalidationController:
         self.stats.counter("forced_evictions").add()
         if self._tracer.enabled:
             self._tracer.emit("lazy.force_evict", self.name, count=len(vpns))
-        self._queued_for_walk.update(vpns)
-        self.engine.process(self._propagate(vpns))
+        self._queue(vpns)
         return len(vpns)
 
     def pending_vpns(self) -> Set[int]:
@@ -134,7 +131,7 @@ class LazyInvalidationController:
         PTEs (the IRMB masks them), so the invariant auditor excuses
         them."""
         pending = set(self.irmb.pending_vpns())
-        pending |= self._queued_for_walk
+        pending.update(self._queued)
         pending.update(self._inflight_walks)
         return pending
 
@@ -152,13 +149,22 @@ class LazyInvalidationController:
 
     # -- propagation -----------------------------------------------------------
 
+    def _queue(self, vpns: List[int], paced: bool = False):
+        """Owe one INVALIDATE walk per VPN; start and return their batch."""
+        queued = self._queued
+        for vpn in vpns:
+            queued[vpn] = queued.get(vpn, 0) + 1
+        return self.engine.process(self._propagate(vpns, paced))
+
     def _start_walk(self, vpn: int) -> Optional[WalkRequest]:
-        """Submit one INVALIDATE walk unless it was cancelled meanwhile."""
-        self._queued_for_walk.discard(vpn)
-        if vpn in self._cancelled:
-            self._cancelled.discard(vpn)
+        """Submit one INVALIDATE walk unless a fresh mapping cancelled
+        every walk owed for ``vpn`` meanwhile."""
+        owed = self._queued.pop(vpn, 0)
+        if not owed:
             self.stats.counter("skipped_cancelled").add()
             return None
+        if owed > 1:
+            self._queued[vpn] = owed - 1
         request = self.gmmu.walk(vpn, WalkKind.INVALIDATE)
         self._inflight_walks[vpn] = request
         request.done.add_callback(
@@ -220,13 +226,12 @@ class LazyInvalidationController:
             vpns = self.irmb.pop_lru_entry()
             if vpns:
                 self.stats.counter("idle_writeback_entries").add()
-                self._queued_for_walk.update(vpns)
-                yield self.engine.process(self._propagate(vpns, paced=True))
+                yield self._queue(vpns, paced=True)
 
     def snapshot(self) -> dict:
         """Stats only: at a quiescent instant nothing is queued for or in
         a walk (the IRMB itself is snapshotted by its owner GPU)."""
-        if self._queued_for_walk or self._inflight_walks or self._cancelled:
+        if self._queued or self._inflight_walks:
             raise RuntimeError("lazy controller snapshot with work in flight")
         return {"stats": self.stats.snapshot()}
 
@@ -245,5 +250,4 @@ class LazyInvalidationController:
         while not self.irmb.is_empty:
             vpns = self.irmb.pop_lru_entry()
             if vpns:
-                self._queued_for_walk.update(vpns)
-                yield self.engine.process(self._propagate(vpns))
+                yield self._queue(vpns)

@@ -19,8 +19,9 @@ Checked invariants:
 Each check tolerates the protocol's legitimate transient windows: pages
 gated mid-migration, invalidations in flight (tracked by the driver's
 :class:`~repro.uvm.protocol.InvalidationTracker` or fast-path ledger),
-invalidations buffered lazily in the IRMB, read replicas, and the
-driver's explicitly counted stale-reply acceptances.
+invalidations buffered lazily in the IRMB, read replicas, the driver's
+explicitly counted stale-reply acceptances, and a stale local PTE (never
+a TLB entry) while the GPU's L2 TLB MSHR holds its page.
 """
 
 from __future__ import annotations
@@ -146,6 +147,11 @@ def _audit_checks(system) -> List[str]:
             if stale:
                 if not excuse_known:
                     excuse = _excuse(system, gpu.gpu_id, vpn, lazy_pending)
+                if excuse is None and where == "page_table" and vpn in gpu.l2_mshr:
+                    # Only the MSHR's primary walks the local PTE, and a
+                    # stale word it reads lands in a (never excused) TLB;
+                    # an IRMB-bypass far fault holds it until it installs.
+                    excuse = "L2 MSHR holds the page"
                 if excuse is None:
                     host_desc = (
                         "no valid host mapping" if host_word is None

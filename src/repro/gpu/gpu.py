@@ -70,7 +70,8 @@ class GPU:
         self.name = f"gpu{gpu_id}"
         self.stats = StatsGroup(f"gpu{gpu_id}")
         self._tracer = engine.tracer
-        #: fault injector (None in unfaulted runs).
+        #: fault injector (None in unfaulted runs); only its IRMB-pressure
+        #: hook reaches the GPU, every race defence runs regardless.
         self.injector = injector
         #: sequence numbers of hardened invalidations already processed,
         #: so duplicated/retried requests are re-acked idempotently.
@@ -197,13 +198,7 @@ class GPU:
                     self._tracer.emit("inval.dedup", self.name, vpn, iseq=seq)
                 return self.engine.event().succeed()
             self._seen_inval_seqs.add(seq)
-        necessary = self.page_table.translate(vpn) is not None
-        self.stats.counter(
-            "inval_received.necessary" if necessary else "inval_received.unnecessary"
-        ).add()
-        if self.injector is not None:
-            self._inval_epoch[vpn] = self._inval_epoch.get(vpn, 0) + 1
-        self._shootdown_tlbs(vpn)
+        self._begin_invalidation(vpn)
         if self.transfw is not None:
             # Learn where the page is heading: future faults can forward.
             self.transfw.learn(vpn, dst)
@@ -212,7 +207,7 @@ class GPU:
         if self.lazy is not None:
             # Lazy invalidation: buffer in the IRMB, ack immediately (§6.3).
             self.lazy.accept_invalidation(vpn)
-            if self.injector is not None and self.injector.irmb_pressure(f"{self.name}.irmb"):
+            if self.injector and self.injector.irmb_pressure(f"{self.name}.irmb"):
                 # Artificial overflow pressure: force the LRU entry out.
                 self.lazy.force_evict()
             ack.succeed()
@@ -228,12 +223,19 @@ class GPU:
 
     def apply_instant_invalidation(self, vpn: int) -> None:
         """Zero-latency-invalidation ideal: PTE updated instantaneously."""
+        self._begin_invalidation(vpn)
+        self.page_table.invalidate(vpn)
+
+    def _begin_invalidation(self, vpn: int) -> None:
+        """The receive-time half of an invalidation: count it, advance
+        the page's epoch (so every payload fetched before it is
+        recognised as stale) and shoot down the TLBs."""
         necessary = self.page_table.translate(vpn) is not None
         self.stats.counter(
             "inval_received.necessary" if necessary else "inval_received.unnecessary"
         ).add()
+        self._inval_epoch[vpn] = self._inval_epoch.get(vpn, 0) + 1
         self._shootdown_tlbs(vpn)
-        self.page_table.invalidate(vpn)
 
     def _shootdown_tlbs(self, vpn: int) -> None:
         """TLB shootdown is immediate in baseline *and* IDYLL (§6.3)."""
@@ -252,15 +254,7 @@ class GPU:
         this GPU would ack the shootdown while still able to serve the
         stale translation.  Called when the INVALIDATE walk (eager or
         IRMB writeback) actually applies; a no-op unless a fill raced.
-
-        Only active under fault injection: that is where walker stalls
-        and delayed messages widen the race window enough to matter,
-        and where the invariant auditors would flag the stale entry.
-        Unfaulted timing is pinned byte-exactly by the golden traces,
-        so the (far rarer) unfaulted window is left as-is.
         """
-        if self.injector is None:
-            return
         flushed = self.l2_tlb.shootdown(vpn)
         for l1 in self.l1_tlbs:
             flushed = l1.shootdown(vpn) or flushed
@@ -273,38 +267,34 @@ class GPU:
         """Driver pushes a fresh mapping (migration destination): cancel
         any pending IRMB invalidation and install via an UPDATE walk.
 
-        Under fault injection the pushed payload is versioned with this
-        GPU's invalidation epoch at send time (the epoch advances once
-        per applied hardened sequence number): if a newer shootdown
-        lands while the UPDATE walk is still in flight — walker stalls
-        and delayed messages make that window real — the install is
-        undone at retire time instead of re-installing a pre-shootdown
-        owner into the page table.  On a clean install any TLB fill
-        that raced with an earlier shootdown is flushed, so a
-        remote-marker entry cannot outlive the migration.
+        The pushed payload is versioned with this GPU's invalidation
+        epoch at send time (the epoch advances once per applied
+        invalidation): if a newer shootdown lands while the UPDATE walk
+        is still in flight, the install is undone at retire time instead
+        of re-installing a pre-shootdown owner into the page table.  On
+        a clean install any TLB fill that raced with an earlier
+        shootdown is flushed, so a remote-marker entry cannot outlive
+        the migration.
         """
         self.inval_generation += 1
-        if self.lazy is not None:
-            cancelled = self.lazy.on_new_mapping(vpn)
-            if cancelled and self.injector is not None:
-                # The cancelled invalidation's apply-time flush will
-                # never run; flush raced fills on its behalf.
-                self._flush_raced_fills(vpn)
+        if self.lazy is not None and self.lazy.on_new_mapping(vpn):
+            # The cancelled invalidation's apply-time flush will never
+            # run; flush raced fills on its behalf.
+            self._flush_raced_fills(vpn)
         request = self.gmmu.walk(vpn, WalkKind.UPDATE, word=word)
-        if self.injector is not None:
-            version = self._inval_epoch.get(vpn, 0)
+        version = self._inval_epoch.get(vpn, 0)
 
-            def _validate(_ev, vpn=vpn, version=version):
-                if self._inval_epoch.get(vpn, 0) == version:
-                    self._flush_raced_fills(vpn)
-                    return
-                self.stats.counter("stale_push_undone").add()
-                if self._tracer.enabled:
-                    self._tracer.emit("fault.stale_push", self.name, vpn)
-                self.page_table.invalidate(vpn)
-                self._shootdown_tlbs(vpn)
+        def _validate(_ev, vpn=vpn, version=version):
+            if self._inval_epoch.get(vpn, 0) == version:
+                self._flush_raced_fills(vpn)
+                return
+            self.stats.counter("stale_push_undone").add()
+            if self._tracer.enabled:
+                self._tracer.emit("fault.stale_push", self.name, vpn)
+            self.page_table.invalidate(vpn)
+            self._shootdown_tlbs(vpn)
 
-            request.done.add_callback(_validate)
+        request.done.add_callback(_validate)
         return request.done
 
     # ------------------------------------------------------------------
@@ -372,13 +362,11 @@ class _Access:
     ``add_callback`` for an event).  The first state runs inline, in
     the lane step that issues the access.
 
-    Under fault injection every fill payload is *versioned* with the
-    per-VPN invalidation epoch (advanced by each applied hardened
-    sequence number, see :meth:`GPU.receive_invalidation`): a payload
-    released from an MSHR after a shootdown overtook it carries a stale
-    version and is dropped instead of installed, and the access
-    re-translates.  Unfaulted runs take the original unversioned arms
-    byte-for-byte (golden traces pin them).
+    Every fill payload is *versioned* with the per-VPN invalidation
+    epoch (advanced by each applied invalidation, see
+    :meth:`GPU._begin_invalidation`): a payload released from an MSHR
+    after a shootdown overtook it carries a stale version and is
+    dropped instead of installed, and the access re-translates.
     """
 
     __slots__ = (
@@ -425,9 +413,6 @@ class _Access:
 
     def _l1_coalesced(self, ev: Event) -> None:
         gpu = self.gpu
-        if gpu.injector is None:
-            self._translated(ev._value)
-            return
         word, version = ev._value
         if gpu._inval_epoch.get(self.vpn, 0) == version:
             self._translated(word)
@@ -442,7 +427,7 @@ class _Access:
         vpn = self.vpn
         word = gpu.l2_tlb.lookup(vpn)
         if word is not None:
-            self._l1_fill(word, gpu._inval_epoch.get(vpn, 0) if gpu.injector is not None else 0)
+            self._l1_fill(word, gpu._inval_epoch.get(vpn, 0))
             return
         # Demand L2 TLB miss: IRMB bypass / page walk / far fault.
         self.t_miss = gpu.engine._now
@@ -465,11 +450,7 @@ class _Access:
     def _l2_coalesced(self, ev: Event) -> None:
         gpu = self.gpu
         gpu.stats.latency("demand_miss_latency").record(gpu.engine._now - self.t_miss)
-        if gpu.injector is None:
-            self._l1_fill(ev._value, 0)
-        else:
-            word, version = ev._value  # stamped by the primary
-            self._l1_fill(word, version)
+        self._l1_fill(*ev._value)  # (word, version), stamped by the primary
 
     def _walked(self, ev: Event) -> None:
         word = ev._value
@@ -479,18 +460,14 @@ class _Access:
             self._l2_fill(word)
 
     def _l2_fill(self, word: int) -> None:
-        """The L2 miss resolved: fill the L2 TLB, release its waiters.
-        ``version`` is the VPN's invalidation epoch at the instant the
-        word was known good (always 0 in unfaulted runs)."""
+        """The L2 miss resolved: fill the L2 TLB, release its waiters
+        with the word stamped by the VPN's invalidation epoch at the
+        instant the word was known good."""
         gpu = self.gpu
         vpn = self.vpn
         gpu.l2_tlb.insert(vpn, word)
-        if gpu.injector is None:
-            version = 0
-            gpu.l2_mshr.complete(vpn, word)
-        else:
-            version = gpu._inval_epoch.get(vpn, 0)
-            gpu.l2_mshr.complete(vpn, (word, version))
+        version = gpu._inval_epoch.get(vpn, 0)
+        gpu.l2_mshr.complete(vpn, (word, version))
         gpu.stats.latency("demand_miss_latency").record(gpu.engine._now - self.t_miss)
         self._l1_fill(word, version)
 
@@ -498,10 +475,7 @@ class _Access:
         gpu = self.gpu
         vpn = self.vpn
         mshr1 = gpu.l1_mshrs[self.lane_id]
-        if gpu.injector is None:
-            gpu.l1_tlbs[self.lane_id].insert(vpn, word)
-            mshr1.complete(vpn, word)
-        elif gpu._inval_epoch.get(vpn, 0) != version:
+        if gpu._inval_epoch.get(vpn, 0) != version:
             # Versioned install: the fill is older than the newest
             # invalidation applied to this page.  Propagate the stale
             # payload (waiters re-validate it themselves) and
@@ -511,9 +485,8 @@ class _Access:
             mshr1.complete(vpn, (word, version))
             gpu.engine.defer(gpu._l1_latency, self._l1_lookup)
             return
-        else:
-            gpu.l1_tlbs[self.lane_id].insert(vpn, word)
-            mshr1.complete(vpn, (word, version))
+        gpu.l1_tlbs[self.lane_id].insert(vpn, word)
+        mshr1.complete(vpn, (word, version))
         self._translated(word)
 
     # -- far fault (driver round trip + UPDATE walk) ------------------------
@@ -527,15 +500,15 @@ class _Access:
         # UPDATE walk retiring makes the reply stale, and capturing the
         # epoch after the reply arrives would silently absorb any bump
         # that landed during the round trip.
-        self.epoch = gpu._inval_epoch.get(self.vpn, 0) if gpu.injector is not None else 0
+        self.epoch = gpu._inval_epoch.get(self.vpn, 0)
         if gpu.transfw is not None:
             self._transfw_forward()
         else:
             self._raise_fault()
 
-    def _raise_fault(self) -> None:
+    def _raise_fault(self, retry: bool = False) -> None:
         gpu = self.gpu
-        gpu.driver.raise_far_fault(gpu.gpu_id, self.vpn, self.is_write).add_callback(
+        gpu.driver.raise_far_fault(gpu.gpu_id, self.vpn, self.is_write, retry).add_callback(
             self._fault_resolved
         )
 
@@ -548,30 +521,29 @@ class _Access:
         gpu = self.gpu
         vpn = self.vpn
         self.word = word
-        if gpu.lazy is not None:
-            cancelled = gpu.lazy.on_new_mapping(vpn)
-            if cancelled and gpu.injector is not None:
-                # The buffered invalidation will never apply, so its
-                # apply-time raced-fill flush will never run: evict
-                # any fill that raced with the original shootdown
-                # before the fresh mapping becomes the truth.
-                gpu._flush_raced_fills(vpn)
+        if gpu.lazy is not None and gpu.lazy.on_new_mapping(vpn):
+            # The buffered invalidation will never apply, so its
+            # apply-time raced-fill flush will never run: evict any
+            # fill that raced with the original shootdown before the
+            # fresh mapping becomes the truth.
+            gpu._flush_raced_fills(vpn)
         gpu.gmmu.walk(vpn, _UPDATE, word=word).done.add_callback(self._installed)
 
     def _installed(self, _ev: Event) -> None:
         gpu = self.gpu
         vpn = self.vpn
-        if gpu.injector is not None and gpu._inval_epoch.get(vpn, 0) != self.epoch:
-            # A shootdown overtook the UPDATE walk (possible once faults
-            # stall walkers or delay messages): the word just installed
-            # is already stale.  Undo the install and refetch.
+        if gpu._inval_epoch.get(vpn, 0) != self.epoch:
+            # A shootdown overtook the fault round trip or the UPDATE
+            # walk: the word just installed is already stale.  Undo the
+            # install and refetch; the refetch is a retry, which the
+            # driver never answers with a migration.
             gpu.stats.counter("stale_install_races").add()
             if gpu._tracer.enabled:
                 gpu._tracer.emit("fault.stale_install", gpu.name, vpn)
             gpu._shootdown_tlbs(vpn)
             gpu.page_table.invalidate(vpn)
             self.epoch = gpu._inval_epoch.get(vpn, 0)
-            self._raise_fault()
+            self._raise_fault(retry=True)
             return
         gpu.stats.latency("far_fault_latency").record(gpu.engine._now - self.t_fault)
         self._l2_fill(self.word)

@@ -119,9 +119,7 @@ def _gauge_block(system) -> Optional[str]:
         if any(m._pending for m in gpu.l1_mshrs) or gpu.l2_mshr._pending:
             return f"gpu{gpu.gpu_id} MSHR entries pending"
         lazy = gpu.lazy
-        if lazy is not None and (
-            lazy._queued_for_walk or lazy._inflight_walks or lazy._cancelled
-        ):
+        if lazy is not None and (lazy._queued or lazy._inflight_walks):
             return f"gpu{gpu.gpu_id} lazy writeback walks in flight"
     for lane in system._lanes:
         if lane._slow:
@@ -310,9 +308,8 @@ def _clear_transients(system) -> None:
         gpu.l2_mshr._pending.clear()
         lazy = gpu.lazy
         if lazy is not None:
-            lazy._queued_for_walk.clear()
+            lazy._queued.clear()
             lazy._inflight_walks.clear()
-            lazy._cancelled.clear()
     if system.fastpath is not None:
         system.fastpath._parked.clear()
         system.fastpath._parked_windows.clear()

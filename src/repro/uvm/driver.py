@@ -127,10 +127,13 @@ class UVMDriver:
     # Far faults
     # ------------------------------------------------------------------
 
-    def raise_far_fault(self, gpu_id: int, vpn: int, is_write: bool) -> Event:
+    def raise_far_fault(self, gpu_id: int, vpn: int, is_write: bool,
+                        retry: bool = False) -> Event:
         """Called by a GPU's GMMU.  Covers the interrupt over PCIe, driver
-        batching, resolution, and the reply; fires with the new PTE word."""
-        fault = FarFault(gpu_id, vpn, is_write, self.engine.now, self.engine.event())
+        batching, resolution, and the reply; fires with the new PTE word.
+        ``retry`` marks the refetch of a reply that went stale before it
+        was installed: it is resolved without migrating."""
+        fault = FarFault(gpu_id, vpn, is_write, self.engine.now, self.engine.event(), retry)
         self._inflight_faults += 1
         self.gpus[gpu_id].driver_busy += 1
         self.stats.counter("far_faults").add()
@@ -562,9 +565,9 @@ class _FaultResolution:
     on-touch migration); the reply crosses PCIe.  If the page migrated
     while the reply was in flight the mapping is stale, and the fault is
     re-resolved (at most :attr:`UVMDriver.MAX_REPLY_RETRIES` times,
-    never migrating again).  ``done`` fires once the GPU holds the
-    reply; first touch, migration and replication run as child
-    processes it waits on.
+    never migrating again); a GPU's refetch (``FarFault.retry``) never
+    migrates either.  ``done`` fires once the GPU holds the reply; first
+    touch, migration and replication run as child processes it waits on.
     """
 
     __slots__ = ("driver", "fault", "done", "attempts", "generation", "word")
@@ -617,7 +620,8 @@ class _FaultResolution:
             ).add_callback(self._child_done)
             return
 
-        if driver.config.migration_policy is MigrationPolicy.ON_TOUCH and self.attempts == 0:
+        policy = driver.config.migration_policy
+        if policy is MigrationPolicy.ON_TOUCH and not (self.attempts or fault.retry):
             self.word = word
             driver.engine.process(
                 driver._migrate(vpn, gpu_id, push_mapping=False)

@@ -26,3 +26,6 @@ class FarFault:
     #: fires with the new PTE word once the driver has resolved the fault
     #: and pushed the mapping back to the GPU.
     resolved: Event
+    #: a GPU's refetch of a reply that went stale before it was installed:
+    #: never migrates, so two GPUs cannot steal a page from each other forever.
+    retry: bool = False

@@ -130,3 +130,24 @@ class TestNewMapping:
     def test_new_mapping_without_pending_is_false(self):
         _engine, _table, _gmmu, _irmb, lazy = make_stack()
         assert lazy.on_new_mapping(777) is False
+
+    def test_cancel_of_queued_walk_spares_later_invalidation(self):
+        """A mapping that cancels a queued walk must not also swallow a
+        later invalidation of the same VPN: that one's walk still runs
+        (or the VPN stays pending, so the IRMB masks the stale PTE)."""
+        from repro.gmmu.request import WalkKind
+
+        engine, table, gmmu, _irmb, lazy = make_stack(bases=1, offsets=4, walkers=1)
+        a, v = (1 << 9) | 0, (1 << 9) | 4
+        for vpn in (a, v):
+            table.set_entry(vpn, pte.make_pte(1))
+            lazy.accept_invalidation(vpn)
+        engine.run(until=150)  # idle writeback: walking a, v queued behind it
+        assert lazy.on_new_mapping(v) is True
+        gmmu.walk(v, WalkKind.UPDATE, word=pte.make_pte(99))
+        lazy.accept_invalidation(v)  # the page moves again
+        lazy.accept_invalidation(2 << 9)  # another base evicts v's entry
+        for i in range(10):
+            gmmu.walk((5 << 9) | i, WalkKind.DEMAND)
+        engine.run(until=1200)
+        assert table.translate(v) is None or v in lazy.pending_vpns()

@@ -94,6 +94,34 @@ class TestPoisonedSystems:
             del system.driver._gates[ghost]
 
 
+class TestL2MshrExcuse:
+    """A far fault holds its page's L2 MSHR entry until the install
+    retires, so the old local PTE it leaves behind cannot be walked;
+    a TLB entry can be served at once and is never excused."""
+
+    def test_stale_local_pte_excused_only_while_mshr_holds_page(self):
+        system = _run_small_system(InvalidationScheme.BROADCAST)
+        gpu = system.gpus[0]
+        ghost = _VPN + 0x9000
+        gpu.page_table.set_entry(ghost, pte_bits.make_pte(0x3333))
+        gpu.l2_mshr.allocate(ghost)
+        assert audit_system(system) == []
+        gpu.l2_mshr.complete(ghost)
+        violations = audit_system(system)
+        assert any("stale" in v and "page_table" in v for v in violations)
+
+    def test_stale_tlb_entry_never_excused(self):
+        system = _run_small_system(InvalidationScheme.BROADCAST)
+        gpu = system.gpus[0]
+        ghost = _VPN + 0xA000
+        gpu.l2_mshr.allocate(ghost)
+        gpu.l1_tlbs[0].insert(ghost, pte_bits.make_pte(0x4444))
+        gpu.l2_tlb.insert(ghost, pte_bits.make_pte(0x4444))
+        violations = audit_system(system)
+        assert any("stale" in v and "l1tlb0" in v for v in violations)
+        assert any("stale" in v and "l2tlb" in v for v in violations)
+
+
 class TestProtocolDump:
     def test_dump_mentions_every_gpu_and_counters(self):
         system = _run_small_system()

@@ -23,8 +23,11 @@ from repro.sim.engine import Engine, Process
 #: upper bounds per access for KM/IDYLL, 4 GPUs x 4 lanes x 300 accesses,
 #: seed 7.  The generator-chain event path drained 27.90 callbacks per
 #: access, 16.91 of them owned by a Process; with links and walker pools
-#: as FIFO servers it drains 15.08, 3.94 of them Process-owned.
-MAX_TOTAL_PER_ACCESS = 15.10
+#: as FIFO servers it drains 15.08, 3.94 of them Process-owned.  With
+#: the race defences always on it drains 15.31 (3.99 Process-owned):
+#: 0.11 from ``deliver_mapping``'s install check, the rest from 147 more
+#: far faults (1,464), 89 of them refetched installs.
+MAX_TOTAL_PER_ACCESS = 15.33
 MAX_PROCESS_PER_ACCESS = 5.0
 
 

@@ -143,7 +143,7 @@ class TestDivergenceRegression:
 
     SHARED_BASE = 1 << 20
 
-    def _workload(self):
+    def _workload(self, max_gap=900):
         rng = random.Random(11)
         traces = []
         for _gpu in range(2):
@@ -151,13 +151,18 @@ class TestDivergenceRegression:
             for _lane in range(2):
                 gpu_lanes.append(
                     [
-                        (rng.randint(40, 900),
+                        (rng.randint(40, max_gap),
                          self.SHARED_BASE + rng.randrange(8), False)
                         for _ in range(1500)
                     ]
                 )
             traces.append(gpu_lanes)
         return Workload(name="gapheavy", traces=traces)
+
+    def _checkpoint_workload(self):
+        """Longer gaps: with every race defence on, the 900-cycle
+        workload leaves no quiescent instant to checkpoint at."""
+        return self._workload(max_gap=1500)
 
     def _config(self, **kwargs):
         from repro.config import InvalidationScheme
@@ -186,10 +191,10 @@ class TestDivergenceRegression:
         gap-heavy shared-page run must resume to the uninterrupted
         result (mid-run checkpoints used to land on exec_time 710006
         instead of 711277)."""
-        base = MultiGPUSystem(self._config(), seed=7).run(self._workload())
+        base = MultiGPUSystem(self._config(), seed=7).run(self._checkpoint_workload())
         system = MultiGPUSystem(self._config(), seed=7)
         checkpointed = system.run(
-            self._workload(), checkpoint_every=3000, checkpoint_dir=tmp_path
+            self._checkpoint_workload(), checkpoint_every=3000, checkpoint_dir=tmp_path
         )
         want = dataclasses.asdict(base)
         assert dataclasses.asdict(checkpointed) == want
@@ -207,10 +212,10 @@ class TestDivergenceRegression:
         ``fastpath_enabled=False`` (this used to crash in
         ``Lane.resume_run`` calling ``repark`` on a missing fast path)
         and still reproduce the uninterrupted result."""
-        base = MultiGPUSystem(self._config(), seed=7).run(self._workload())
+        base = MultiGPUSystem(self._config(), seed=7).run(self._checkpoint_workload())
         system = MultiGPUSystem(self._config(), seed=7)
         system.run(
-            self._workload(), checkpoint_every=3000, checkpoint_dir=tmp_path
+            self._checkpoint_workload(), checkpoint_every=3000, checkpoint_dir=tmp_path
         )
         paths = sorted(glob.glob(str(tmp_path / "ckpt-*.ckpt")))
         parked_paths = [

@@ -132,84 +132,84 @@ def _digest(app: str, config) -> tuple:
 
 EXPECTED = {
     'KM/broadcast': (
-        'b19c1ce82b75382fe1cf933c86b3d4cff918f5dd7b046ae68a776cb81b87643a',
-        '59493bfb4bfe4d7d3d854f35e055576aef7112da7823960a8e01de67637be2bd',
+        '3556f5927e150ea02b668d48ad4d45c11f19e8cad932ba041e40cc0c91ef7c9d',
+        '24f07c27e38dbfe9c6302f91b6c570604f33a564ae5dcfef9379a8c9d8319961',
     ),
     'KM/zero-latency': (
-        '6532c7de75802d12d328ceac052c8f3aa468c0290ff0479da30109b61a27e539',
-        '308afdadd08e32fe664cb6a53e9a70f5ef9e7b977e3e62ec72e172d8c5b3201a',
+        'f6163e331366910dcbea34125c9cd96083ef39ba55479f602521b6d4905f5f90',
+        '10d6d7aafe5c2a93d72f1c751cd75b9c09923b9bb5a10e1e48e680bae0bdc8fa',
     ),
     'KM/directory': (
-        '2c920e106c92d6a0c12050543019982836aeeaf3b3faeabb887cbaacc46fabfe',
-        '1feb575d4a04e35f42c173202b2096b0d5ec3e7fa83a847eadb2e8606760d8fe',
+        '592404b39fbb550cf893342f72703b86460497e1a187ff489576a3bcf05711a0',
+        'f09272ff0eb8663c23682af108b630050e39ee6cf15ca4b8edd3b5079a924951',
     ),
     'KM/lazy': (
-        '70e306aa2f8fc8bb0c819c147585d1272abc6e5206d344aba6ca4101741910ed',
-        'a01e3e025a0e815783b2523ac6767dd6492be373ca70e8f6da60c8b9fce6ffe9',
+        'eefcbe7667eee5d9696d4a667686c89ecc12fe86f9a9f84cf3a8dda63d0c935b',
+        'e6a14c8cd82b7de8fa2d652c9203618636935cb2b3356b515d66d10196640d89',
     ),
     'KM/idyll': (
-        'cff5c3cbc9cb098b2f95d56e3eb13bc63f271ea67f4d0d67bcc9fee68be2be6d',
-        'ef6803bc246885024387ce725d9506ce626db5d5474f9c308ce7c15e66743eee',
+        '9927eb537ed7463f8637c6069bfb2fed49e62edec050355f55c686a22cb90176',
+        '483c1fc276610ff3d49905921028208f9ce17039e11d6b9670ca588e678668de',
     ),
     'PR/broadcast': (
-        '1bc80aa6ad03e76cc9e170cd0356d3d2fcac6b556434540f86152fc547e74a02',
-        '3f46028a3a8cb9c8d8d8635240f5190792b463d942ff1265a2fef21c9da76e6b',
+        '1841577336f8291ff2d897d8462d48ee66c8ad857e8d3c5917508815cf73be62',
+        'c5a02bcc2f26ec2571f2a6479d8d20e4cf2f6ab136e6397f489726eb33754b05',
     ),
     'PR/zero-latency': (
-        'ba5c696394d7325f0927c2ca65d02a9180b72fa4934356be8b0926e9c665318f',
-        '2192f6cb25e106964bce7b9295b9851b4033ef5369f2034ba2c8b62aefb8c132',
+        '33fac28b96fa37d06b0d81b9b025a516cfa8dd920eea738ddd0aa51a9ee10086',
+        '5ff340171a1ff4665f878c527a0e1a6cabbf2ff251d0f7d99692010109a7a090',
     ),
     'PR/directory': (
-        '623450d964d674fef6e6b0949134cdd45165fad32d839c8f38ec6e07e3bdbeca',
-        '13d078b9150f1299ff6ec34e7c3297c4920936be2ae80ed55d3bb1829e1cf86e',
+        'e7d4adbf1741cd8fceef8dd48e193966da95d8a7c468afbacae3b3eaf3cd4590',
+        '9af479d718725125cfd916adce48b13976fea7a024de4c708e6a32328abb4349',
     ),
     'PR/lazy': (
-        'ef6b3e93295ef395ab30c6f40d919a33d37a85c889d79a1095da81a2891d99fb',
-        'aaa0926076f9ad949990e9b0b923c3ee9d25b6db5fbf9dbe8fa4f1080a3aa4fb',
+        '2aa0fb66fbdc6f6e5cb985f79b2c4ef8666413349db4387db7e3244c4f37ac93',
+        '6ef08b5e2154528ab197abc55132c6ffb8c5b55c9374442bd66cb85d2880accf',
     ),
     'PR/idyll': (
-        '1e5b34512360140627ccb82781717cd10fe65cbf2381ee2aeb8ddb248f72223d',
-        '94bc3534d4ccb1ec5096955827427b20eb0a527152c7cd832b7c5a56374d0963',
+        '4889c94631145186e4773cebaed32fe1b98ad2e5367d5b6d385af5e689f74476',
+        '6173902ddbaca414b8f7d39d00970f546c749ea9c4af1f38c9cece31b9308131',
     ),
     'KM/idyll/first-touch': (
         '1cb2eba7414c4f6b54fa415367bbf0a06d6ec0f79c84b5d5d3a6f14b5f239eb0',
         '8a2b9e54d87b73cdeab400047a27100963cfdc2563bff0082ec8b2a6907c66a5',
     ),
     'KM/idyll/on-touch': (
-        '2b552d57ba3a1290c3330859a37d775261cfcd6ec7334c9107dc82c5bbab1acb',
-        'e11c88e5cc6d4c7bf1eb4df8362929262471c2924393d8578a2d1110583ae4a5',
+        'ebeedb52bbcd8e03d3f940a215988719c9fb0d5fd160c53db1e85b6e53159dbf',
+        '910877c0e4fd981c9c2f201a13db2597aaa1aa125add89a920416cdd2d71893d',
     ),
     'PR/broadcast/on-touch': (
-        'fe47fb80d12a48f13121d4f71d40d20c2a61d57f95a80d5130e6fe92ec2788df',
-        '34e17e908b602afa2a1a21de8e5247cfafb815c4559a23ecb4a716b676375348',
+        'e3ee728a46523c0ad86bd9909149c2f53be6f48470a4066f70df8f79db8df956',
+        '420203b2b998e63c85e1b949f44d07beb5c0c2a06b550eadd33363654f200e02',
     ),
     'KM/idyll/in-memory': (
-        'fb9a78dee12b3c5d2b00509f09c167a075e4a1a2a8350bbddf54f801ee809034',
-        '69cbdb622f28dcc647b76ae8e8d7c3141134cd6f3071b540673d0ac47b0d77a4',
+        '89af5f4b2d6dbb1194833dc46ba3e2bbc674447e0166cd82aa5642b456c51be0',
+        'cbb61894b39f58dfe23ed6b5db2a9d85154b511f2c0923d23a783493637665ce',
     ),
     'KM/broadcast/transfw': (
-        '679113393315b81e0eeb6ba40587ac3ab7399809f9f1ecb36d6cbbd48d7af54d',
-        '6a192faa6d39a1b50c05bb795952b81b67860f5dda62411d7fb2dc956da3a460',
+        '389b60ed1674da80cf5eda66e3d72ddb57533810755265911cda588aa7438919',
+        '116515f2994a6e16c900285ee6da5336b718fa96d58194b59761bc215f1d7394',
     ),
     'KM/idyll/transfw': (
-        '4b68bb4ce83ce04f7e40c21b2f073515dd5db1bac2beb30d62d4817b81614a92',
-        'b338e58b73fe509c3062c33f50e99c88637cdab979402e7c8036367b029ca3d3',
+        'd8abd2e094e6b47b11232f5a17041bcf04e7131ecd83fc6b53c17bfa27b90141',
+        '7f8efa29acd0ea3c36dc93c4021ab749120f3b5cc7131e841494191b906b5f24',
     ),
     'PR/idyll/replication': (
-        'b4e1b7daf519f21e51b14ef76fd7162d237517ef8d1405f3f73a199e2d2c1bff',
-        'bec12bbe68ba06bdeab167797a405c6c0bf711c3ab5ee10394362b12ae4e39ff',
+        'f5488b9322750656d8cd15c2d42eed2f859f795526392693a5a410ea9413144e',
+        'f123c76f913a4f7630829566359aee000ad03c9ccbb84694560a9e50d1f7d60d',
     ),
     'MM/broadcast/replication': (
         '9a7dad884b03fe8a62279d58014720bdb555504b0ac3928f461c43dd8f1e04be',
         'ec1f5d68e16cdafbf94938420aedc3ca79b499a19970e18f059fa43f32e439fc',
     ),
     'ST/idyll/2mb': (
-        '11a8197c99363880b31a456dcd6e5c8b05fcf95419ab85d9a82b847e5d635ad3',
-        '8f3c4c692cb1dd70390eb64d31b91e6833bc1ea8d1833745edc7916383e99307',
+        '889522ba849d7d3485e21212b53e7bbf75160da4c9f3076d3d986a7240f7305d',
+        'bbde1c70a3e2c134f579b0712c6656295d06655455e73231414bb7dc9b8d33e3',
     ),
     'KM/idyll/no-fastpath': (
-        'cff5c3cbc9cb098b2f95d56e3eb13bc63f271ea67f4d0d67bcc9fee68be2be6d',
-        'ef6803bc246885024387ce725d9506ce626db5d5474f9c308ce7c15e66743eee',
+        '9927eb537ed7463f8637c6069bfb2fed49e62edec050355f55c686a22cb90176',
+        '483c1fc276610ff3d49905921028208f9ce17039e11d6b9670ca588e678668de',
     ),
     'KM/idyll/faults-light': (
         'de42a8e2c67a67fe4827e35e9cb86989c9094c91df87a654a7a9831611a5d7fe',
