@@ -263,6 +263,14 @@ class GPU:
             self.inval_generation += 1
             self.stats.counter("inval_refill_flushes").add()
 
+    def _cancel_buffered_invalidation(self, vpn: int) -> None:
+        """A fresh mapping is about to be installed: cancel the page's
+        pending lazy invalidation.  It will never apply, so its
+        apply-time raced-fill flush will never run; evict any fill that
+        raced with the original shootdown on its behalf."""
+        if self.lazy is not None and self.lazy.on_new_mapping(vpn):
+            self._flush_raced_fills(vpn)
+
     def deliver_mapping(self, vpn: int, word: int) -> Event:
         """Driver pushes a fresh mapping (migration destination): cancel
         any pending IRMB invalidation and install via an UPDATE walk.
@@ -277,10 +285,7 @@ class GPU:
         the migration.
         """
         self.inval_generation += 1
-        if self.lazy is not None and self.lazy.on_new_mapping(vpn):
-            # The cancelled invalidation's apply-time flush will never
-            # run; flush raced fills on its behalf.
-            self._flush_raced_fills(vpn)
+        self._cancel_buffered_invalidation(vpn)
         request = self.gmmu.walk(vpn, WalkKind.UPDATE, word=word)
         version = self._inval_epoch.get(vpn, 0)
 
@@ -521,12 +526,7 @@ class _Access:
         gpu = self.gpu
         vpn = self.vpn
         self.word = word
-        if gpu.lazy is not None and gpu.lazy.on_new_mapping(vpn):
-            # The buffered invalidation will never apply, so its
-            # apply-time raced-fill flush will never run: evict any
-            # fill that raced with the original shootdown before the
-            # fresh mapping becomes the truth.
-            gpu._flush_raced_fills(vpn)
+        gpu._cancel_buffered_invalidation(vpn)
         gpu.gmmu.walk(vpn, _UPDATE, word=word).done.add_callback(self._installed)
 
     def _installed(self, _ev: Event) -> None:
