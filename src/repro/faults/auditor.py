@@ -187,20 +187,16 @@ def _audit_once(system, active_fn: Callable[[], bool]) -> bool:
 
 
 def audit_loop(system, interval: int, active_fn: Callable[[], bool],
-               resume_event=None):
+               wait_first: bool = True):
     """Process body: periodic audits every ``interval`` cycles while the
     simulation is active; raises :class:`InvariantViolation` on the first
-    inconsistent snapshot.  ``resume_event`` (checkpoint restore) stands
-    in for the first interval wait: it is fired by a restored calendar
-    entry at the original tick's exact time and sequence."""
-    if resume_event is not None:
-        yield resume_event
-        if not _audit_once(system, active_fn):
-            return
-    while True:
+    inconsistent snapshot.  A checkpoint-restored loop starts from its
+    pending tick's calendar entry with ``wait_first=False``: it audits
+    at once."""
+    if wait_first:
         yield interval
-        if not _audit_once(system, active_fn):
-            return
+    while _audit_once(system, active_fn):
+        yield interval
 
 
 def protocol_dump(system, violations: Optional[List[str]] = None) -> str:

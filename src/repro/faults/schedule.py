@@ -312,7 +312,7 @@ class ChaosController:
       recorded in ``system.audits_run``).
     """
 
-    def __init__(self, system, timeline: FaultTimeline, resume_event=None,
+    def __init__(self, system, timeline: FaultTimeline, at=None,
                  start: bool = True) -> None:
         self.system = system
         self.engine = system.engine
@@ -327,12 +327,10 @@ class ChaosController:
         self._last_change = 0
         self._finalized = False
         #: the loop Process (checkpoint restore classifies its calendar
-        #: entry by identity, like the watchdog's).
-        self._proc = None
-        if resume_event is not None:
-            self._proc = self.engine.process(self._resumed_loop(resume_event))
-        elif start:
-            self._proc = self.engine.process(self._loop())
+        #: entry by identity, like the watchdog's).  The loop wakes first,
+        #: so a restored controller simply starts from its pending wake's
+        #: calendar key ``at``.
+        self._proc = self.engine.process(self._loop(), at=at) if start else None
 
     # -- sampling -----------------------------------------------------------
 
@@ -466,17 +464,6 @@ class ChaosController:
         return nxt
 
     def _loop(self):
-        while True:
-            nxt = self._step()
-            if nxt is None:
-                return
-            yield nxt - self.engine.now
-
-    def _resumed_loop(self, resume_event):
-        """Loop body for a checkpoint-restored controller: the first wake
-        arrives via the restored calendar entry (original time and
-        sequence), then the recomputed schedule continues."""
-        yield resume_event
         while True:
             nxt = self._step()
             if nxt is None:

@@ -14,6 +14,10 @@ position to the batched replay tier and resumes (possibly thousands of
 accesses later) only when an access needs the full event pipeline or
 its GPU's driver gauge rises.  See ``fastpath.py`` for the protocol
 and the observational-equivalence argument.
+
+:meth:`Lane.run` is the lane's only loop.  Checkpoint restore re-enters
+it mid-trace through its ``entry`` parameter: at the window grant of
+access ``i``, parked, or in the end-of-trace drain.
 """
 
 from __future__ import annotations
@@ -48,14 +52,37 @@ class Lane:
         #: cannot model.
         self._slow = 0
 
-    def run(self):
-        """Process body: replay the trace, then drain the window."""
+    def run(self, i: int = 0, entry: str = "start", arrival: int = 0,
+            ring=None, backed: int = 0, remaining: int = 0):
+        """Process body: replay the trace from access ``i``, then drain
+        the window.
+
+        ``entry`` says where the loop is entered.  Every entry but
+        ``"start"`` continues a checkpoint-restored lane, whose window
+        :meth:`attach_window` has already rebuilt:
+
+        * ``"start"``  — a fresh lane.
+        * ``"window"`` — access ``i`` waits for its window grant.  A lane
+          snapshotted in its compute gap is restarted by its gap's
+          calendar entry (``Engine.process(..., at=key)``); one
+          snapshotted at its window, or an emergency restart, starts at
+          once.
+        * ``"parked"`` — re-park with the saved replay state ``(arrival,
+          ring, backed)``, or materialise the ring when restored without
+          a fast path.
+        * ``"drain"``  — the end-of-trace drain with ``remaining``
+          grants still owed.
+
+        Checkpointing reads ``i`` from the generator's frame, which for a
+        restored lane whose entry has not fired yet holds only these
+        parameters: the index parameter must keep the name ``i``.
+        """
+        if entry == "start":
+            self.attach_window()
         gpu = self.gpu
         engine = gpu.engine
-        capacity = gpu.config.inflight_per_cu
-        window = Resource(engine, capacity)
-        self._window = window
-        self._capacity = capacity
+        window = self._window
+        capacity = self._capacity
         gaps = self._gaps
         vpns = self._vpns
         writes = self._writes
@@ -66,7 +93,48 @@ class Lane:
         try_fast = gpu.try_fast_access
         schedule = engine.schedule
         request = window.request
-        i = 0
+        if entry == "drain":
+            for _ in range(remaining):
+                yield request()
+            return
+        if entry == "parked":
+            if fp is None:
+                # Restored under a config without the batched fast path
+                # (tracing, fault injection, fastpath_enabled=False):
+                # degrade to the event path by materialising the saved
+                # window state exactly as an unpark would — back every
+                # future ring entry past the calendar-backed prefix with
+                # a fresh release event, drop entries already in the
+                # past, and continue from the saved (i, arrival).
+                now = engine.now
+                entries = list(ring) if ring is not None else []
+                for r in entries[backed:]:
+                    if r > now:
+                        window._in_use += 1
+                        schedule(r - now, window.release)
+                releases.clear()
+                releases.extend(entries)
+            else:
+                i, arrival = yield fp.repark(self, i, arrival, ring, backed)
+            if i < n:
+                wait = arrival - engine.now
+                if wait > 0:
+                    yield wait
+                entry = "window"
+        if entry == "window":
+            yield request()
+            gpu.instructions += gaps[i] + 1
+            vpn = vpns[i]
+            is_write = bool(writes[i])
+            latency = try_fast(lane_id, vpn, is_write)
+            if latency is not None:
+                if fp is not None:
+                    releases.append(engine.now + latency)
+                schedule(latency, window.release)
+            else:
+                self._slow += 1
+                gpu.access(self, vpn, is_write)
+            i += 1
         while i < n:
             if fp is not None and self._slow == 0 and not gpu.driver_busy:
                 i, arrival = yield fp.park(self, i)
@@ -99,128 +167,17 @@ class Lane:
         # Drain: reacquire every slot so we return only when all
         # outstanding accesses have completed.
         for _ in range(capacity):
-            yield window.request()
+            yield request()
 
     def attach_window(self, in_use: int = 0) -> None:
-        """Recreate the in-flight window on checkpoint restore.
+        """Build the lane's in-flight window with ``in_use`` slots held.
 
-        ``run()``'s prelude normally builds the window; a restored lane
-        enters through :meth:`resume_run`, which expects it attached with
-        ``in_use`` slots held by the in-flight accesses whose release
-        events the restore pushed back onto the calendar."""
+        A fresh lane builds an empty one as :meth:`run` starts.
+        Checkpoint restore builds it before the lane restarts, with the
+        slots held by the in-flight accesses whose release events it
+        pushes back onto the calendar."""
         capacity = self.gpu.config.inflight_per_cu
         window = Resource(self.gpu.engine, capacity)
         window._in_use = in_use
         self._window = window
         self._capacity = capacity
-
-    def resume_run(self, phase: str, index: int, resume_event=None,
-                   remaining: int = 0, arrival: int = 0, ring=None,
-                   backed: int = 0):
-        """Process body continuing a checkpoint-restored lane mid-trace.
-
-        ``phase`` names where ``run()`` was suspended at snapshot time:
-
-        * ``"gap"``    — a bare-int compute/arrival wait; ``resume_event``
-          is fired by a restored calendar entry at the original resume
-          time and sequence.
-        * ``"window"`` — blocked on a window grant; the restored release
-          events reproduce the original FIFO grant.
-        * ``"parked"`` — handed to the batched fast path; re-park with
-          the saved replay state.
-        * ``"drain"``  — end-of-trace drain with ``remaining`` grants
-          still owed.
-
-        The post-prelude body MUST mirror run()'s loop exactly (it is a
-        deliberate copy, not a shared helper: run() is the hottest loop
-        in the simulator and must not pay delegation overhead).
-        """
-        gpu = self.gpu
-        engine = gpu.engine
-        window = self._window
-        capacity = self._capacity
-        gaps = self._gaps
-        vpns = self._vpns
-        writes = self._writes
-        n = self._n
-        releases = self._releases
-        fp = gpu.fastpath
-        lane_id = self.lane_id
-        try_fast = gpu.try_fast_access
-        schedule = engine.schedule
-        request = window.request
-        i = index
-
-        if phase == "drain":
-            for _ in range(remaining):
-                yield request()
-            return
-
-        # Prelude: re-enter the suspended iteration of access ``i``.
-        if phase == "parked":
-            if fp is None:
-                # Restored under a config without the batched fast path
-                # (tracing, fault injection, fastpath_enabled=False):
-                # degrade to the event path by materialising the saved
-                # window state exactly as an unpark would — back every
-                # future ring entry past the calendar-backed prefix with
-                # a fresh release event, drop entries already in the
-                # past, and continue from the saved (index, arrival).
-                now = engine.now
-                entries = list(ring) if ring is not None else []
-                release = window.release
-                for r in entries[backed:]:
-                    if r > now:
-                        window._in_use += 1
-                        schedule(r - now, release)
-                releases.clear()
-                releases.extend(entries)
-            else:
-                i, arrival = yield fp.repark(
-                    self, index, arrival, ring, backed
-                )
-            if i >= n:
-                for _ in range(capacity):
-                    yield request()
-                return
-            wait = arrival - engine.now
-            if wait > 0:
-                yield wait
-            yield request()
-        elif phase == "gap":
-            yield resume_event
-            yield request()
-        else:  # "window"
-            yield request()
-
-        # From here on: an exact mirror of run()'s loop body, entered
-        # just after the window grant for access ``i``.
-        while True:
-            gpu.instructions += gaps[i] + 1
-            vpn = vpns[i]
-            is_write = bool(writes[i])
-            latency = try_fast(lane_id, vpn, is_write)
-            if latency is not None:
-                if fp is not None:
-                    releases.append(engine.now + latency)
-                schedule(latency, window.release)
-            else:
-                self._slow += 1
-                gpu.access(self, vpn, is_write)
-            i += 1
-            if i >= n:
-                break
-            if fp is not None and self._slow == 0 and not gpu.driver_busy:
-                i, arrival = yield fp.park(self, i)
-                if i >= n:
-                    break
-                wait = arrival - engine.now
-                if wait > 0:
-                    yield wait
-            else:
-                gap = gaps[i]
-                if gap:
-                    yield gap
-            yield request()
-        for _ in range(capacity):
-            yield request()

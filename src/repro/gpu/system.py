@@ -114,10 +114,6 @@ class MultiGPUSystem:
         #: chaos campaign supervisor (spawned with the other supervisors
         #: when a failure-trace timeline is armed).
         self.chaos = None
-        #: restored one-shot resume events still sitting in the calendar,
-        #: keyed by id(event) -> (kind, lane_index, event).  The event
-        #: reference keeps the object alive so ids are never reused.
-        self._resume_symbols: dict = {}
 
     # ------------------------------------------------------------------
     # Liveness / consistency hooks
@@ -204,19 +200,20 @@ class MultiGPUSystem:
         tracker = self.driver.tracker
         return tracker is not None and tracker.has_pending()
 
-    def _spawn_supervisors(self, watchdog_resume=None, audit_resume=None,
-                           watchdog: bool = True, audit: bool = True,
-                           chaos_resume=None, chaos: bool = True) -> None:
+    def _spawn_supervisors(self, at=None, watchdog: bool = True,
+                           audit: bool = True, chaos: bool = True) -> None:
         """Arm the watchdog, periodic auditor, and chaos-campaign
         controller per the fault config / failure-trace timeline.
 
-        The resume events (checkpoint restore) stand in for each loop's
-        first interval wait; ``None`` spawns the regular loops.
+        ``at`` (checkpoint restore) maps ``"watchdog"``, ``"audit"`` and
+        ``"chaos"`` to the calendar key of that loop's pending tick; a
+        loop found there starts from its key and ticks first.
         ``watchdog``/``audit``/``chaos`` let a restore skip a supervisor
         whose loop had already exited at snapshot time.
         """
         faults = self.config.faults
         tracker = self.driver.tracker
+        at = at or {}
         if watchdog and faults.watchdog_active:
             self._watchdog = LivenessWatchdog(
                 self.engine,
@@ -230,19 +227,17 @@ class MultiGPUSystem:
                     else None
                 ),
                 active_fn=self.still_active,
-                start=watchdog_resume is None,
+                at=at.get("watchdog"),
             )
-            if watchdog_resume is not None:
-                self._watchdog.start_resumed(watchdog_resume)
         if audit and faults.audit_interval > 0:
+            key = at.get("audit")
             self._audit_proc = self.engine.process(
                 audit_loop(self, faults.audit_interval, self.still_active,
-                           resume_event=audit_resume)
+                           wait_first=key is None),
+                at=key,
             )
         if chaos and self.timeline is not None:
-            self.chaos = ChaosController(
-                self, self.timeline, resume_event=chaos_resume
-            )
+            self.chaos = ChaosController(self, self.timeline, at=at.get("chaos"))
 
     def _finish(self, workload) -> "SimulationResult":
         faults = self.config.faults

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from .trace import NULL_TRACER
 
@@ -33,7 +33,6 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "SimulationError",
     "SimulationAbort",
     "WatchdogError",
@@ -59,14 +58,6 @@ class WatchdogError(SimulationAbort):
     """The liveness watchdog detected deadlock/livelock: no forward
     progress over the configured window, or a protocol message unacked
     past its hard deadline."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process that is interrupted by another process."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Engine:
@@ -149,19 +140,25 @@ class Engine:
         """Create an event that fires ``delay`` cycles from now."""
         return Timeout(self, delay, value)
 
-    def process(self, generator: Generator) -> "Process":
-        """Launch ``generator`` as a simulation process."""
-        return Process(self, generator)
+    def process(self, generator: Generator,
+                at: Optional[Tuple[int, int]] = None) -> "Process":
+        """Launch ``generator`` as a simulation process.
+
+        Its first step runs from the ready queue or, given ``at``, from a
+        calendar entry with that ``(time, seq)`` key: checkpoint restore
+        restarts each suspended process from the entry it was waiting on.
+        """
+        return Process(self, generator, at)
 
     def run(self, until: Optional[int] = None) -> int:
         """Drain the calendar; returns the final simulation time.
 
         If ``until`` is given, stops once the clock would pass it (the
-        clock is left at ``until``).
+        clock is left at ``until``, or where it was if that is later).
 
         The unbounded case runs a dedicated fast loop with no deadline
-        test per event; bounded runs take the slow loop.  Both drain
-        events in exactly the same order.
+        test per event; bounded runs take :meth:`run_batch_until`.  Both
+        drain events in exactly the same order.
         """
         if self._running:
             raise SimulationError("engine is already running")
@@ -171,7 +168,7 @@ class Engine:
                 if self.batch_mode:
                     return self._drain_fast_batched()
                 return self._drain_fast()
-            return self._drain_until(until)
+            return self.run_batch_until(until)
         finally:
             self._running = False
 
@@ -228,11 +225,14 @@ class Engine:
         return self._now
 
     def run_batch_until(self, until: int) -> int:
-        """Commit step of the batched fast path: drain every event due at
-        or before ``until`` (all benign by the batcher's construction —
-        parked-lane window releases and cancelled timeouts), then advance
-        the clock to ``until``.  Re-entrant from inside a running drain,
-        unlike :meth:`run`."""
+        """Drain every event due at or before ``until``, then advance the
+        clock to ``until`` if it is behind (never backwards).
+
+        This is the bounded :meth:`run` and the commit step of the
+        batched fast path, whose events here are all benign by the
+        batcher's construction (parked-lane window releases and cancelled
+        timeouts).  Re-entrant from inside a running drain, unlike
+        :meth:`run`."""
         ready = self._ready
         popleft = ready.popleft
         heap = self._heap
@@ -250,28 +250,6 @@ class Engine:
             self._now = until
         return self._now
 
-    def _drain_until(self, until: int) -> int:
-        """Bounded drain: one extra deadline comparison per heap event."""
-        ready = self._ready
-        popleft = ready.popleft
-        heap = self._heap
-        pop = _heappop
-        while ready or heap:
-            while ready:
-                fn, args = popleft()
-                fn(*args)
-            if not heap:
-                break
-            if heap[0][0] > until:
-                self._now = until
-                return until
-            when, _seq, fn, args = pop(heap)
-            self._now = when
-            fn(*args)
-        if until > self._now:
-            self._now = until
-        return self._now
-
     def peek(self) -> Optional[int]:
         """Timestamp of the next pending event, or None if idle."""
         if self._ready:
@@ -280,8 +258,8 @@ class Engine:
 
     def _note_cancelled(self) -> None:
         """A heap-resident Timeout was cancelled; compact once dead
-        entries outnumber live ones (heavy watchdog/interrupt load
-        otherwise makes every push/pop pay log-time for corpses)."""
+        entries outnumber live ones (heavy retry-deadline load otherwise
+        makes every push/pop pay log-time for corpses)."""
         self._dead += 1
         if self._dead * 2 > len(self._heap):
             self._compact_heap()
@@ -475,7 +453,7 @@ class LivenessWatchdog:
         dump_fn: Callable[[], str] = lambda: "",
         deadline_fn: Optional[Callable[[], Optional[str]]] = None,
         active_fn: Optional[Callable[[], bool]] = None,
-        start: bool = True,
+        at: Optional[Tuple[int, int]] = None,
     ) -> None:
         if interval < 1:
             raise SimulationError("watchdog interval must be >= 1 cycle")
@@ -493,10 +471,9 @@ class LivenessWatchdog:
         self._last_progress = progress_fn()
         self._last_change = engine.now
         #: the loop Process (checkpoint restore classifies its calendar
-        #: entry by identity; ``start=False`` defers spawning it).
-        self._proc: Optional["Process"] = (
-            engine.process(self._loop()) if start else None
-        )
+        #: entry by identity).  A restored watchdog starts from its pending
+        #: tick's calendar key ``at`` and ticks first.
+        self._proc = engine.process(self._loop(wait_first=at is None), at=at)
 
     def stop(self) -> None:
         """Let the loop exit at its next tick (simulation finished)."""
@@ -528,27 +505,11 @@ class LivenessWatchdog:
             )
         return True
 
-    def _loop(self):
-        while True:
+    def _loop(self, wait_first: bool = True):
+        if wait_first:
             yield self.interval
-            if not self._tick():
-                return
-
-    def _resumed_loop(self, resume_event: "Event"):
-        """Loop body for a checkpoint-restored watchdog: the first tick
-        arrives via a restored calendar entry firing ``resume_event`` (at
-        the original tick's exact time and sequence), then the regular
-        periodic cadence continues."""
-        yield resume_event
-        if not self._tick():
-            return
-        while True:
+        while self._tick():
             yield self.interval
-            if not self._tick():
-                return
-
-    def start_resumed(self, resume_event: "Event") -> None:
-        self._proc = self.engine.process(self._resumed_loop(resume_event))
 
     def snapshot(self) -> dict:
         return {
@@ -574,9 +535,10 @@ class Process(Event):
 
     __slots__ = ("_gen", "_waiting_on")
 
-    def __init__(self, engine: Engine, generator: Generator) -> None:
-        # Flattened Event.__init__; processes are spawned per access on
-        # the slow path, so construction cost shows up in every run.
+    def __init__(self, engine: Engine, generator: Generator,
+                 at: Optional[Tuple[int, int]] = None) -> None:
+        # Flattened Event.__init__; processes are spawned per migration
+        # and per invalidation, so construction cost shows up in every run.
         self.engine = engine
         self._callbacks = []
         self._value = None
@@ -584,23 +546,10 @@ class Process(Event):
         self._triggered = False
         self._gen = generator
         self._waiting_on: Optional[Event] = None
-        engine._ready.append((self._resume, (None, None)))
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._triggered:
-            return
-        target = self._waiting_on
-        if target is not None and not target.triggered:
-            # Detach from whatever it was waiting on.
-            if target._callbacks is not None and self._on_wait_done in target._callbacks:
-                target._callbacks.remove(self._on_wait_done)
-            # A detached Timeout can never matter again — disarm it so
-            # the heap entry is reclaimable instead of firing into void.
-            if target.__class__ is Timeout:
-                target.cancel()
-        self._waiting_on = None
-        self.engine._ready.append((self._resume, (None, Interrupt(cause))))
+        if at is None:
+            engine._ready.append((self._resume, (None, None)))
+        else:
+            _heappush(engine._heap, (at[0], at[1], self._resume, (None, None)))
 
     def _on_wait_done(self, ev: Event) -> None:
         self._waiting_on = None
@@ -622,10 +571,6 @@ class Process(Event):
                     target = gen_send(value)
             except StopIteration as stop:
                 self.succeed(stop.value)
-                return
-            except Interrupt:
-                # Interrupt escaped the generator: treat as normal termination.
-                self.succeed(None)
                 return
             # Fast path: ``yield <int>`` is a bare timeout — no Event object.
             if type(target) is int:

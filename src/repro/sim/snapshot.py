@@ -22,16 +22,17 @@ calendar of ``(time, seq, kind, lane)`` entries.
 Restore builds a **fresh** :class:`~repro.gpu.system.MultiGPUSystem`
 from the pickled config/seed (its background service loops block in
 their prologues exactly as the original's did), restores every
-component in place, rebuilds the calendar with the *original* ``(time,
-seq)`` keys — so all same-cycle tie-breaks replay identically — and
-re-enters each unfinished lane through
-:meth:`~repro.gpu.cu.Lane.resume_run`.  Timed resumes are restored as
-one-shot events fired by their calendar entries (the extra same-cycle
-ready-queue hop is order-equivalent because the ready queue is always
-drained before the next heap pop and allocates no sequence numbers).
-The result: continuing a restored run — even in a different process —
-produces field-for-field identical statistics and byte-identical event
-traces to the uninterrupted run.
+component in place, and rebuilds the calendar with the *original*
+``(time, seq)`` keys, so all same-cycle tie-breaks replay identically.
+Window releases go back verbatim.  Each suspended process — a lane in
+its gap, a supervisor's next tick — is restarted *from* the entry it
+was waiting on (``Engine.process(generator, at=(time, seq))``), so its
+first step runs exactly where the original process would have resumed;
+every other unfinished lane re-enters :meth:`~repro.gpu.cu.Lane.run` at
+once, at its window, parked, or draining.  The result: continuing a
+restored run — even in a different process — produces field-for-field
+identical statistics and byte-identical event traces to the
+uninterrupted run.
 
 An **emergency** snapshot (``exact=False``) relaxes all of this for
 watchdog/auditor aborts: in-flight episodes are dropped, every
@@ -55,7 +56,7 @@ import struct
 import tempfile
 from typing import Dict, List, Optional, Tuple
 
-from .engine import Event, Process, Timeout
+from .engine import Process, Timeout
 from .process import Resource
 from .trace import TraceRecorder
 
@@ -146,7 +147,6 @@ def _classify_calendar(system) -> Tuple[List[tuple], Dict[int, List[int]]]:
     audit_proc = system._audit_proc
     chaos_proc = system.chaos._proc if system.chaos is not None else None
     controller_proc = system._controller._proc if system._controller is not None else None
-    resume_symbols = system._resume_symbols
 
     symbols: List[tuple] = []
     release_times: Dict[int, List[int]] = {}
@@ -184,12 +184,6 @@ def _classify_calendar(system) -> Tuple[List[tuple], Dict[int, List[int]]]:
                 release_times.setdefault(idx, []).append(time)
                 continue
             raise NotQuiescent("non-window resource release in flight")
-        if id(owner) in resume_symbols:
-            # A restored one-shot resume (this run itself began from a
-            # checkpoint) that has not fired yet: re-emit it verbatim.
-            kind, idx, _ev = resume_symbols[id(owner)]
-            symbols.append((time, seq, kind, idx))
-            continue
         raise NotQuiescent(f"unclassifiable calendar entry owner {owner!r}")
     return symbols, release_times
 
@@ -198,7 +192,6 @@ def _lane_states(system, release_times: Dict[int, List[int]]) -> List[dict]:
     fastpath = system.fastpath
     parked = fastpath._parked if fastpath is not None else {}
     proc_of = {id(lane): proc for proc, lane in system._lane_procs.items()}
-    resume_symbols = system._resume_symbols
     states: List[dict] = []
     for idx, lane in enumerate(system._lanes):
         proc = proc_of.get(id(lane))
@@ -216,13 +209,12 @@ def _lane_states(system, release_times: Dict[int, List[int]]) -> List[dict]:
                 "in_use": in_use, "releases": releases,
             })
             continue
-        target = proc._waiting_on
-        is_gap = target is None or (
-            id(target) in resume_symbols and resume_symbols[id(target)][0] == "lane"
-        )
+        # A lane restored from its gap entry that has not fired yet has
+        # an unstarted generator: no wait target, and only run()'s
+        # parameters (among them ``i``) in its frame.
         frame = proc._gen.gi_frame
         index = frame.f_locals["i"] if frame is not None else lane._n
-        if is_gap:
+        if proc._waiting_on is None:
             states.append({
                 "phase": "gap", "index": index,
                 "in_use": in_use, "releases": releases,
@@ -460,30 +452,21 @@ def restore_system(payload: dict, override_config=None, tracer=None):
         lane._releases.extend(state.get("releases", ()))
 
     # Rebuild the calendar with the original (time, seq) keys.  The
-    # entries arrive sorted ascending, which is a valid binary min-heap,
-    # so no heapify (and no re-sequencing) is needed.
-    gap_events: Dict[int, Event] = {}
-    watchdog_event: Optional[Event] = None
-    audit_event: Optional[Event] = None
-    chaos_event: Optional[Event] = None
+    # releases arrive sorted ascending, which is a valid binary min-heap,
+    # so no heapify (and no re-sequencing) is needed.  Every other entry
+    # is a suspended process's resume: ``at`` maps its lane index or
+    # supervisor name to the key the process restarts from.
     heap: List[tuple] = []
+    at: Dict[object, Tuple[int, int]] = {}
     for time, seq, kind, idx in payload["calendar"]:
         if kind == "release":
             heap.append((time, seq, lanes[idx]._window.release, ()))
-            continue
-        event = Event(engine)
-        if kind == "lane":
-            gap_events[idx] = event
-        elif kind == "watchdog":
-            watchdog_event = event
-        elif kind == "audit":
-            audit_event = event
-        elif kind == "chaos":
-            chaos_event = event
+        elif kind == "lane":
+            at[idx] = (time, seq)
+        elif kind in ("watchdog", "audit", "chaos"):
+            at[kind] = (time, seq)
         else:
             raise CheckpointError(f"unknown calendar symbol {kind!r}")
-        system._resume_symbols[id(event)] = (kind, idx, event)
-        heap.append((time, seq, event.succeed, (None,)))
     engine._heap[:] = heap
     engine._dead = 0
     engine._seq = payload["seq"]
@@ -493,18 +476,17 @@ def restore_system(payload: dict, override_config=None, tracer=None):
         phase = state["phase"]
         if phase == "done":
             continue
-        if phase == "restart":
-            generator = lane.resume_run("window", state["index"])
-        else:
-            generator = lane.resume_run(
-                phase, state.get("index", 0),
-                resume_event=gap_events.get(idx),
-                remaining=state.get("remaining", 0),
-                arrival=state.get("arrival", 0),
-                ring=state.get("ring"),
-                backed=state.get("backed", 0),
-            )
-        proc = engine.process(generator)
+        # A gap lane waits for its window once its gap entry fires; an
+        # emergency restart re-issues its access at once.
+        entry = "window" if phase in ("gap", "restart") else phase
+        generator = lane.run(
+            state["index"], entry,
+            arrival=state.get("arrival", 0),
+            ring=state.get("ring"),
+            backed=state.get("backed", 0),
+            remaining=state.get("remaining", 0),
+        )
+        proc = engine.process(generator, at=at.get(idx))
         system._lane_procs[proc] = lane
         alive.append(proc)
 
@@ -519,14 +501,12 @@ def restore_system(payload: dict, override_config=None, tracer=None):
     master_done = payload["master_done"]
     chaos_state = payload.get("chaos")
     system._spawn_supervisors(
-        watchdog_resume=watchdog_event,
-        audit_resume=audit_event,
-        watchdog=(watchdog_event is not None or not master_done),
-        audit=(audit_event is not None or not master_done),
-        chaos_resume=chaos_event,
+        at,
+        watchdog=("watchdog" in at or not master_done),
+        audit=("audit" in at or not master_done),
         # A finalized controller exited its loop before the snapshot; keep
         # its record-keeping (below) but spawn no process for it.
-        chaos=(chaos_event is not None
+        chaos=("chaos" in at
                or not (chaos_state or {}).get("finalized", False)),
     )
     if system._watchdog is not None and payload.get("watchdog") is not None:

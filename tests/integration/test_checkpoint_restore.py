@@ -209,9 +209,9 @@ class TestDivergenceRegression:
 
     def test_parked_lane_resumes_without_fastpath(self, tmp_path):
         """A checkpoint holding parked lanes must resume under
-        ``fastpath_enabled=False`` (this used to crash in
-        ``Lane.resume_run`` calling ``repark`` on a missing fast path)
-        and still reproduce the uninterrupted result."""
+        ``fastpath_enabled=False`` (this used to crash: the restored
+        lane called ``repark`` on a missing fast path) and still
+        reproduce the uninterrupted result."""
         base = MultiGPUSystem(self._config(), seed=7).run(self._checkpoint_workload())
         system = MultiGPUSystem(self._config(), seed=7)
         system.run(
@@ -316,3 +316,53 @@ class TestFaultedCheckpoints:
         for path in (paths[0], paths[len(paths) // 2], paths[-1]):
             _system, resumed = snap.resume_run(path)
             assert dataclasses.asdict(resumed) == dataclasses.asdict(base)
+
+
+class TestUnfiredRestoredEntry:
+    """A checkpoint of a restored run taken before every restored gap
+    entry has fired.  Restore restarts a lane suspended in its compute
+    gap *from* that gap's calendar entry, so until the entry fires the
+    lane's generator has not started: no wait target, and only
+    ``Lane.run``'s parameters in its frame."""
+
+    @pytest.mark.parametrize(
+        "num_gpus,seed,fastpath", [(2, 5, True), (4, 2, True), (2, 7, False)]
+    )
+    def test_checkpoint_before_restored_gaps_fire(
+        self, tmp_path, monkeypatch, num_gpus, seed, fastpath
+    ):
+        base = _run_plain(num_gpus, seed, fastpath_enabled=fastpath)
+        config = SystemConfig(num_gpus=num_gpus, fastpath_enabled=fastpath)
+        MultiGPUSystem(config, seed=seed).run(
+            synth_workload(num_gpus, seed), checkpoint_every=4000,
+            checkpoint_dir=tmp_path / "gen1",
+        )
+        gen1 = sorted(glob.glob(str(tmp_path / "gen1" / "ckpt-*.ckpt")))
+        assert gen1
+        source = snap.load_checkpoint(gen1[len(gen1) // 2])
+
+        # Every 30 cycles is below the smallest compute gap (40); keep
+        # only the first second-generation snapshot.
+        real_snapshot = snap.snapshot_system
+        taken = []
+
+        def first_only(system, workload, exact=True):
+            if taken:
+                raise snap.NotQuiescent("one snapshot is enough")
+            taken.append(system.engine.now)
+            return real_snapshot(system, workload, exact)
+
+        monkeypatch.setattr(snap, "snapshot_system", first_only)
+        _system, restored = snap.resume_run(
+            source, checkpoint_every=30, checkpoint_dir=tmp_path / "gen2"
+        )
+        monkeypatch.undo()
+        assert dataclasses.asdict(restored) == dataclasses.asdict(base)
+        gen2 = glob.glob(str(tmp_path / "gen2" / "ckpt-*.ckpt"))
+        assert len(gen2) == 1
+        last_gap = max(
+            time for time, _seq, kind, _idx in source["calendar"] if kind == "lane"
+        )
+        assert taken[0] < last_gap, "every restored gap entry fired first"
+        _system, again = snap.resume_run(gen2[0])
+        assert dataclasses.asdict(again) == dataclasses.asdict(base)

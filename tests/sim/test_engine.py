@@ -59,6 +59,13 @@ class TestEngineBasics:
         engine.run(until=99)
         assert engine.now == 99
 
+    def test_run_until_never_moves_clock_backwards(self):
+        engine = Engine()
+        engine.schedule(300, lambda: None)
+        assert engine.run(until=150) == 150
+        assert engine.run(until=50) == 150
+        assert engine.now == 150
+
     def test_peek_reports_next_event(self):
         engine = Engine()
         assert engine.peek() is None
@@ -201,6 +208,22 @@ class TestProcess:
         engine.run()
         assert len(done) == 100
 
+    def test_process_at_starts_from_its_calendar_key(self):
+        """``at`` puts the first step on that ``(time, seq)`` key instead
+        of the ready queue; same-cycle entries order by ``seq``."""
+        engine = Engine()
+        log = []
+        engine.schedule(10, log.append, "scheduled")  # key (10, 1)
+
+        def body():
+            log.append(("first step", engine.now))
+            yield 5
+            log.append(("resumed", engine.now))
+
+        engine.process(body(), at=(10, 0))
+        engine.run()
+        assert log == [("first step", 10), "scheduled", ("resumed", 15)]
+
 
 class TestAllOf:
     def test_allof_waits_for_all(self):
@@ -337,3 +360,54 @@ class TestRunBatchUntil:
         # The bounded drain consumes the t=20 event *inside* the t=5
         # callback, so "later" lands first and the clock is already at 20.
         assert seen == ["later", ("inner", 20)]
+
+
+class TestEngineEdgeCases:
+    def test_run_while_running_rejected(self):
+        engine = Engine()
+
+        def reentrant():
+            engine.run()
+            yield 1
+
+        engine.process(reentrant())
+        with pytest.raises(SimulationError):
+            engine.run()
+
+    def test_ready_queue_drains_before_heap(self):
+        engine = Engine()
+        order = []
+        engine.schedule(0, order.append, "zero")
+        engine.schedule(1, order.append, "one")
+        engine.run()
+        assert order == ["zero", "one"]
+
+    def test_zero_delay_cascade_same_cycle(self):
+        engine = Engine()
+        depth = []
+
+        def cascade(n):
+            if n:
+                engine.schedule(0, cascade, n - 1)
+            else:
+                depth.append(engine.now)
+
+        engine.schedule(5, cascade, 50)
+        engine.run()
+        assert depth == [5]
+
+    def test_event_fail_propagates_exception(self):
+        engine = Engine()
+        ev = engine.event()
+        caught = []
+
+        def waiter():
+            try:
+                yield ev
+            except RuntimeError as exc:
+                caught.append(str(exc))
+
+        engine.process(waiter())
+        ev.fail(RuntimeError("boom"))
+        engine.run()
+        assert caught == ["boom"]
