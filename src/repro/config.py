@@ -238,10 +238,13 @@ class FaultConfig:
     All rates are per-message (or per-walk) probabilities drawn from
     seeded RNG streams, so a given (config, workload, seed) triple
     produces the same faults — and the same recovery trace — every run.
-    The profile is **disabled by default** (all rates zero): the hardened
-    retry protocol, watchdog, and auditors only switch on when a fault
-    rate is nonzero or they are explicitly enabled.  The GPU-side race
-    defences do not depend on it: they run in every run.
+    The profile is **disabled by default** (all rates zero).  Every run
+    sends its shootdowns through the same sequence-numbered, acked
+    protocol; a nonzero rate arms the injector, which draws each
+    message's fate and makes each attempt arm a retry timer governed by
+    the knobs below.  The watchdog and auditors switch on with a fault
+    rate or when explicitly enabled.  The GPU-side race defences do not
+    depend on it: they run in every run.
     """
 
     # -- interconnect message perturbation (invalidation + ack packets) --

@@ -134,7 +134,7 @@ def irmb_merge_then_evict(tracer: TraceRecorder) -> None:
 def faulted_invalidation_retry(tracer: TraceRecorder) -> None:
     """Two GPUs under IDYLL with message faults: a hot page ping-pongs
     between the GPUs while the injector drops/delays/duplicates the
-    shootdown traffic, forcing the hardened protocol through timeouts,
+    shootdown traffic, forcing the shootdown protocol through timeouts,
     retries, and duplicate-suppression — and still completing with a
     clean quiesce audit."""
     hot = _BASE_VPN

@@ -5,7 +5,7 @@ This package is the simulator's adversary: it perturbs the interconnect
 messages), stalls GMMU walkers, and forces IRMB overflow pressure — all
 from seeded RNG streams so every faulted run is exactly reproducible.
 The :mod:`repro.faults.auditor` cross-checks directory state against
-actual TLB/page-table/IRMB residency so any fault the hardened protocol
+actual TLB/page-table/IRMB residency so any fault the shootdown protocol
 fails to mask is caught immediately rather than surfacing as a silently
 wrong result.  See DESIGN.md §6.
 

@@ -2,7 +2,7 @@
 
 The auditors cross-check the *claimed* state (directory bits, host page
 table) against the *actual* state (TLB contents, GPU-local page tables,
-IRMB residency) so that any fault the hardened protocol fails to mask is
+IRMB residency) so that any fault the shootdown protocol fails to mask is
 caught as a loud, diagnosable abort instead of a silently wrong result.
 
 Checked invariants:
@@ -17,9 +17,9 @@ Checked invariants:
    resolves to the same frame the host page table currently maps.
 
 Each check tolerates the protocol's legitimate transient windows: pages
-gated mid-migration, invalidations in flight (tracked by the driver's
-:class:`~repro.uvm.protocol.InvalidationTracker` or fast-path ledger),
-invalidations buffered lazily in the IRMB, read replicas, the driver's
+gated mid-migration, invalidations in flight (the driver's
+:class:`~repro.uvm.protocol.InvalidationTracker`), invalidations
+buffered lazily in the IRMB, read replicas, the driver's
 explicitly counted stale-reply acceptances, and a stale local PTE (never
 a TLB entry) while the GPU's L2 TLB MSHR holds its page.
 """
@@ -59,10 +59,7 @@ def _excuse(system, gpu_id: int, vpn: int, lazy_pending) -> Optional[str]:
     driver = system.driver
     if vpn in driver._gates:
         return "migration in flight"
-    tracker = getattr(driver, "tracker", None)
-    if tracker is not None and tracker.is_pending_pair(gpu_id, vpn):
-        return "invalidation pending (tracked)"
-    if (gpu_id, vpn) in driver._inflight_invals:
+    if driver.tracker.is_pending_pair(gpu_id, vpn):
         return "invalidation in flight"
     if vpn in lazy_pending:
         return "invalidation buffered in IRMB"
@@ -206,11 +203,7 @@ def protocol_dump(system, violations: Optional[List[str]] = None) -> str:
     if violations:
         lines.append("violations:")
         lines.extend(f"  {v}" for v in violations)
-    tracker = getattr(driver, "tracker", None)
-    if tracker is not None:
-        lines.append(tracker.dump())
-    if driver._inflight_invals:
-        lines.append(f"fast-path invalidations in flight: {len(driver._inflight_invals)}")
+    lines.append(driver.tracker.dump())
     gates = sorted(driver._gates)
     lines.append(
         "migration gates closed: "

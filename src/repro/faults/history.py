@@ -5,7 +5,7 @@ remote-marker mapping that outlives a migration under heavy uniform
 drop/duplicate/reorder) needs exactly one diagnostic: *the full message
 history of the first audit-violating VPN* — every mapping update,
 invalidation, ack, retry, and fault-layer event that touched the page,
-with the hardened protocol's sequence numbers, in engine order.
+with the shootdown protocol's sequence numbers, in engine order.
 
 :class:`ProtocolHistory` is a :class:`~repro.sim.trace.TraceRecorder`
 that additionally indexes protocol-relevant records by VPN into bounded

@@ -348,10 +348,7 @@ class ChaosController:
 
     def _recovered(self) -> bool:
         driver = self.system.driver
-        tracker = driver.tracker
-        if tracker is not None and tracker.has_pending():
-            return False
-        return not (driver._gates or driver._migrating or driver._inflight_invals)
+        return not (driver._gates or driver._migrating or driver.tracker.has_pending())
 
     # -- the wake loop ------------------------------------------------------
 

@@ -73,9 +73,6 @@ class GPU:
         #: fault injector (None in unfaulted runs); only its IRMB-pressure
         #: hook reaches the GPU, every race defence runs regardless.
         self.injector = injector
-        #: sequence numbers of hardened invalidations already processed,
-        #: so duplicated/retried requests are re-acked idempotently.
-        self._seen_inval_seqs: set = set()
         #: per-VPN invalidation epoch; lets an in-flight mapping install
         #: detect that a shootdown overtook its UPDATE walk.
         self._inval_epoch: dict = {}
@@ -182,22 +179,23 @@ class GPU:
     # Shootdown handling (driver-facing)
     # ------------------------------------------------------------------
 
-    def receive_invalidation(self, vpn: int, dst: int, seq: Optional[int] = None) -> Event:
+    def receive_invalidation(self, vpn: int, dst: int, pending=None) -> Event:
         """Handle one incoming PTE invalidation request; the returned
         event is the GPU's acknowledgement.
 
-        ``seq`` identifies the logical message under the hardened
-        protocol: a retry or duplicated packet carrying a sequence number
-        this GPU has already processed is *not* re-applied — it is
-        re-acked immediately, making delivery idempotent.
+        ``pending`` is the driver's in-flight record of the invalidation
+        (:class:`~repro.uvm.protocol.PendingInvalidation`): a retry or
+        duplicated packet of a record this GPU has already received is
+        *not* re-applied — it is re-acked immediately, making delivery
+        idempotent.
         """
-        if seq is not None:
-            if seq in self._seen_inval_seqs:
+        if pending is not None:
+            if pending.received:
                 self.stats.counter("inval_received.duplicate").add()
                 if self._tracer.enabled:
-                    self._tracer.emit("inval.dedup", self.name, vpn, iseq=seq)
+                    self._tracer.emit("inval.dedup", self.name, vpn, iseq=pending.seq)
                 return self.engine.event().succeed()
-            self._seen_inval_seqs.add(seq)
+            pending.received = True
         self._begin_invalidation(vpn)
         if self.transfw is not None:
             # Learn where the page is heading: future faults can forward.
@@ -309,7 +307,6 @@ class GPU:
     def snapshot(self) -> dict:
         """Aggregate plain-data state at a quiescent instant."""
         state = {
-            "seen_inval_seqs": sorted(self._seen_inval_seqs),
             "inval_epoch": dict(self._inval_epoch),
             "page_table": self.page_table.snapshot(),
             "memory": self.memory.snapshot(),
@@ -331,8 +328,6 @@ class GPU:
         return state
 
     def restore(self, state: dict) -> None:
-        self._seen_inval_seqs.clear()
-        self._seen_inval_seqs.update(state["seen_inval_seqs"])
         self._inval_epoch.clear()
         self._inval_epoch.update(state["inval_epoch"])
         self.page_table.restore(state["page_table"])

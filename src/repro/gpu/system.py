@@ -195,10 +195,8 @@ class MultiGPUSystem:
         self._master_proc = self.engine.process(master())
 
     def still_active(self) -> bool:
-        if not self._master_done:
-            return True
-        tracker = self.driver.tracker
-        return tracker is not None and tracker.has_pending()
+        """Lanes still running, or invalidations still unacked."""
+        return not self._master_done or self.driver.tracker.has_pending()
 
     def _spawn_supervisors(self, at=None, watchdog: bool = True,
                            audit: bool = True, chaos: bool = True) -> None:
@@ -221,11 +219,7 @@ class MultiGPUSystem:
                 stall_window=faults.watchdog_stall_window,
                 progress_fn=self._progress_metric,
                 dump_fn=lambda: protocol_dump(self),
-                deadline_fn=(
-                    (lambda: tracker.deadline_violation(faults.ack_deadline))
-                    if tracker is not None
-                    else None
-                ),
+                deadline_fn=lambda: tracker.deadline_violation(faults.ack_deadline),
                 active_fn=self.still_active,
                 at=at.get("watchdog"),
             )

@@ -46,7 +46,6 @@ class _FastTransfer(Event):
         self.engine = engine
         self._callbacks = []
         self._value = None
-        self._ok = True
         self._triggered = False
         self.link = link
         self.num_bytes = num_bytes

@@ -4,9 +4,9 @@ The engine is a classic event-calendar simulator: a binary heap of
 ``(time, sequence, callback)`` entries drained in timestamp order.  On top
 of the calendar we provide a small coroutine layer (:class:`Process`)
 modelled after SimPy: simulation logic is written as Python generators
-that ``yield`` waitable objects (:class:`Timeout`, :class:`Event`, other
-processes, or :class:`AllOf` compositions) and are resumed by the engine
-when the waited-on condition completes.
+that ``yield`` an int delay or a waitable object (an :class:`Event`,
+another process, or an :class:`AllOf` composition) and are resumed by
+the engine when the waited-on condition completes.
 
 Timestamps are integers (cycles).  All scheduling is deterministic: events
 scheduled for the same cycle fire in scheduling order, which makes every
@@ -29,10 +29,8 @@ _heappop = heapq.heappop
 __all__ = [
     "Engine",
     "Event",
-    "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "SimulationError",
     "SimulationAbort",
     "WatchdogError",
@@ -64,7 +62,7 @@ class Engine:
     """The event calendar and simulation clock."""
 
     __slots__ = (
-        "_now", "_heap", "_ready", "_seq", "_running", "_dead", "batcher",
+        "_now", "_heap", "_ready", "_seq", "_running", "batcher",
         "batch_mode", "tracer",
     )
 
@@ -75,9 +73,6 @@ class Engine:
         self._ready: deque = deque()
         self._seq = 0
         self._running = False
-        #: cancelled Timeout entries still sitting in the heap; compacted
-        #: away once they outnumber the live entries.
-        self._dead = 0
         #: optional batched-replay hook (see repro.gpu.fastpath): consulted
         #: by the unbounded drain loop whenever the ready queue is empty,
         #: before the next heap pop.  Returns True when it made progress.
@@ -135,10 +130,6 @@ class Engine:
     def event(self) -> "Event":
         """Create a fresh one-shot event bound to this engine."""
         return Event(self)
-
-    def timeout(self, delay: int, value: Any = None) -> "Timeout":
-        """Create an event that fires ``delay`` cycles from now."""
-        return Timeout(self, delay, value)
 
     def process(self, generator: Generator,
                 at: Optional[Tuple[int, int]] = None) -> "Process":
@@ -230,9 +221,9 @@ class Engine:
 
         This is the bounded :meth:`run` and the commit step of the
         batched fast path, whose events here are all benign by the
-        batcher's construction (parked-lane window releases and cancelled
-        timeouts).  Re-entrant from inside a running drain, unlike
-        :meth:`run`."""
+        batcher's construction (parked-lane window releases, and retry
+        timers of acked invalidations, which return at once).
+        Re-entrant from inside a running drain, unlike :meth:`run`."""
         ready = self._ready
         popleft = ready.popleft
         heap = self._heap
@@ -250,45 +241,16 @@ class Engine:
             self._now = until
         return self._now
 
-    def peek(self) -> Optional[int]:
-        """Timestamp of the next pending event, or None if idle."""
-        if self._ready:
-            return self._now
-        return self._heap[0][0] if self._heap else None
-
-    def _note_cancelled(self) -> None:
-        """A heap-resident Timeout was cancelled; compact once dead
-        entries outnumber live ones (heavy retry-deadline load otherwise
-        makes every push/pop pay log-time for corpses)."""
-        self._dead += 1
-        if self._dead * 2 > len(self._heap):
-            self._compact_heap()
-
-    def _compact_heap(self) -> None:
-        """Drop cancelled-Timeout entries and re-heapify.  Entry order is
-        unaffected: survivors keep their ``(time, seq)`` keys."""
-        heap = self._heap
-        live = []
-        for entry in heap:
-            owner = getattr(entry[2], "__self__", None)
-            if owner is not None and owner.__class__ is Timeout and owner._cancelled:
-                continue
-            live.append(entry)
-        heap[:] = live
-        heapq.heapify(heap)
-        self._dead = 0
-
 
 class Event:
     """One-shot event: processes may wait on it; it succeeds at most once."""
 
-    __slots__ = ("engine", "_callbacks", "_value", "_ok", "_triggered")
+    __slots__ = ("engine", "_callbacks", "_value", "_triggered")
 
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
         self._callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = None
-        self._ok = True
         self._triggered = False
 
     @property
@@ -317,21 +279,6 @@ class Event:
                 append((cb, args))
         return self
 
-    def fail(self, exc: BaseException) -> "Event":
-        """Fire the event with an exception; waiters see it raised."""
-        if self._triggered:
-            raise SimulationError("event already triggered")
-        self._triggered = True
-        self._value = exc
-        self._ok = False
-        callbacks, self._callbacks = self._callbacks, None
-        if callbacks:
-            append = self.engine._ready.append
-            args = (self,)
-            for cb in callbacks:
-                append((cb, args))
-        return self
-
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
         """Invoke ``cb(event)`` when the event fires (immediately if fired)."""
         callbacks = self._callbacks
@@ -339,48 +286,6 @@ class Event:
             self.engine._ready.append((cb, (self,)))
         else:
             callbacks.append(cb)
-
-
-class Timeout(Event):
-    """An event that fires a fixed delay after its creation (unless
-    cancelled first — a cancelled Timeout never fires and its calendar
-    entry is reclaimed lazily or by heap compaction)."""
-
-    __slots__ = ("delay", "_cancelled")
-
-    def __init__(self, engine: Engine, delay: int, value: Any = None) -> None:
-        # Flattened Event.__init__ plus an inlined schedule: Timeouts are
-        # created once per modelled latency hop, so the constructor is hot.
-        self.engine = engine
-        self._callbacks = []
-        self._value = None
-        self._ok = True
-        self._triggered = False
-        self.delay = delay
-        self._cancelled = False
-        if delay > 0:
-            engine._seq += 1
-            _heappush(engine._heap, (engine._now + delay, engine._seq, self._fire, (value,)))
-        else:
-            engine.schedule(delay, self._fire, value)
-
-    def cancel(self) -> None:
-        """Disarm the timeout: it will never succeed.  Safe to call more
-        than once or after the timeout fired (both are no-ops)."""
-        if self._triggered or self._cancelled:
-            return
-        self._cancelled = True
-        if self.delay > 0:
-            self.engine._note_cancelled()
-
-    def _fire(self, value: Any) -> None:
-        if self._cancelled:
-            # The lazily-reclaimed case: the dead entry drained naturally
-            # before compaction got to it.
-            if self.delay > 0 and self.engine._dead:
-                self.engine._dead -= 1
-            return
-        self.succeed(value)
 
 
 class AllOf(Event):
@@ -402,31 +307,6 @@ class AllOf(Event):
         self._pending -= 1
         if self._pending == 0 and not self._triggered:
             self.succeed([c.value for c in self._children])
-
-
-class AnyOf(Event):
-    """Fires as soon as the first child event fires; value is that
-    child's value.  Later children firing are ignored (their callbacks
-    find the composition already triggered).  Losing children that are
-    plain Timeouts are cancelled so their calendar entries can be
-    reclaimed — the retry/timeout idiom (`AnyOf([ack, deadline])`)
-    otherwise strews dead deadlines through the heap."""
-
-    __slots__ = ("_children",)
-
-    def __init__(self, engine: Engine, events: Iterable[Event]) -> None:
-        super().__init__(engine)
-        self._children = list(events)
-        for ev in self._children:
-            ev.add_callback(self._child_done)
-
-    def _child_done(self, ev: Event) -> None:
-        if not self._triggered:
-            self.succeed(ev.value)
-            for child in self._children:
-                if child is not ev and child.__class__ is Timeout and not child._triggered:
-                    child.cancel()
-            self._children = ()
 
 
 class LivenessWatchdog:
@@ -542,33 +422,25 @@ class Process(Event):
         self.engine = engine
         self._callbacks = []
         self._value = None
-        self._ok = True
         self._triggered = False
         self._gen = generator
         self._waiting_on: Optional[Event] = None
         if at is None:
-            engine._ready.append((self._resume, (None, None)))
+            engine._ready.append((self._resume, (None,)))
         else:
-            _heappush(engine._heap, (at[0], at[1], self._resume, (None, None)))
+            _heappush(engine._heap, (at[0], at[1], self._resume, (None,)))
 
     def _on_wait_done(self, ev: Event) -> None:
         self._waiting_on = None
-        if ev._ok:
-            self._resume(ev.value, None)
-        else:
-            self._resume(None, ev.value)
+        self._resume(ev._value)
 
-    def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
+    def _resume(self, value: Any) -> None:
         if self._triggered:
             return
         gen_send = self._gen.send
         while True:
             try:
-                if exc is not None:
-                    target = self._gen.throw(exc)
-                    exc = None
-                else:
-                    target = gen_send(value)
+                target = gen_send(value)
             except StopIteration as stop:
                 self.succeed(stop.value)
                 return
@@ -579,19 +451,19 @@ class Process(Event):
                     engine._seq += 1
                     _heappush(
                         engine._heap,
-                        (engine._now + target, engine._seq, self._resume, (None, None)),
+                        (engine._now + target, engine._seq, self._resume, (None,)),
                     )
                     return
                 if target == 0:
                     value = None
                     continue
                 # Negative delay: delegate for the canonical error.
-                self.engine.schedule(target, self._resume, None, None)
+                self.engine.schedule(target, self._resume, None)
                 return
             if not isinstance(target, Event):
                 raise SimulationError(
                     f"process yielded non-waitable {target!r}; yield an int delay, "
-                    "Event, Timeout, or Process"
+                    "Event, or Process"
                 )
             self._waiting_on = target
             target.add_callback(self._on_wait_done)

@@ -5,16 +5,16 @@ These mirror the queueing structures found in the modelled hardware:
 * :class:`Resource` — a counted server pool (host page-table walkers,
   fault-batch service slots, a lane's in-flight window).  Requests
   queue FIFO.
-* :class:`Store` — an unbounded or bounded FIFO of items (the driver's
-  fault queue).
-* :class:`Gate` — a reusable open/close barrier (pages blocked during
-  migration).
+* :class:`Store` — an unbounded FIFO of items (the driver's fault
+  queue).
+* :class:`Gate` — a barrier that holds waiters until it opens (pages
+  blocked during migration).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from .engine import Engine, Event, SimulationError
 
@@ -68,74 +68,44 @@ class Resource:
 
 
 class Store:
-    """A FIFO of items; ``get`` waits for an item, ``put`` may wait for room."""
+    """An unbounded FIFO of items; ``get`` waits for an item."""
 
-    __slots__ = ("engine", "capacity", "_items", "_getters", "_putters")
+    __slots__ = ("engine", "_items", "_getters")
 
-    def __init__(self, engine: Engine, capacity: Optional[int] = None) -> None:
+    def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self.capacity = capacity
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
-
-    def put(self, item: Any) -> Event:
-        """Returns an event that fires once the item is accepted."""
-        ev = Event(self.engine)
+    def try_put(self, item: Any) -> None:
+        """Add ``item``, handing it straight to the oldest waiting getter
+        if there is one; never blocks."""
         if self._getters:
             self._getters.popleft().succeed(item)
-            ev.succeed()
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            ev.succeed()
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False when the store is full."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            return True
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            return False
+            return
         self._items.append(item)
-        return True
 
     def try_get(self) -> tuple:
         """Non-blocking get; returns ``(True, item)`` or ``(False, None)``."""
         if not self._items:
             return (False, None)
-        item = self._items.popleft()
-        if self._putters:
-            put_ev, queued = self._putters.popleft()
-            self._items.append(queued)
-            put_ev.succeed()
-        return (True, item)
+        return (True, self._items.popleft())
 
     def get(self) -> Event:
         """Returns an event that fires with the next item."""
         ev = Event(self.engine)
         if self._items:
             ev.succeed(self._items.popleft())
-            if self._putters:
-                put_ev, item = self._putters.popleft()
-                self._items.append(item)
-                put_ev.succeed()
         else:
             self._getters.append(ev)
         return ev
 
 
 class Gate:
-    """A reusable barrier: when closed, waiters block until re-opened."""
+    """A barrier: while closed, waiters block until it opens."""
 
     __slots__ = ("engine", "_open", "_waiters")
 
@@ -147,9 +117,6 @@ class Gate:
     @property
     def is_open(self) -> bool:
         return self._open
-
-    def close(self) -> None:
-        self._open = False
 
     def open(self) -> None:
         """Open the gate and release every waiter at the current time."""

@@ -8,7 +8,8 @@ at which every pending calendar entry is one of a small set of
 * a trace lane blocked in a compute gap (its own timed resume),
 * a window-slot release for an in-flight fast access,
 * the liveness watchdog's or invariant auditor's next periodic tick,
-* a cancelled-timeout corpse (droppable),
+* the retry timer of an invalidation already acked (droppable: it
+  returns at once when it fires),
 * the checkpoint controller's own next tick (respawned on restore).
 
 Everything else — a page walk, a migration, an invalidation exchange, a
@@ -56,7 +57,8 @@ import struct
 import tempfile
 from typing import Dict, List, Optional, Tuple
 
-from .engine import Process, Timeout
+from ..uvm.driver import _Invalidation
+from .engine import Process
 from .process import Resource
 from .trace import TraceRecorder
 
@@ -72,7 +74,10 @@ __all__ = [
 ]
 
 FORMAT_MAGIC = b"RCKP"
-FORMAT_VERSION = 2  # 2: TraceBuffer no longer pickles a numpy column cache
+#: 2: TraceBuffer no longer pickles a numpy column cache.
+#: 3: every payload carries the driver's invalidation tracker, and GPUs
+#: no longer carry the sequence numbers of invalidations they received.
+FORMAT_VERSION = 3
 _HEADER = struct.Struct("<4sIQ")  # magic, version, payload length
 _DIGEST_LEN = 32
 
@@ -102,13 +107,10 @@ def _gauge_block(system) -> Optional[str]:
         return "migration gates closed"
     if driver._migrating:
         return "migrations in flight"
-    if driver._inflight_invals:
+    if driver.tracker.has_pending():
         return "invalidations in flight"
     if len(driver.fault_queue):
         return "fault queue not empty"
-    tracker = driver.tracker
-    if tracker is not None and tracker.has_pending():
-        return "tracked invalidations pending"
     for res in (driver.host_walkers, driver._batch_slots):
         if res._in_use or res._waiters:
             return "host walker/batch slots busy"
@@ -156,10 +158,10 @@ def _classify_calendar(system) -> Tuple[List[tuple], Dict[int, List[int]]]:
         if owner is None:
             raise NotQuiescent(f"unclassifiable calendar entry {fn!r}")
         cls = owner.__class__
-        if cls is Timeout:
-            if owner._cancelled:
-                continue  # corpse: never fires, safe to drop
-            raise NotQuiescent("live timeout in flight")
+        if cls is _Invalidation:
+            if owner.done.triggered:
+                continue  # an acked invalidation's retry timer: a no-op
+            raise NotQuiescent("invalidation retry timer live")
         if cls is Process:
             idx = proc_index.get(id(owner))
             if idx is not None:
@@ -270,16 +272,13 @@ def _clear_transients(system) -> None:
     driver = system.driver
     driver._gates.clear()
     driver._migrating.clear()
-    driver._inflight_invals.clear()
     driver._inflight_faults = 0
     while len(driver.fault_queue):
         ok, _item = driver.fault_queue.try_get()
         if not ok:
             break
-    tracker = driver.tracker
-    if tracker is not None:
-        tracker._pending.clear()
-        tracker._pending_pairs.clear()
+    driver.tracker._pending.clear()
+    driver.tracker._pending_pairs.clear()
     for res in (driver.host_walkers, driver._batch_slots):
         res._in_use = 0
         res._waiters.clear()
@@ -468,7 +467,6 @@ def restore_system(payload: dict, override_config=None, tracer=None):
         else:
             raise CheckpointError(f"unknown calendar symbol {kind!r}")
     engine._heap[:] = heap
-    engine._dead = 0
     engine._seq = payload["seq"]
 
     alive: List[Process] = []

@@ -24,18 +24,19 @@ from ..config import (
 )
 from ..core.directory import InPTEDirectory
 from ..core.inmem import VMTableDirectory
+from ..faults.injector import CLEAN_PLAN
 from ..interconnect.link import CONTROL_MESSAGE_BYTES
 from ..interconnect.topology import Interconnect
 from ..memory import pte as pte_bits
 from ..memory.address import AddressLayout
 from ..memory.page_table import PageTable
 from ..memory.physmem import PhysicalMemory
-from ..sim.engine import AllOf, AnyOf, Engine, Event
+from ..sim.engine import AllOf, Engine, Event
 from ..sim.process import Gate, Resource, Store
 from ..sim.stats import StatsGroup
 from .fault import FarFault
 from .migration import AccessCounters
-from .protocol import InvalidationTracker, PendingInvalidation
+from .protocol import InvalidationTracker
 from .replication import ReplicaDirectory
 
 __all__ = ["UVMDriver"]
@@ -66,17 +67,14 @@ class UVMDriver:
         self.name = "uvm"
         self.stats = StatsGroup("uvm")
         self._tracer = engine.tracer
-        #: fault injector; non-None switches shootdowns to the hardened
-        #: sequence-numbered retry/timeout protocol.
+        #: fault injector (None in unfaulted runs): it draws the fate of
+        #: every invalidation request and ack, and its presence arms each
+        #: attempt's retry timer.
         self.injector = injector
-        self.tracker: Optional[InvalidationTracker] = (
-            InvalidationTracker(engine, config.faults, stats=self.stats, tracer=engine.tracer)
-            if injector is not None
-            else None
+        #: the in-flight invalidation ledger: one record per shootdown.
+        self.tracker = InvalidationTracker(
+            engine, config.faults, stats=self.stats, tracer=engine.tracer
         )
-        #: fast-path ledger of in-flight invalidations, (gpu, vpn) → count
-        #: (the hardened path tracks these in ``self.tracker`` instead).
-        self._inflight_invals: Dict[tuple, int] = {}
         #: (gpu, vpn) pairs whose stale fault reply was deliberately
         #: accepted after MAX_REPLY_RETRIES — the auditor excuses these.
         self._stale_accepted: Set[tuple] = set()
@@ -280,7 +278,7 @@ class UVMDriver:
             # Must wait for the host walk to learn the access bits (§6.2).
             holders = yield host_walk
             targets = list(holders or [])
-            if self.tracker is not None and self.tracker.suspects:
+            if self.tracker.suspects:
                 # Graceful degradation: a GPU whose directory state is
                 # suspect (repeated ack timeouts) is shot down whether or
                 # not the directory filter names it, until it recovers.
@@ -346,126 +344,8 @@ class UVMDriver:
 
     def _spawn_invalidation(self, gpu_id: int, vpn: int, dst: int) -> Event:
         """Launch one logical invalidation of ``vpn`` at ``gpu_id``; the
-        returned event fires when the driver holds a (surviving) ack.
-
-        Without fault injection this is the original fire-once round
-        trip (:class:`_Invalidation`) plus a pure-bookkeeping ledger
-        entry so the invariant auditor can see the in-flight window.
-        With faults enabled, every invalidation goes through the
-        sequence-numbered retry/timeout protocol instead.
-        """
-        if self.tracker is not None:
-            pending = self.tracker.begin(gpu_id, vpn)
-            self.gpus[gpu_id].driver_busy += 1
-            return self.engine.process(self._send_invalidation_hardened_tracked(pending, dst))
-        key = (gpu_id, vpn)
-        self._inflight_invals[key] = self._inflight_invals.get(key, 0) + 1
-        self.gpus[gpu_id].driver_busy += 1
+        returned event fires when the driver holds a (surviving) ack."""
         return _Invalidation(self, gpu_id, vpn, dst).done
-
-    # ------------------------------------------------------------------
-    # Hardened invalidation (fault injection active)
-    # ------------------------------------------------------------------
-
-    def _send_invalidation_hardened_tracked(self, pending: PendingInvalidation, dst: int):
-        # Same driver_busy discipline as the unhardened path, so the
-        # batched fast path never unparks a GPU with a hardened
-        # invalidation in flight.  An abandoned invalidation blocks
-        # forever inside the loop, pinning the gauge up — conservative,
-        # and moot anyway once the watchdog converts it into an abort.
-        try:
-            yield from self._send_invalidation_hardened(pending, dst)
-        finally:
-            self.gpus[pending.gpu_id].driver_busy -= 1
-
-    def _send_invalidation_hardened(self, pending: PendingInvalidation, dst: int):
-        """Sequence-numbered invalidation with timeout + bounded
-        exponential-backoff retry.  Terminates in one of two ways:
-
-        * an ack (from any attempt, however delayed or duplicated)
-          arrives → done;
-        * ``max_retries`` retries all time out → the GPU is marked
-          suspect and the invalidation is abandoned *unacked*; the
-          process then blocks forever, stalling the owning migration so
-          the liveness watchdog converts the loss into a diagnosed
-          abort rather than letting a possibly-stale GPU proceed.
-        """
-        cfg = self.config.faults
-        gpu_id, vpn = pending.gpu_id, pending.vpn
-        self.stats.counter("invalidations_sent").add()
-        if self._tracer.enabled:
-            self._tracer.emit("inval.send", self.name, vpn, gpu=gpu_id, iseq=pending.seq)
-        for attempt in range(cfg.max_retries + 1):
-            pending.attempts = attempt
-            if attempt > 0:
-                self.stats.counter("inval_retries").add()
-                self.tracker.note_retry(gpu_id)
-                if self._tracer.enabled:
-                    self._tracer.emit(
-                        "inval.retry", self.name, vpn,
-                        gpu=gpu_id, iseq=pending.seq, attempt=attempt,
-                    )
-            self.engine.process(self._invalidation_attempt(pending, dst))
-            deadline = self.engine.timeout(cfg.retry_timeout(attempt))
-            yield AnyOf(self.engine, [pending.acked, deadline])
-            if pending.acked.triggered:
-                if self._tracer.enabled:
-                    self._tracer.emit(
-                        "inval.ack", self.name, vpn,
-                        gpu=gpu_id, iseq=pending.seq, attempt=attempt,
-                    )
-                return
-            self.stats.counter("inval_timeouts").add()
-            if self._tracer.enabled:
-                self._tracer.emit(
-                    "inval.timeout", self.name, vpn,
-                    gpu=gpu_id, iseq=pending.seq, attempt=attempt,
-                )
-        self.tracker.abandon(pending)
-        self.stats.counter("inval_abandoned").add()
-        if self._tracer.enabled:
-            self._tracer.emit("inval.abandon", self.name, vpn, gpu=gpu_id, iseq=pending.seq)
-        # Block forever: completing the migration without this ack could
-        # leave gpu_id serving a stale translation.  The watchdog's ack
-        # deadline (or stall window) turns this into a diagnosed abort.
-        yield pending.acked
-
-    def _invalidation_attempt(self, pending: PendingInvalidation, dst: int):
-        """One request/ack round trip, each leg subject to the injector's
-        drop / delay / duplicate / reorder plan."""
-        req_link = f"pcie{pending.gpu_id}.down"
-        plan = self.injector.message_plan("inval_req", link=req_link)
-        if plan.duplicate:
-            copy = self.injector.message_plan("inval_req_copy", link=req_link)
-            self.engine.process(self._invalidation_delivery(pending, dst, copy))
-        yield from self._invalidation_delivery(pending, dst, plan)
-
-    def _invalidation_delivery(self, pending: PendingInvalidation, dst: int, plan):
-        """Deliver one copy of the request packet and carry its ack home."""
-        gpu_id, vpn = pending.gpu_id, pending.vpn
-        if not plan.clean and self._tracer.enabled:
-            self._tracer.emit(
-                "fault.inject", self.name, vpn,
-                gpu=gpu_id, iseq=pending.seq, leg="req", kinds=",".join(plan.kinds),
-            )
-        if plan.drop:
-            return
-        yield self.interconnect.host_to_gpu(gpu_id, CONTROL_MESSAGE_BYTES, plan.delay)
-        ack = self.gpus[gpu_id].receive_invalidation(vpn, dst, seq=pending.seq)
-        yield ack
-        ack_plan = self.injector.message_plan("inval_ack", link=f"pcie{gpu_id}.up")
-        if not ack_plan.clean and self._tracer.enabled:
-            self._tracer.emit(
-                "fault.inject", self.name, vpn,
-                gpu=gpu_id, iseq=pending.seq, leg="ack", kinds=",".join(ack_plan.kinds),
-            )
-        if ack_plan.drop:
-            return
-        yield self.interconnect.gpu_to_host(gpu_id, CONTROL_MESSAGE_BYTES, ack_plan.delay)
-        self.tracker.deliver_ack(pending)
-        if ack_plan.duplicate:
-            yield self.interconnect.gpu_to_host(gpu_id, CONTROL_MESSAGE_BYTES)
-            self.tracker.deliver_ack(pending)
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -478,9 +358,8 @@ class UVMDriver:
             self._inflight_faults
             or self._gates
             or self._migrating
-            or self._inflight_invals
             or len(self.fault_queue)
-            or (self.tracker is not None and self.tracker.has_pending())
+            or self.tracker.has_pending()
         ):
             raise RuntimeError("driver snapshot with episodes in flight")
         state = {
@@ -491,11 +370,10 @@ class UVMDriver:
             "generation": dict(self._generation),
             "pinned": sorted(self._pinned),
             "stats": self.stats.snapshot(),
+            "tracker": self.tracker.snapshot(),
         }
         if self.directory is not None:
             state["directory"] = self.directory.snapshot()
-        if self.tracker is not None:
-            state["tracker"] = self.tracker.snapshot()
         return state
 
     def restore(self, state: dict) -> None:
@@ -511,10 +389,9 @@ class UVMDriver:
         # The tracker shares the driver's StatsGroup, so restoring stats
         # once here covers both.
         self.stats.restore(state["stats"])
+        self.tracker.restore(state["tracker"])
         if self.directory is not None:
             self.directory.restore(state["directory"])
-        if self.tracker is not None:
-            self.tracker.restore(state["tracker"])
 
     # ------------------------------------------------------------------
     # Page replication (§7.4)
@@ -690,46 +567,132 @@ class _FaultResolution:
 
 
 class _Invalidation:
-    """Driver → GPU invalidation round trip without fault injection
-    (§3.3 steps 2-3): request over PCIe, the GPU's ack, the ack home.
-    ``done`` fires once the driver holds the ack; the in-flight ledger
-    and the GPU's ``driver_busy`` gauge drop just before."""
+    """One shootdown round trip (§3.3 steps 2-3): the request over PCIe,
+    the GPU's apply and ack, the ack home.
 
-    __slots__ = ("driver", "gpu_id", "vpn", "dst", "done")
+    Each is one :class:`~repro.uvm.protocol.InvalidationTracker` record:
+    a sequence number, an ack applied idempotently, and the suspect
+    bookkeeping.  ``done`` is the record's ``acked`` event; the GPU's
+    ``driver_busy`` gauge drops just before it fires.
+
+    Without a fault injector every message arrives, so an attempt is one
+    request and one ack.  With one, each request and ack copy draws a
+    message plan (drop, delay, duplicate) and each attempt arms a retry
+    timer.  A timer that finds its invalidation acked returns at once;
+    otherwise the next attempt goes out under a backed-off timeout, and
+    after ``max_retries`` the GPU is marked suspect and the invalidation
+    abandoned unacked: its migration stalls until a late ack arrives or
+    the liveness watchdog turns the loss into a diagnosed abort, rather
+    than letting a possibly-stale GPU proceed.
+    """
+
+    __slots__ = ("driver", "pending", "dst", "done")
 
     def __init__(self, driver: UVMDriver, gpu_id: int, vpn: int, dst: int) -> None:
         self.driver = driver
-        self.gpu_id = gpu_id
-        self.vpn = vpn
         self.dst = dst
-        self.done = Event(driver.engine)
+        pending = self.pending = driver.tracker.begin(gpu_id, vpn)
+        self.done = pending.acked
+        driver.gpus[gpu_id].driver_busy += 1
         driver.stats.counter("invalidations_sent").add()
         if driver._tracer.enabled:
-            driver._tracer.emit("inval.send", driver.name, vpn, gpu=gpu_id)
-        driver.interconnect.host_to_gpu(gpu_id, CONTROL_MESSAGE_BYTES).add_callback(
-            self._delivered
-        )
+            driver._tracer.emit("inval.send", driver.name, vpn, gpu=gpu_id, iseq=pending.seq)
+        self._attempt()
+
+    def _plan(self, tag: str, direction: str):
+        """The fate of one message copy on the target's PCIe link;
+        every copy arrives intact without a fault injector."""
+        injector = self.driver.injector
+        if injector is None:
+            return CLEAN_PLAN
+        return injector.message_plan(tag, link=f"pcie{self.pending.gpu_id}.{direction}")
+
+    def _attempt(self) -> None:
+        driver = self.driver
+        plan = self._plan("inval_req", "down")
+        self._request(plan)
+        if plan.duplicate:
+            self._request(self._plan("inval_req_copy", "down"))
+        if driver.injector is not None:
+            driver.engine.schedule(
+                driver.config.faults.retry_timeout(self.pending.attempts), self._timed_out
+            )
+
+    def _trace_faults(self, plan, leg: str) -> None:
+        if not plan.clean and self.driver._tracer.enabled:
+            pending = self.pending
+            self.driver._tracer.emit(
+                "fault.inject", self.driver.name, pending.vpn,
+                gpu=pending.gpu_id, iseq=pending.seq, leg=leg, kinds=",".join(plan.kinds),
+            )
+
+    def _request(self, plan) -> None:
+        """Send one copy of the request packet."""
+        self._trace_faults(plan, "req")
+        if plan.drop:
+            return
+        self.driver.interconnect.host_to_gpu(
+            self.pending.gpu_id, CONTROL_MESSAGE_BYTES, plan.delay
+        ).add_callback(self._delivered)
 
     def _delivered(self, _ev: Event) -> None:
-        self.driver.gpus[self.gpu_id].receive_invalidation(self.vpn, self.dst).add_callback(
-            self._acked
-        )
+        pending = self.pending
+        self.driver.gpus[pending.gpu_id].receive_invalidation(
+            pending.vpn, self.dst, pending
+        ).add_callback(self._acked)
 
     def _acked(self, _ev: Event) -> None:
-        self.driver.interconnect.gpu_to_host(self.gpu_id, CONTROL_MESSAGE_BYTES).add_callback(
+        """The GPU acked one request copy: carry the ack home."""
+        plan = self._plan("inval_ack", "up")
+        self._trace_faults(plan, "ack")
+        if plan.drop:
+            return
+        interconnect = self.driver.interconnect
+        gpu_id = self.pending.gpu_id
+        interconnect.gpu_to_host(gpu_id, CONTROL_MESSAGE_BYTES, plan.delay).add_callback(
             self._ack_home
         )
+        if plan.duplicate:
+            interconnect.gpu_to_host(gpu_id, CONTROL_MESSAGE_BYTES).add_callback(self._ack_home)
 
     def _ack_home(self, _ev: Event) -> None:
         driver = self.driver
-        gpu_id, vpn = self.gpu_id, self.vpn
-        if driver._tracer.enabled:
-            driver._tracer.emit("inval.ack", driver.name, vpn, gpu=gpu_id)
-        driver.gpus[gpu_id].driver_busy -= 1
-        key = (gpu_id, vpn)
-        count = driver._inflight_invals.get(key, 0) - 1
-        if count <= 0:
-            driver._inflight_invals.pop(key, None)
-        else:
-            driver._inflight_invals[key] = count
-        self.done.succeed(None)
+        pending = self.pending
+        if not pending.acked.triggered:
+            if driver._tracer.enabled:
+                driver._tracer.emit(
+                    "inval.ack", driver.name, pending.vpn,
+                    gpu=pending.gpu_id, iseq=pending.seq, attempt=pending.attempts,
+                )
+            driver.gpus[pending.gpu_id].driver_busy -= 1
+        driver.tracker.deliver_ack(pending)
+
+    def _timed_out(self) -> None:
+        """The current attempt's retry timer: retry, or give up."""
+        pending = self.pending
+        if pending.acked.triggered:
+            return
+        driver = self.driver
+        tracer = driver._tracer
+        gpu_id, vpn = pending.gpu_id, pending.vpn
+        driver.stats.counter("inval_timeouts").add()
+        if tracer.enabled:
+            tracer.emit(
+                "inval.timeout", driver.name, vpn,
+                gpu=gpu_id, iseq=pending.seq, attempt=pending.attempts,
+            )
+        if pending.attempts == driver.config.faults.max_retries:
+            driver.tracker.abandon(pending)
+            driver.stats.counter("inval_abandoned").add()
+            if tracer.enabled:
+                tracer.emit("inval.abandon", driver.name, vpn, gpu=gpu_id, iseq=pending.seq)
+            return
+        pending.attempts += 1
+        driver.stats.counter("inval_retries").add()
+        driver.tracker.note_retry(gpu_id)
+        if tracer.enabled:
+            tracer.emit(
+                "inval.retry", driver.name, vpn,
+                gpu=gpu_id, iseq=pending.seq, attempt=pending.attempts,
+            )
+        self._attempt()

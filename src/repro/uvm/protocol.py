@@ -1,15 +1,16 @@
-"""Reliable-invalidation bookkeeping for the hardened shootdown protocol.
+"""Bookkeeping for the shootdown round trip: the driver's one in-flight
+invalidation ledger.
 
-Under fault injection the driver can no longer assume an invalidation
-request (or its ack) survives the interconnect.  Every logical
-invalidation therefore gets a sequence number and a
-:class:`PendingInvalidation` record; the :class:`InvalidationTracker`
+Every logical invalidation, in every run, gets a sequence number and a
+:class:`PendingInvalidation` record.  The :class:`InvalidationTracker`
 owns the outstanding set, applies acks idempotently (retries and
 duplicated packets re-ack the same record at most once), tracks the
 hard ack deadline for the watchdog, and manages per-GPU *suspect*
 state: a GPU whose invalidations repeatedly time out is degraded to
 always-invalidate (it is added to every directory-filtered shootdown's
 target set) until it strings together enough clean first-attempt acks.
+Without a fault injector no request or ack is lost, so no record ever
+times out and no GPU turns suspect.
 
 Invalidations are always safe to *apply* — a spurious one merely costs
 a refetch — so the dangerous direction is loss: the tracker exists to
@@ -19,7 +20,7 @@ a stale translation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..config import FaultConfig
 from ..sim.engine import Engine, Event
@@ -32,7 +33,9 @@ __all__ = ["PendingInvalidation", "InvalidationTracker"]
 class PendingInvalidation:
     """One logical invalidation awaiting its acknowledgement."""
 
-    __slots__ = ("seq", "gpu_id", "vpn", "acked", "attempts", "first_sent", "abandoned")
+    __slots__ = (
+        "seq", "gpu_id", "vpn", "acked", "attempts", "first_sent", "abandoned", "received",
+    )
 
     def __init__(self, seq: int, gpu_id: int, vpn: int, acked: Event, now: int) -> None:
         self.seq = seq
@@ -43,6 +46,9 @@ class PendingInvalidation:
         self.attempts = 0
         self.first_sent = now
         self.abandoned = False
+        #: set by the target GPU when the first copy of the request
+        #: arrives; later copies are re-acked without being re-applied.
+        self.received = False
 
 
 class InvalidationTracker:
@@ -162,9 +168,6 @@ class InvalidationTracker:
 
     def is_pending_pair(self, gpu_id: int, vpn: int) -> bool:
         return (gpu_id, vpn) in self._pending_pairs
-
-    def pending_pairs(self) -> Iterable[Tuple[int, int]]:
-        return self._pending_pairs.keys()
 
     def oldest_pending_age(self) -> int:
         if not self._pending:

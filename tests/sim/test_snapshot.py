@@ -90,6 +90,16 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="format version 1"):
             load_checkpoint(path)
 
+    def test_format_2_is_stale(self, tmp_path):
+        # A version-2 file of an unfaulted run has no invalidation
+        # tracker in its driver state and keeps each GPU's received
+        # sequence numbers; the header check must reject it before
+        # restore trips over either.
+        path = tmp_path / "a.ckpt"
+        path.write_bytes(_framed({"version": 2, "now": 0}, 2))
+        with pytest.raises(CheckpointError, match="format version 2"):
+            load_checkpoint(path)
+
     def test_bit_flip_fails_digest(self, tmp_path):
         path = tmp_path / "a.ckpt"
         data = bytearray(dumps_checkpoint(_payload()))
