@@ -14,17 +14,19 @@ Responsibilities:
   it is — still merged in the IRMB, queued for propagation, or already
   in the GMMU — so a stale invalidation can never clobber a fresh PTE.
 
-The controller is fully event-driven: when the IRMB is empty it blocks
-on an insertion event, so a finished simulation drains naturally.
+The controller is a set of callback state machines (DESIGN.md §7.1):
+each propagation batch is a :class:`_Batch`, and the idle-writeback
+loop's states are controller methods.  When the IRMB is empty the loop
+waits for an insertion, so a finished simulation drains naturally.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 
 from ..gmmu.gmmu import GMMU
 from ..gmmu.request import WalkKind, WalkRequest
-from ..sim.engine import AllOf, Engine, Event
+from ..sim.engine import Engine
 from ..sim.stats import StatsGroup
 from .irmb import IRMB
 
@@ -48,7 +50,8 @@ class LazyInvalidationController:
         self.name = name
         self.stats = StatsGroup(name)
         self._tracer = engine.tracer
-        self._nonempty_waiter: Optional[Event] = None
+        #: the idle-writeback loop is waiting for an insertion.
+        self._nonempty_waiter = False
         self._stopped = False
         #: called with the VPN whenever a writeback walk actually applies
         #: (owner GPU hooks this to flush TLB fills that raced with it).
@@ -60,7 +63,8 @@ class LazyInvalidationController:
         #: invalidation walks in flight (submitted to the GMMU), by VPN.
         self._inflight_walks: Dict[int, WalkRequest] = {}
         if idle_writeback:
-            engine.process(self._idle_writeback_loop())
+            # The idle-writeback loop starts from the ready queue.
+            engine.schedule(0, self._writeback)
 
     # -- invalidation arrival ------------------------------------------------
 
@@ -73,9 +77,9 @@ class LazyInvalidationController:
         self.stats.counter("accepted").add()
         if evicted:
             self._queue(evicted)
-        if self._nonempty_waiter is not None:
-            waiter, self._nonempty_waiter = self._nonempty_waiter, None
-            waiter.succeed()
+        if self._nonempty_waiter:
+            self._nonempty_waiter = False
+            self.engine.schedule(0, self._inserted)
 
     # -- new mapping arrival ---------------------------------------------------
 
@@ -149,28 +153,27 @@ class LazyInvalidationController:
 
     # -- propagation -----------------------------------------------------------
 
-    def _queue(self, vpns: List[int], paced: bool = False):
-        """Owe one INVALIDATE walk per VPN; start and return their batch."""
+    def _queue(self, vpns: List[int], paced: bool = False,
+               fn: Optional[Callable[..., None]] = None, args: tuple = ()) -> None:
+        """Owe one INVALIDATE walk per VPN and start their batch from the
+        ready queue; ``fn(*args)``, if given, runs once it is done."""
         queued = self._queued
         for vpn in vpns:
             queued[vpn] = queued.get(vpn, 0) + 1
-        return self.engine.process(self._propagate(vpns, paced))
+        self.engine.schedule(0, _Batch(self, vpns, paced, fn, args).start)
 
-    def _start_walk(self, vpn: int) -> Optional[WalkRequest]:
-        """Submit one INVALIDATE walk unless a fresh mapping cancelled
-        every walk owed for ``vpn`` meanwhile."""
+    def _start_walk(self, batch: "_Batch", vpn: int) -> bool:
+        """Submit one INVALIDATE walk for ``batch`` unless a fresh mapping
+        cancelled every walk owed for ``vpn`` meanwhile."""
         owed = self._queued.pop(vpn, 0)
         if not owed:
             self.stats.counter("skipped_cancelled").add()
-            return None
+            return False
         if owed > 1:
             self._queued[vpn] = owed - 1
-        request = self.gmmu.walk(vpn, WalkKind.INVALIDATE)
-        self._inflight_walks[vpn] = request
-        request.done.add_callback(
-            lambda _ev, vpn=vpn, request=request: self._walk_retired(vpn, request)
-        )
-        return request
+        request = self.gmmu.walk(vpn, WalkKind.INVALIDATE, batch.walked, vpn)
+        self._inflight_walks[vpn] = batch.walks[vpn] = request
+        return True
 
     def _walk_retired(self, vpn: int, request: WalkRequest) -> None:
         if self._inflight_walks.get(vpn) is request:
@@ -178,55 +181,34 @@ class LazyInvalidationController:
         if not request.aborted and self.on_applied is not None:
             self.on_applied(vpn)
 
-    def _propagate(self, vpns: Iterable[int], paced: bool = False):
-        """Batch of INVALIDATE walks for one merged entry.
+    # -- idle writeback: "retire the LRU merged entry whenever the walker
+    # pool drains", one state per wait --------------------------------------
 
-        Capacity evictions submit the whole batch at once (the paper's
-        forced evictions do contend); idle writebacks run *paced* — one
-        walk at a time, yielding the walker back whenever demand work
-        shows up, so they "neither affect demand TLB miss requests nor
-        page migration" (§6.3).
-        """
-        batch: List[int] = list(vpns)
-        self.stats.counter("propagated_vpns").add(len(batch))
-        self.stats.counter("propagated_batches").add()
-        if self._tracer.enabled:
-            self._tracer.emit("lazy.propagate", self.name, count=len(batch), paced=paced)
-        t0 = self.engine.now
-        if paced:
-            for vpn in batch:
-                request = self._start_walk(vpn)
-                if request is None:
-                    continue
-                yield request.done
-                if not self.gmmu.has_available_walker:
-                    yield self.gmmu.wait_idle()
-        else:
-            events = []
-            for vpn in batch:
-                request = self._start_walk(vpn)
-                if request is not None:
-                    events.append(request.done)
-            yield AllOf(self.engine, events)
-        self.stats.latency("batch_latency").record(self.engine.now - t0)
+    def _writeback(self) -> None:
+        if self._stopped:
+            return
+        if self.irmb.is_empty:
+            self._nonempty_waiter = True
+            return
+        self.gmmu.wait_idle(self._walker_idle)
 
-    def _idle_writeback_loop(self):
-        """Retire the LRU merged entry whenever the walker pool drains."""
-        while not self._stopped:
-            if self.irmb.is_empty:
-                self._nonempty_waiter = self.engine.event()
-                yield self._nonempty_waiter
-                if self._stopped:
-                    return
-            yield self.gmmu.wait_idle()
-            if self._stopped:
-                return
-            if self.irmb.is_empty or not self.gmmu.has_available_walker:
-                continue
-            vpns = self.irmb.pop_lru_entry()
-            if vpns:
-                self.stats.counter("idle_writeback_entries").add()
-                yield self._queue(vpns, paced=True)
+    def _inserted(self) -> None:
+        if self._stopped:
+            return
+        self.gmmu.wait_idle(self._walker_idle)
+
+    def _walker_idle(self) -> None:
+        if self._stopped:
+            return
+        if self.irmb.is_empty or not self.gmmu.has_available_walker:
+            self._writeback()
+            return
+        vpns = self.irmb.pop_lru_entry()
+        if vpns:
+            self.stats.counter("idle_writeback_entries").add()
+            self._queue(vpns, paced=True, fn=self._writeback)
+            return
+        self._writeback()
 
     def snapshot(self) -> dict:
         """Stats only: at a quiescent instant nothing is queued for or in
@@ -241,13 +223,89 @@ class LazyInvalidationController:
     def stop(self) -> None:
         """Stop the background writeback loop (end of simulation)."""
         self._stopped = True
-        if self._nonempty_waiter is not None and not self._nonempty_waiter.triggered:
-            waiter, self._nonempty_waiter = self._nonempty_waiter, None
-            waiter.succeed()
+        self._nonempty_waiter = False
 
-    def flush(self):
-        """Force-propagate everything (end-of-run drain); a process body."""
+    def flush(self, fn: Optional[Callable[..., None]] = None, *args: Any) -> None:
+        """Force-propagate everything (end-of-run drain), one merged
+        entry at a time; ``fn(*args)``, if given, runs once it is done."""
         while not self.irmb.is_empty:
             vpns = self.irmb.pop_lru_entry()
             if vpns:
-                yield self._queue(vpns)
+                self._queue(vpns, fn=self.flush, args=(fn,) + args)
+                return
+        if fn is not None:
+            self.engine.tail(fn, *args)
+
+
+class _Batch:
+    """A batch of INVALIDATE walks for one merged entry.
+
+    Capacity evictions submit the whole batch at once (the paper's
+    forced evictions do contend) and count its walks down; idle
+    writebacks run *paced* — one walk at a time, yielding the walker
+    back whenever demand work shows up, so they "neither affect demand
+    TLB miss requests nor page migration" (§6.3).  Each walk's
+    continuation first retires the walk in the controller's books, then
+    advances the batch.
+    """
+
+    __slots__ = ("lazy", "vpns", "paced", "fn", "args", "t0", "walks", "next")
+
+    def __init__(self, lazy: LazyInvalidationController, vpns: Iterable[int],
+                 paced: bool, fn: Optional[Callable[..., None]], args: tuple) -> None:
+        self.lazy = lazy
+        self.vpns: List[int] = list(vpns)
+        self.paced = paced
+        self.fn = fn
+        self.args = args
+        self.t0 = 0
+        #: the batch's walks in flight, by VPN (an entry's VPNs are
+        #: distinct); a capacity eviction is done when it empties.
+        self.walks: Dict[int, WalkRequest] = {}
+        #: index of the next VPN a paced batch walks.
+        self.next = 0
+
+    def start(self) -> None:
+        lazy = self.lazy
+        batch = self.vpns
+        lazy.stats.counter("propagated_vpns").add(len(batch))
+        lazy.stats.counter("propagated_batches").add()
+        if lazy._tracer.enabled:
+            lazy._tracer.emit("lazy.propagate", lazy.name, count=len(batch), paced=self.paced)
+        self.t0 = lazy.engine.now
+        if self.paced:
+            self._walk_next()
+            return
+        for vpn in batch:
+            lazy._start_walk(self, vpn)
+        if not self.walks:
+            lazy.engine.tail(self._done)
+
+    def _walk_next(self) -> None:
+        lazy = self.lazy
+        vpns = self.vpns
+        while self.next < len(vpns):
+            vpn = vpns[self.next]
+            self.next += 1
+            if lazy._start_walk(self, vpn):
+                return
+        self._done()
+
+    def walked(self, vpn: int, _was_valid) -> None:
+        lazy = self.lazy
+        lazy._walk_retired(vpn, self.walks.pop(vpn))
+        if self.paced:
+            gmmu = lazy.gmmu
+            if not gmmu.has_available_walker:
+                gmmu.wait_idle(self._walk_next)
+                return
+            self._walk_next()
+            return
+        if not self.walks:
+            lazy.engine.tail(self._done)
+
+    def _done(self) -> None:
+        lazy = self.lazy
+        lazy.stats.latency("batch_latency").record(lazy.engine.now - self.t0)
+        if self.fn is not None:
+            lazy.engine.tail(self.fn, *self.args)

@@ -125,7 +125,7 @@ def irmb_merge_then_evict(tracer: TraceRecorder) -> None:
         # A probe by a demand miss hits the buffered invalidation.
         lazy.probe(base_b + 7)
         # Drain whatever is still merged.
-        yield engine.process(lazy.flush())
+        engine.schedule(0, lazy.flush)
 
     engine.process(script())
     engine.run()

@@ -11,7 +11,8 @@ measures (§5.2) and IDYLL removes.
 The queue and the thread pool form an analytic FIFO server: a walk
 starts at once when nothing is queued and a thread is free, a retiring
 walk hands its thread straight to the head of the queue, and each walk
-costs one calendar entry, at its completion.  The queue is unbounded:
+costs one calendar entry, at its completion.  The walk's continuation
+runs after its thread has passed on.  The queue is unbounded:
 no submitter ever waits for a slot, so Table 2's 64-entry size bounds
 nothing here and is not modelled.
 """
@@ -19,12 +20,12 @@ nothing here and is not modelled.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Any, Callable, Deque, List, Optional
 
 from ..config import GMMUConfig
 from ..memory.page_table import PageTable
 from ..memory.walk_cache import PageWalkCache
-from ..sim.engine import Engine, Event
+from ..sim.engine import Engine
 from ..sim.stats import StatsGroup
 from .request import WalkKind, WalkRequest
 
@@ -68,7 +69,8 @@ class GMMU:
         self._threads = config.walker_threads
         #: walker threads currently running a walk.
         self._busy = 0
-        self._idle_waiters: List[Event] = []
+        #: continuations ``(fn, args)`` waiting for an available walker.
+        self._idle_waiters: List[tuple] = []
         # Busy-time integrators: cycles during which >=1 invalidation
         # (resp. any) request was in the GMMU, submit-to-done.  Used by
         # the Fig.-1 invalidation-overhead measurement.
@@ -117,13 +119,11 @@ class GMMU:
         else:
             self._queue.append(request)
 
-    def walk(self, vpn: int, kind: WalkKind, word: Optional[int] = None) -> WalkRequest:
-        """Convenience: build, submit, and return a request whose ``done``
-        event fires on completion."""
-        engine = self.engine
-        request = WalkRequest(
-            vpn=vpn, kind=kind, issued_at=engine._now, done=Event(engine), word=word
-        )
+    def walk(self, vpn: int, kind: WalkKind, fn: Callable[..., None], *args: Any,
+             word: Optional[int] = None) -> WalkRequest:
+        """Build and submit a walk whose continuation is ``fn(*args,
+        result)``; returns the request."""
+        request = WalkRequest(vpn, kind, self.engine._now, fn, args, word)
         self.submit(request)
         return request
 
@@ -165,7 +165,7 @@ class GMMU:
             if traced:
                 tracer.emit("walk.abort", self.name, request.vpn, kind=request.kind.value)
             self._account_done(request)
-            request.done.succeed(None)
+            self.engine._ready.append((request.fn, request.args + (None,)))
             return False
 
         cached_level = self.pwc.deepest_cached_level(request.vpn)
@@ -229,8 +229,18 @@ class GMMU:
                 kind=request.kind.value, levels=levels, cycles=total,
             )
         self._account_done(request)
-        request.done.succeed(result)
+        ready = self.engine._ready
+        if ready:
+            # A zero-cycle walk retiring behind other ready work: the
+            # continuation queues behind that work.
+            ready.append((request.fn, request.args + (result,)))
+            self._release()
+            return
+        # The continuation is the next callback to run (Engine.tail), so
+        # it runs last, after the thread has passed on: whatever
+        # ``_release`` queued stays behind it.
         self._release()
+        request.fn(*request.args, result)
 
     def _release(self) -> None:
         """A walk left its thread: hand the thread to the oldest queued
@@ -243,8 +253,7 @@ class GMMU:
         self._busy -= 1
         if self._idle_waiters:
             waiters, self._idle_waiters = self._idle_waiters, []
-            for ev in waiters:
-                ev.succeed()
+            self.engine._ready.extend(waiters)
 
     def _account_done(self, request: WalkRequest) -> None:
         if request.kind is _INVALIDATE:
@@ -288,13 +297,12 @@ class GMMU:
         self.pwc.restore(state["pwc"])
         self.stats.restore(state["stats"])
 
-    def wait_idle(self) -> Event:
-        """Event fired the next time a walker is *available* — the walk
-        queue is empty and at least one walker thread is free (§6.3: the
-        lazy writeback runs "when the page table walker is available")."""
-        ev = self.engine.event()
+    def wait_idle(self, fn: Callable[..., None], *args: Any) -> None:
+        """Call ``fn(*args)`` from the ready queue the next time a walker
+        is *available* — the walk queue is empty and at least one walker
+        thread is free (§6.3: the lazy writeback runs "when the page
+        table walker is available"); at once if one is now."""
         if self.has_available_walker:
-            ev.succeed()
+            self.engine._ready.append((fn, args))
         else:
-            self._idle_waiters.append(ev)
-        return ev
+            self._idle_waiters.append((fn, args))

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
-
-from ..sim.engine import Event
+from typing import Callable, Optional
 
 __all__ = ["WalkKind", "WalkRequest"]
 
@@ -22,21 +19,35 @@ class WalkKind(str, Enum):
     UPDATE = "update"
 
 
-@dataclass(slots=True)
 class WalkRequest:
-    """One unit of work for the page-table walker."""
+    """One unit of work for the page-table walker.
 
-    vpn: int
-    kind: WalkKind
-    issued_at: int
-    done: Event
-    #: for UPDATE walks: the PTE word to install.
-    word: Optional[int] = None
-    #: time the request won a walker thread (filled by the GMMU).
-    started_at: Optional[int] = None
-    #: for INVALIDATE walks: whether the cleared PTE was actually valid.
-    was_valid: Optional[bool] = field(default=None)
-    #: set when a fresh mapping for this VPN arrived after the walk was
-    #: queued: the invalidation must not clobber the new PTE (§6.3 — a
-    #: replayed mapping supersedes the pending invalidation).
-    aborted: bool = False
+    ``fn(*args, result)`` is the walk's continuation: the GMMU calls it
+    when the walk retires, with the PTE word of a demand walk (None if
+    the PTE is invalid), whether an invalidation found a valid PTE, or
+    the installed word of an update; an aborted walk passes None.
+    """
+
+    __slots__ = (
+        "vpn", "kind", "issued_at", "fn", "args", "word", "started_at",
+        "was_valid", "aborted",
+    )
+
+    def __init__(self, vpn: int, kind: WalkKind, issued_at: int,
+                 fn: Callable[..., None], args: tuple = (),
+                 word: Optional[int] = None) -> None:
+        self.vpn = vpn
+        self.kind = kind
+        self.issued_at = issued_at
+        self.fn = fn
+        self.args: tuple = args
+        #: for UPDATE walks: the PTE word to install.
+        self.word = word
+        #: time the request won a walker thread (filled by the GMMU).
+        self.started_at: Optional[int] = None
+        #: for INVALIDATE walks: whether the cleared PTE was actually valid.
+        self.was_valid: Optional[bool] = None
+        #: set when a fresh mapping for this VPN arrived after the walk was
+        #: queued: the invalidation must not clobber the new PTE (§6.3 — a
+        #: replayed mapping supersedes the pending invalidation).
+        self.aborted = False

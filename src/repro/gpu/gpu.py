@@ -12,7 +12,7 @@ The translation pipeline follows §3.2 / Fig. 3:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 from ..config import InvalidationScheme, SystemConfig
 from ..core.irmb import IRMB
@@ -26,7 +26,7 @@ from ..memory import pte as pte_bits
 from ..memory.address import AddressLayout
 from ..memory.page_table import PageTable
 from ..memory.physmem import PhysicalMemory
-from ..sim.engine import Engine, Event
+from ..sim.engine import Engine
 from ..sim.stats import StatsGroup
 from ..tlb.mshr import MSHR
 from ..tlb.tlb import TLB
@@ -169,55 +169,59 @@ class GPU:
         lane's slow-access count."""
         _Access(self, lane, lane.lane_id, vpn, is_write)
 
-    def translate(self, lane: int, vpn: int, is_write: bool) -> Event:
+    def translate(self, lane: int, vpn: int, is_write: bool,
+                  fn: Callable[..., None], *args: Any) -> None:
         """Translate ``vpn`` through lane ``lane``'s TLB hierarchy alone
-        (no migration stall, no data access); the returned event fires
-        with the PTE word."""
-        return _Translation(self, lane, vpn, is_write).done
+        (no migration stall, no data access); ``fn(*args, word)`` runs
+        from the ready queue with the PTE word."""
+        _Translation(self, lane, vpn, is_write, fn, args)
 
     # ------------------------------------------------------------------
     # Shootdown handling (driver-facing)
     # ------------------------------------------------------------------
 
-    def receive_invalidation(self, vpn: int, dst: int, pending=None) -> Event:
-        """Handle one incoming PTE invalidation request; the returned
-        event is the GPU's acknowledgement.
+    def receive_invalidation(self, vpn: int, dst: int, pending,
+                             fn: Callable[..., None], *args: Any) -> None:
+        """Handle one incoming PTE invalidation request; ``fn(*args)`` is
+        the GPU's acknowledgement.
 
         ``pending`` is the driver's in-flight record of the invalidation
-        (:class:`~repro.uvm.protocol.PendingInvalidation`): a retry or
-        duplicated packet of a record this GPU has already received is
-        *not* re-applied — it is re-acked immediately, making delivery
-        idempotent.
+        (:class:`~repro.uvm.protocol.PendingInvalidation`), or None: a
+        retry or duplicated packet of a record this GPU has already
+        received is *not* re-applied — it is re-acked immediately, making
+        delivery idempotent.
+
+        Called as the last act of the request's arrival, so the ack runs
+        under :meth:`~repro.sim.engine.Engine.tail`.
         """
         if pending is not None:
             if pending.received:
                 self.stats.counter("inval_received.duplicate").add()
                 if self._tracer.enabled:
                     self._tracer.emit("inval.dedup", self.name, vpn, iseq=pending.seq)
-                return self.engine.event().succeed()
+                self.engine.tail(fn, *args)
+                return
             pending.received = True
         self._begin_invalidation(vpn)
         if self.transfw is not None:
             # Learn where the page is heading: future faults can forward.
             self.transfw.learn(vpn, dst)
 
-        ack = self.engine.event()
         if self.lazy is not None:
             # Lazy invalidation: buffer in the IRMB, ack immediately (§6.3).
             self.lazy.accept_invalidation(vpn)
             if self.injector and self.injector.irmb_pressure(f"{self.name}.irmb"):
                 # Artificial overflow pressure: force the LRU entry out.
                 self.lazy.force_evict()
-            ack.succeed()
+            self.engine.tail(fn, *args)
         else:
-            request = self.gmmu.walk(vpn, WalkKind.INVALIDATE)
+            self.gmmu.walk(vpn, WalkKind.INVALIDATE, self._invalidation_applied, vpn, fn, args)
 
-            def _applied(_ev, vpn=vpn, ack=ack):
-                self._flush_raced_fills(vpn)
-                ack.succeed()
-
-            request.done.add_callback(_applied)
-        return ack
+    def _invalidation_applied(self, vpn: int, fn: Callable[..., None], args: tuple,
+                              _was_valid) -> None:
+        """The eager INVALIDATE walk retired: flush raced fills, ack."""
+        self._flush_raced_fills(vpn)
+        self.engine.tail(fn, *args)
 
     def apply_instant_invalidation(self, vpn: int) -> None:
         """Zero-latency-invalidation ideal: PTE updated instantaneously."""
@@ -269,9 +273,10 @@ class GPU:
         if self.lazy is not None and self.lazy.on_new_mapping(vpn):
             self._flush_raced_fills(vpn)
 
-    def deliver_mapping(self, vpn: int, word: int) -> Event:
+    def deliver_mapping(self, vpn: int, word: int, fn: Callable[..., None], *args: Any) -> None:
         """Driver pushes a fresh mapping (migration destination): cancel
-        any pending IRMB invalidation and install via an UPDATE walk.
+        any pending IRMB invalidation and install via an UPDATE walk;
+        ``fn(*args)`` runs once the install is checked.
 
         The pushed payload is versioned with this GPU's invalidation
         epoch at send time (the epoch advances once per applied
@@ -284,21 +289,24 @@ class GPU:
         """
         self.inval_generation += 1
         self._cancel_buffered_invalidation(vpn)
-        request = self.gmmu.walk(vpn, WalkKind.UPDATE, word=word)
         version = self._inval_epoch.get(vpn, 0)
+        self.gmmu.walk(
+            vpn, WalkKind.UPDATE, self._mapping_installed, vpn, version, fn, args, word=word
+        )
 
-        def _validate(_ev, vpn=vpn, version=version):
-            if self._inval_epoch.get(vpn, 0) == version:
-                self._flush_raced_fills(vpn)
-                return
+    def _mapping_installed(self, vpn: int, version: int, fn: Callable[..., None],
+                           args: tuple, _word) -> None:
+        if self._inval_epoch.get(vpn, 0) == version:
+            self._flush_raced_fills(vpn)
+        else:
             self.stats.counter("stale_push_undone").add()
             if self._tracer.enabled:
                 self._tracer.emit("fault.stale_push", self.name, vpn)
             self.page_table.invalidate(vpn)
             self._shootdown_tlbs(vpn)
-
-        request.done.add_callback(_validate)
-        return request.done
+        # The install check and the caller are the walk's two waiters, in
+        # that order: the caller runs right after, in the same callback.
+        fn(*args)
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -358,9 +366,10 @@ class _Access:
     Trans-FW forward) is followed by the migration-gate stall with its
     re-translate loop, and by the local or remote (NVLink) data access.
     Each method is one state: it runs the work between two waits, then
-    registers the next state (``Engine.defer`` for a fixed latency,
-    ``add_callback`` for an event).  The first state runs inline, in
-    the lane step that issues the access.
+    hands the next state to what it waits on (``Engine.defer`` for a
+    fixed latency; a transfer, walk, MSHR entry, far fault, gate or
+    replica collapse takes it as a continuation).  The first state runs
+    inline, in the lane step that issues the access.
 
     Every fill payload is *versioned* with the per-VPN invalidation
     epoch (advanced by each applied invalidation, see
@@ -405,15 +414,15 @@ class _Access:
             return
         mshr1 = gpu.l1_mshrs[self.lane_id]
         if vpn in mshr1:
-            mshr1.wait(vpn).add_callback(self._l1_coalesced)
+            mshr1.wait(vpn, self._l1_coalesced)
             return
         mshr1.allocate(vpn)
         # L2 TLB and IRMB are probed in parallel; both fit in the L2 latency.
         gpu.engine.defer(gpu._l2_latency, self._l2_lookup)
 
-    def _l1_coalesced(self, ev: Event) -> None:
+    def _l1_coalesced(self, payload: tuple) -> None:
         gpu = self.gpu
-        word, version = ev._value
+        word, version = payload
         if gpu._inval_epoch.get(self.vpn, 0) == version:
             self._translated(word)
             return
@@ -433,7 +442,7 @@ class _Access:
         self.t_miss = gpu.engine._now
         l2_mshr = gpu.l2_mshr
         if vpn in l2_mshr:
-            l2_mshr.wait(vpn).add_callback(self._l2_coalesced)
+            l2_mshr.wait(vpn, self._l2_coalesced)
             return
         l2_mshr.allocate(vpn)
         lazy = gpu.lazy
@@ -445,15 +454,14 @@ class _Access:
                 gpu._tracer.emit("irmb.bypass", gpu.name, vpn)
             self._far_fault()
             return
-        gpu.gmmu.walk(vpn, _DEMAND).done.add_callback(self._walked)
+        gpu.gmmu.walk(vpn, _DEMAND, self._walked)
 
-    def _l2_coalesced(self, ev: Event) -> None:
+    def _l2_coalesced(self, payload: tuple) -> None:
         gpu = self.gpu
         gpu.stats.latency("demand_miss_latency").record(gpu.engine._now - self.t_miss)
-        self._l1_fill(*ev._value)  # (word, version), stamped by the primary
+        self._l1_fill(*payload)  # (word, version), stamped by the primary
 
-    def _walked(self, ev: Event) -> None:
-        word = ev._value
+    def _walked(self, word: Optional[int]) -> None:
         if word is None:
             self._far_fault()
         else:
@@ -508,12 +516,7 @@ class _Access:
 
     def _raise_fault(self, retry: bool = False) -> None:
         gpu = self.gpu
-        gpu.driver.raise_far_fault(gpu.gpu_id, self.vpn, self.is_write, retry).add_callback(
-            self._fault_resolved
-        )
-
-    def _fault_resolved(self, ev: Event) -> None:
-        self._install(ev._value)
+        gpu.driver.raise_far_fault(gpu.gpu_id, self.vpn, self.is_write, retry, self._install)
 
     def _install(self, word: int) -> None:
         """Install the fresh mapping in the local page table via an
@@ -522,9 +525,9 @@ class _Access:
         vpn = self.vpn
         self.word = word
         gpu._cancel_buffered_invalidation(vpn)
-        gpu.gmmu.walk(vpn, _UPDATE, word=word).done.add_callback(self._installed)
+        gpu.gmmu.walk(vpn, _UPDATE, self._installed, word=word)
 
-    def _installed(self, _ev: Event) -> None:
+    def _installed(self, _word: int) -> None:
         gpu = self.gpu
         vpn = self.vpn
         if gpu._inval_epoch.get(vpn, 0) != self.epoch:
@@ -552,22 +555,20 @@ class _Access:
             self._raise_fault()
             return
         self.owner = owner
-        gpu.interconnect.gpu_to_gpu(gpu.gpu_id, owner, CONTROL_MESSAGE_BYTES).add_callback(
-            self._transfw_sent
-        )
+        gpu.interconnect.gpu_to_gpu(gpu.gpu_id, owner, CONTROL_MESSAGE_BYTES, self._transfw_sent)
 
-    def _transfw_sent(self, _ev: Event) -> None:
+    def _transfw_sent(self) -> None:
         gpu = self.gpu
         gpu.engine.defer(gpu.config.transfw.remote_lookup_latency, self._transfw_lookup)
 
     def _transfw_lookup(self) -> None:
         gpu = self.gpu
         self.word = gpu.driver.gpus[self.owner].page_table.translate(self.vpn)
-        gpu.interconnect.gpu_to_gpu(self.owner, gpu.gpu_id, CONTROL_MESSAGE_BYTES).add_callback(
-            self._transfw_replied
+        gpu.interconnect.gpu_to_gpu(
+            self.owner, gpu.gpu_id, CONTROL_MESSAGE_BYTES, self._transfw_replied
         )
 
-    def _transfw_replied(self, _ev: Event) -> None:
+    def _transfw_replied(self) -> None:
         gpu = self.gpu
         vpn = self.vpn
         remote_word = self.word
@@ -597,9 +598,9 @@ class _Access:
             self._data_access()
             return
         self.t_stall = gpu.engine._now
-        gate.wait().add_callback(self._gate_opened)
+        gate.wait(self._gate_opened)
 
-    def _gate_opened(self, _ev: Event) -> None:
+    def _gate_opened(self) -> None:
         gpu = self.gpu
         gpu.stats.latency("migration_stall").record(gpu.engine._now - self.t_stall)
         self._translate()
@@ -614,11 +615,11 @@ class _Access:
             and gpu.driver.replicas.is_replicated(self.vpn)
         ):
             # A write to a replicated page collapses the replicas first.
-            gpu.engine.process(gpu.driver.collapse_replicas(self.vpn)).add_callback(self._fetch)
+            gpu.engine.schedule(0, gpu.driver.collapse_replicas, self.vpn, self._fetch)
             return
         self._fetch()
 
-    def _fetch(self, _ev: Optional[Event] = None) -> None:
+    def _fetch(self) -> None:
         gpu = self.gpu
         owner = PhysicalMemory.owner_of(pte_bits.ppn(self.word))
         if owner == gpu.gpu_id:
@@ -628,21 +629,17 @@ class _Access:
         gpu._n_remote.add()
         gpu.driver.note_remote_access(gpu.gpu_id, self.vpn)
         self.owner = owner
-        gpu.interconnect.gpu_to_gpu(gpu.gpu_id, owner, CONTROL_MESSAGE_BYTES).add_callback(
-            self._remote_read
-        )
+        gpu.interconnect.gpu_to_gpu(gpu.gpu_id, owner, CONTROL_MESSAGE_BYTES, self._remote_read)
 
-    def _remote_read(self, _ev: Event) -> None:
+    def _remote_read(self) -> None:
         gpu = self.gpu
         gpu.engine.defer(gpu._dram_latency, self._remote_reply)
 
     def _remote_reply(self) -> None:
         gpu = self.gpu
-        gpu.interconnect.gpu_to_gpu(self.owner, gpu.gpu_id, REMOTE_DATA_BYTES).add_callback(
-            self._retire
-        )
+        gpu.interconnect.gpu_to_gpu(self.owner, gpu.gpu_id, REMOTE_DATA_BYTES, self._retire)
 
-    def _retire(self, _ev: Optional[Event] = None) -> None:
+    def _retire(self) -> None:
         lane = self.lane
         self.gpu._n_completed.add()
         lane._window.release()
@@ -650,15 +647,18 @@ class _Access:
 
 
 class _Translation(_Access):
-    """Translation alone: ``done`` fires with the PTE word."""
+    """Translation alone: ``fn(*args, word)`` runs from the ready queue
+    with the PTE word."""
 
-    __slots__ = ("done",)
+    __slots__ = ("fn", "args")
 
-    def __init__(self, gpu: GPU, lane_id: int, vpn: int, is_write: bool) -> None:
-        # Set before the translation starts: a zero-cycle L1 hit fires
-        # ``done`` from inside the constructor.
-        self.done = Event(gpu.engine)
+    def __init__(self, gpu: GPU, lane_id: int, vpn: int, is_write: bool,
+                 fn: Callable[..., None], args: tuple) -> None:
+        # Set before the translation starts: a zero-cycle L1 hit finishes
+        # inside the constructor.
+        self.fn = fn
+        self.args = args
         super().__init__(gpu, None, lane_id, vpn, is_write)
 
     def _translated(self, word: int) -> None:
-        self.done.succeed(word)
+        self.gpu.engine._ready.append((self.fn, self.args + (word,)))

@@ -15,6 +15,8 @@ protocol-state dump (never hangs, never silently serves stale data).
 
 from __future__ import annotations
 
+import gc
+
 from ..config import SystemConfig
 from ..faults.auditor import InvariantViolation, audit_loop, audit_system, protocol_dump
 from ..faults.injector import FaultInjector
@@ -32,6 +34,11 @@ __all__ = ["MultiGPUSystem"]
 #: the page offset, as on x86-64).
 LARGE_PAGE_THRESHOLD = 2 * 1024 * 1024
 
+#: a run this large leaves enough behind to be worth a full garbage
+#: collection (a few ms) before the next system is built; a warm-up or
+#: a unit test's run does not.
+_COLLECT_AFTER_ACCESSES = 1000
+
 
 class MultiGPUSystem:
     """A configured multi-GPU machine ready to replay workloads.
@@ -40,7 +47,19 @@ class MultiGPUSystem:
     the full event trace of the run; tracing is off (and free) otherwise.
     """
 
+    #: a large run finished since the last collection (see ``__init__``).
+    _collect_pending = False
+
     def __init__(self, config: SystemConfig, seed: int = 7, tracer=None) -> None:
+        if MultiGPUSystem._collect_pending:
+            # A system that has run is a cyclic object graph (the driver
+            # and its GPUs refer to each other, and so do a link and its
+            # interconnect), so only a full collection frees it.  The
+            # event path allocates too few objects to trigger one often,
+            # so a process that runs systems one after another would hold
+            # several dead ones at once: free them before building anew.
+            MultiGPUSystem._collect_pending = False
+            gc.collect()
         self.config = config
         self.seed = seed
         self.engine = Engine(tracer=tracer)
@@ -234,6 +253,8 @@ class MultiGPUSystem:
             self.chaos = ChaosController(self, self.timeline, at=at.get("chaos"))
 
     def _finish(self, workload) -> "SimulationResult":
+        if workload.total_accesses() >= _COLLECT_AFTER_ACCESSES:
+            MultiGPUSystem._collect_pending = True
         faults = self.config.faults
         try:
             self.engine.run()

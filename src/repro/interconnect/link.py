@@ -8,14 +8,16 @@ page transfers occupy the link for ``page_size / bandwidth``.
 
 The port is an analytic FIFO server: it is summarised by the cycle it
 next falls idle, so a transfer reserves its serialisation slot when it
-joins the queue and costs one calendar entry, at its arrival.
+joins the queue and costs one calendar entry, at its arrival.  The
+transfer's continuation runs inside that entry.
 """
 
 from __future__ import annotations
 
 import heapq
+from typing import Any, Callable
 
-from ..sim.engine import Engine, Event
+from ..sim.engine import Engine
 from ..sim.stats import StatsGroup
 
 __all__ = ["Link", "CONTROL_MESSAGE_BYTES"]
@@ -24,56 +26,6 @@ _heappush = heapq.heappush
 
 #: size charged for control messages (request/ack packets).
 CONTROL_MESSAGE_BYTES = 64
-
-
-class _FastTransfer(Event):
-    """One transfer, and the event that fires once the payload has fully
-    arrived at the far end.
-
-    Joining the port queue reserves the slot ``[start, start +
-    serialisation)`` with ``start = max(now, link._free_at)`` and pushes
-    the one calendar entry, at ``start + serialisation + latency``.  A
-    delayed packet (fault injector, chaos) holds ``extra_delay`` cycles
-    first and joins the queue when its hold ends.
-    """
-
-    __slots__ = ("link", "num_bytes", "t0")
-
-    def __init__(self, link: "Link", num_bytes: int, extra_delay: int = 0) -> None:
-        # Flattened Event.__init__: one transfer per control message,
-        # data reply and page move.
-        engine = link.engine
-        self.engine = engine
-        self._callbacks = []
-        self._value = None
-        self._triggered = False
-        self.link = link
-        self.num_bytes = num_bytes
-        self.t0 = 0
-        if extra_delay:
-            link.stats.counter("delayed_transfers").add()
-            engine.defer(extra_delay, self._enqueue)
-        else:
-            self._enqueue()
-
-    def _enqueue(self) -> None:
-        link = self.link
-        engine = link.engine
-        now = self.t0 = engine._now
-        free_at = link._free_at
-        start = now if now >= free_at else free_at
-        serialised = link._free_at = start + link.serialisation_cycles(self.num_bytes)
-        engine._seq += 1
-        _heappush(engine._heap, (serialised + link.latency, engine._seq, self._arrive, ()))
-
-    def _arrive(self) -> None:
-        link = self.link
-        link._n_transfers.add()
-        link._n_bytes.add(self.num_bytes)
-        link._t_transfer.record(link.engine._now - self.t0)
-        if link.owner is not None:
-            link.owner.inflight -= 1
-        self.succeed()
 
 
 class Link:
@@ -130,8 +82,9 @@ class Link:
             self._ser_cache[num_bytes] = cycles
         return cycles
 
-    def transfer(self, num_bytes: int, extra_delay: int = 0) -> Event:
-        """Start a transfer; the event fires when the payload has fully
+    def transfer(self, num_bytes: int, fn: Callable[..., None], *args: Any,
+                 extra_delay: int = 0) -> None:
+        """Start a transfer; ``fn(*args)`` runs once the payload has fully
         arrived at the far end.
 
         ``extra_delay`` holds the message *before* it contends for the
@@ -140,7 +93,36 @@ class Link:
         """
         if self.owner is not None:
             self.owner.inflight += 1
-        return _FastTransfer(self, num_bytes, extra_delay)
+        if extra_delay:
+            self.stats.counter("delayed_transfers").add()
+            self.engine.defer(extra_delay, self._enqueue, num_bytes, fn, args)
+        else:
+            self._enqueue(num_bytes, fn, args)
+
+    def _enqueue(self, num_bytes: int, fn: Callable[..., None], args: tuple) -> None:
+        """Join the port queue: reserve the slot ``[start, start +
+        serialisation)`` with ``start = max(now, _free_at)`` and push the
+        one calendar entry, at ``start + serialisation + latency``."""
+        engine = self.engine
+        now = engine._now
+        free_at = self._free_at
+        start = now if now >= free_at else free_at
+        serialised = self._free_at = start + self.serialisation_cycles(num_bytes)
+        engine._seq += 1
+        _heappush(
+            engine._heap,
+            (serialised + self.latency, engine._seq, self._arrive, (num_bytes, now, fn, args)),
+        )
+
+    def _arrive(self, num_bytes: int, t0: int, fn: Callable[..., None], args: tuple) -> None:
+        self._n_transfers.value += 1
+        self._n_bytes.value += num_bytes
+        self._t_transfer.record(self.engine._now - t0)
+        if self.owner is not None:
+            self.owner.inflight -= 1
+        # Popped from the calendar, so the ready queue is empty: the
+        # continuation is the next callback either way (Engine.tail).
+        fn(*args)
 
     def snapshot(self) -> dict:
         """Stats only: at a quiescent instant the port is free and no
@@ -152,6 +134,3 @@ class Link:
     def restore(self, state: dict) -> None:
         self.stats.restore(state["stats"])
 
-    def send_control(self) -> Event:
-        """Transfer of one small control packet."""
-        return self.transfer(CONTROL_MESSAGE_BYTES)

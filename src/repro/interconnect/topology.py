@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List
+from typing import Any, Callable, Dict, List
 
 from ..config import InterconnectConfig
-from ..sim.engine import Engine, Event
+from ..sim.engine import Engine
 from .link import Link
 
 __all__ = ["Interconnect", "link_names", "topology_fingerprint"]
@@ -102,24 +102,28 @@ class Interconnect:
             return 0
         return self.chaos.link_transfer_delay(link)
 
-    def gpu_to_gpu(self, src: int, dst: int, num_bytes: int, extra_delay: int = 0) -> Event:
-        """Transfer between two GPUs over the source's NVLink port."""
+    def gpu_to_gpu(self, src: int, dst: int, num_bytes: int, fn: Callable[..., None],
+                   *args: Any, extra_delay: int = 0) -> None:
+        """Transfer between two GPUs over the source's NVLink port;
+        ``fn(*args)`` runs when it arrives."""
         self._check_gpu(src)
         self._check_gpu(dst)
         if src == dst:
             raise ValueError("gpu_to_gpu requires distinct endpoints")
         link = self._nvlink_out[src]
-        return link.transfer(num_bytes, extra_delay + self._chaos_delay(link))
+        link.transfer(num_bytes, fn, *args, extra_delay=extra_delay + self._chaos_delay(link))
 
-    def gpu_to_host(self, gpu: int, num_bytes: int, extra_delay: int = 0) -> Event:
+    def gpu_to_host(self, gpu: int, num_bytes: int, fn: Callable[..., None],
+                    *args: Any, extra_delay: int = 0) -> None:
         self._check_gpu(gpu)
         link = self._pcie_up[gpu]
-        return link.transfer(num_bytes, extra_delay + self._chaos_delay(link))
+        link.transfer(num_bytes, fn, *args, extra_delay=extra_delay + self._chaos_delay(link))
 
-    def host_to_gpu(self, gpu: int, num_bytes: int, extra_delay: int = 0) -> Event:
+    def host_to_gpu(self, gpu: int, num_bytes: int, fn: Callable[..., None],
+                    *args: Any, extra_delay: int = 0) -> None:
         self._check_gpu(gpu)
         link = self._pcie_down[gpu]
-        return link.transfer(num_bytes, extra_delay + self._chaos_delay(link))
+        link.transfer(num_bytes, fn, *args, extra_delay=extra_delay + self._chaos_delay(link))
 
     def snapshot(self) -> dict:
         if self.inflight:

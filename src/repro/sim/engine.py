@@ -1,12 +1,16 @@
 """Discrete-event simulation kernel.
 
 The engine is a classic event-calendar simulator: a binary heap of
-``(time, sequence, callback)`` entries drained in timestamp order.  On top
-of the calendar we provide a small coroutine layer (:class:`Process`)
-modelled after SimPy: simulation logic is written as Python generators
-that ``yield`` an int delay or a waitable object (an :class:`Event`,
-another process, or an :class:`AllOf` composition) and are resumed by
-the engine when the waited-on condition completes.
+``(time, sequence, callback)`` entries drained in timestamp order.  The
+simulated hardware is written as callback state machines: a producer (a
+link transfer, a page walk, a far fault ...) takes the waiting state as
+a continuation ``(fn, *args)`` and hands its result straight to it
+(:meth:`Engine.tail`).  On top of the calendar there is also a small
+coroutine layer (:class:`Process`) modelled after SimPy, for the trace
+lanes and the run's supervisors: Python generators that ``yield`` an
+int delay or a waitable object (an :class:`Event`, another process, or
+an :class:`AllOf` composition) and are resumed by the engine when the
+waited-on condition completes.
 
 Timestamps are integers (cycles).  All scheduling is deterministic: events
 scheduled for the same cycle fire in scheduling order, which makes every
@@ -126,6 +130,22 @@ class Engine:
             fn(*args)
         else:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
+
+    def tail(self, fn: Callable[..., None], *args: Any) -> None:
+        """Hand a result to its one waiting continuation, ``fn(*args)``.
+
+        Call it only as the last act of a callback that the drain loop
+        invoked, directly or through tail calls.  A waiter resumed by
+        ``Event.succeed`` would be appended to the ready queue here; if
+        that queue is empty it would be the next callback to run, so the
+        continuation runs at once and sees the same state.  Otherwise it
+        is appended exactly where the waiter would have been.
+        """
+        ready = self._ready
+        if ready:
+            ready.append((fn, args))
+        else:
+            fn(*args)
 
     def event(self) -> "Event":
         """Create a fresh one-shot event bound to this engine."""
@@ -417,8 +437,7 @@ class Process(Event):
 
     def __init__(self, engine: Engine, generator: Generator,
                  at: Optional[Tuple[int, int]] = None) -> None:
-        # Flattened Event.__init__; processes are spawned per migration
-        # and per invalidation, so construction cost shows up in every run.
+        # Flattened Event.__init__.
         self.engine = engine
         self._callbacks = []
         self._value = None

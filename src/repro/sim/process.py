@@ -9,12 +9,17 @@ These mirror the queueing structures found in the modelled hardware:
   queue).
 * :class:`Gate` — a barrier that holds waiters until it opens (pages
   blocked during migration).
+
+A :class:`Resource` grant is an :class:`Event`, because ``Lane.run``
+waits on it.  A :class:`Store` getter and a :class:`Gate` waiter are
+continuations ``(fn, *args)``, appended to the ready queue where an
+event would have appended its waiter.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque
+from typing import Any, Callable, Deque
 
 from .engine import Engine, Event, SimulationError
 
@@ -37,14 +42,6 @@ class Resource:
     @property
     def in_use(self) -> int:
         return self._in_use
-
-    @property
-    def idle(self) -> int:
-        return self.capacity - self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
 
     def request(self) -> Event:
         """Returns an event that fires when a server is granted."""
@@ -75,7 +72,8 @@ class Store:
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
         self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        #: waiting getters' continuations ``(fn, args)``, oldest first.
+        self._getters: Deque[tuple] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -84,7 +82,8 @@ class Store:
         """Add ``item``, handing it straight to the oldest waiting getter
         if there is one; never blocks."""
         if self._getters:
-            self._getters.popleft().succeed(item)
+            fn, args = self._getters.popleft()
+            self.engine._ready.append((fn, args + (item,)))
             return
         self._items.append(item)
 
@@ -94,24 +93,23 @@ class Store:
             return (False, None)
         return (True, self._items.popleft())
 
-    def get(self) -> Event:
-        """Returns an event that fires with the next item."""
-        ev = Event(self.engine)
+    def get(self, fn: Callable[..., None], *args: Any) -> None:
+        """Call ``fn(*args, item)`` with the next item, from the ready
+        queue: at once if an item is queued, else when one is put."""
         if self._items:
-            ev.succeed(self._items.popleft())
+            self.engine._ready.append((fn, args + (self._items.popleft(),)))
         else:
-            self._getters.append(ev)
-        return ev
+            self._getters.append((fn, args))
 
 
 class Gate:
-    """A barrier: while closed, waiters block until it opens."""
+    """A barrier, closed when built: waiters block until it opens."""
 
     __slots__ = ("engine", "_open", "_waiters")
 
-    def __init__(self, engine: Engine, open_: bool = True) -> None:
+    def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self._open = open_
+        self._open = False
         self._waiters: list = []
 
     @property
@@ -119,17 +117,16 @@ class Gate:
         return self._open
 
     def open(self) -> None:
-        """Open the gate and release every waiter at the current time."""
+        """Open the gate and release every waiter at the current time,
+        in the order they arrived."""
         self._open = True
         waiters, self._waiters = self._waiters, []
-        for ev in waiters:
-            ev.succeed()
+        self.engine._ready.extend(waiters)
 
-    def wait(self) -> Event:
-        """Event that fires immediately if open, else when next opened."""
-        ev = Event(self.engine)
+    def wait(self, fn: Callable[..., None], *args: Any) -> None:
+        """Call ``fn(*args)`` from the ready queue: at once if the gate
+        is open, else when it next opens."""
         if self._open:
-            ev.succeed()
+            self.engine._ready.append((fn, args))
         else:
-            self._waiters.append(ev)
-        return ev
+            self._waiters.append((fn, args))

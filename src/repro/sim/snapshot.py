@@ -159,7 +159,7 @@ def _classify_calendar(system) -> Tuple[List[tuple], Dict[int, List[int]]]:
             raise NotQuiescent(f"unclassifiable calendar entry {fn!r}")
         cls = owner.__class__
         if cls is _Invalidation:
-            if owner.done.triggered:
+            if owner.pending.acked:
                 continue  # an acked invalidation's retry timer: a no-op
             raise NotQuiescent("invalidation retry timer live")
         if cls is Process:

@@ -1,8 +1,9 @@
 """Miss-status holding registers with same-VPN coalescing.
 
 The first miss to a VPN becomes the *primary* and performs the fill;
-subsequent misses to the same VPN block on the MSHR entry and are all
-released by the primary's completion.  §6.3 leans on this behaviour for
+subsequent misses to the same VPN register a continuation on the MSHR
+entry, and the primary's completion queues them all, in the order they
+registered.  §6.3 leans on this behaviour for
 correctness: while a far fault for a page is outstanding, every later
 request to that page is held at the L2 TLB MSHR and can never reach the
 GMMU, so a stale PTE masked only by the IRMB is never walked.
@@ -10,9 +11,9 @@ GMMU, so a stale PTE masked only by the IRMB is never walked.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List
 
-from ..sim.engine import Engine, Event
+from ..sim.engine import Engine
 from ..sim.stats import StatsGroup
 
 __all__ = ["MSHR"]
@@ -21,19 +22,18 @@ __all__ = ["MSHR"]
 class MSHR:
     """Coalescing miss tracker keyed by VPN."""
 
-    __slots__ = ("engine", "stats", "_pending")
+    __slots__ = ("engine", "stats", "_pending", "_n_primary", "_n_coalesced")
 
     def __init__(self, engine: Engine, name: str = "mshr") -> None:
         self.engine = engine
         self.stats = StatsGroup(name)
-        self._pending: Dict[int, List[Event]] = {}
+        #: VPN -> coalesced continuations ``(fn, args)``, oldest first.
+        self._pending: Dict[int, List[tuple]] = {}
+        self._n_primary = self.stats.counter("primary_misses")
+        self._n_coalesced = self.stats.counter("coalesced_misses")
 
     def __contains__(self, vpn: int) -> bool:
         return vpn in self._pending
-
-    @property
-    def outstanding(self) -> int:
-        return len(self._pending)
 
     def allocate(self, vpn: int) -> bool:
         """Try to become primary for ``vpn``.
@@ -45,28 +45,30 @@ class MSHR:
         if vpn in self._pending:
             return False
         self._pending[vpn] = []
-        self.stats.counter("primary_misses").add()
+        self._n_primary.value += 1
         return True
 
-    def wait(self, vpn: int) -> Event:
-        """Event fired (with the fill value) when the primary completes."""
-        if vpn not in self._pending:
+    def wait(self, vpn: int, fn: Callable[..., None], *args: Any) -> None:
+        """Coalesce onto the primary: ``fn(*args, value)`` runs, from the
+        ready queue, with the fill value once the primary completes."""
+        waiters = self._pending.get(vpn)
+        if waiters is None:
             raise KeyError(f"no outstanding miss for VPN {vpn:#x}")
-        ev = Event(self.engine)
-        self._pending[vpn].append(ev)
-        self.stats.counter("coalesced_misses").add()
-        return ev
+        waiters.append((fn, args))
+        self._n_coalesced.value += 1
 
     def complete(self, vpn: int, value: Any = None) -> int:
-        """Primary finished: release all coalesced waiters.
-
-        Returns the number of waiters released.
+        """Primary finished: queue every coalesced waiter, in the order
+        they registered.  Returns the number of waiters released.
         """
         waiters = self._pending.pop(vpn, None)
         if waiters is None:
             raise KeyError(f"no outstanding miss for VPN {vpn:#x}")
-        for ev in waiters:
-            ev.succeed(value)
+        if waiters:
+            append = self.engine._ready.append
+            value_args = (value,)
+            for fn, args in waiters:
+                append((fn, args + value_args))
         return len(waiters)
 
     def snapshot(self) -> dict:

@@ -14,7 +14,7 @@ Pages start in CPU memory; a GPU's first touch migrates the page in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..config import (
     DirectoryKind,
@@ -31,7 +31,7 @@ from ..memory import pte as pte_bits
 from ..memory.address import AddressLayout
 from ..memory.page_table import PageTable
 from ..memory.physmem import PhysicalMemory
-from ..sim.engine import AllOf, Engine, Event
+from ..sim.engine import Engine
 from ..sim.process import Gate, Resource, Store
 from ..sim.stats import StatsGroup
 from .fault import FarFault
@@ -101,7 +101,8 @@ class UVMDriver:
         #: lifecycle (interrupt in flight, queued, batching window,
         #: resolution, reply); a quiescence gauge for the fast path.
         self._inflight_faults = 0
-        engine.process(self._fault_service_loop())
+        # The fault service loop starts from the ready queue.
+        engine.schedule(0, self._next_batch)
 
     def _build_directory(self):
         if self.config.invalidation_scheme not in _DIRECTORY_SCHEMES:
@@ -125,13 +126,14 @@ class UVMDriver:
     # Far faults
     # ------------------------------------------------------------------
 
-    def raise_far_fault(self, gpu_id: int, vpn: int, is_write: bool,
-                        retry: bool = False) -> Event:
+    def raise_far_fault(self, gpu_id: int, vpn: int, is_write: bool, retry: bool,
+                        fn: Callable[..., None], *args: Any) -> None:
         """Called by a GPU's GMMU.  Covers the interrupt over PCIe, driver
-        batching, resolution, and the reply; fires with the new PTE word.
+        batching, resolution, and the reply; ``fn(*args, word)`` runs
+        with the new PTE word once the reply has reached the GPU.
         ``retry`` marks the refetch of a reply that went stale before it
         was installed: it is resolved without migrating."""
-        fault = FarFault(gpu_id, vpn, is_write, self.engine.now, self.engine.event(), retry)
+        fault = FarFault(gpu_id, vpn, is_write, self.engine.now, fn, args, retry)
         self._inflight_faults += 1
         self.gpus[gpu_id].driver_busy += 1
         self.stats.counter("far_faults").add()
@@ -139,64 +141,68 @@ class UVMDriver:
             self._tracer.emit("fault.raise", self.name, vpn, gpu=gpu_id, write=is_write)
         # GPU fault buffer -> interrupt -> driver fetches the fault info
         # into the unbounded fault queue.
-        self.interconnect.gpu_to_host(gpu_id, CONTROL_MESSAGE_BYTES).add_callback(
-            lambda _ev: self.fault_queue.try_put(fault)
+        self.interconnect.gpu_to_host(
+            gpu_id, CONTROL_MESSAGE_BYTES, self.fault_queue.try_put, fault
         )
-        return fault.resolved
 
-    def _fault_service_loop(self):
-        """Batch faults (≤256 per batch); a bounded pool of service
-        contexts resolves batches concurrently (the driver's worker
-        threads), so one slow batch does not stall fault intake."""
+    # The fault service loop batches faults (≤256 per batch); a bounded
+    # pool of service contexts resolves batches concurrently (the
+    # driver's worker threads), so one slow batch does not stall fault
+    # intake.  Its three states:
+
+    def _next_batch(self) -> None:
+        """Wait for the first fault of the next batch."""
+        self.fault_queue.get(self._open_batch)
+
+    def _open_batch(self, first: FarFault) -> None:
+        # Collection window: let concurrent faults coalesce into the batch.
+        self.engine.defer(self.config.uvm.fault_batch_timeout, self._close_batch, first)
+
+    def _close_batch(self, first: FarFault) -> None:
         cfg = self.config.uvm
-        while True:
-            first: FarFault = yield self.fault_queue.get()
-            batch: List[FarFault] = [first]
-            # Collection window: let concurrent faults coalesce into the batch.
-            yield cfg.fault_batch_timeout
-            while len(batch) < cfg.fault_batch_size:
-                ok, fault = self.fault_queue.try_get()
-                if not ok:
-                    break
-                batch.append(fault)
-            self.stats.counter("fault_batches").add()
-            self.stats.histogram("batch_size").record(len(batch))
-            if self._tracer.enabled:
-                self._tracer.emit("fault.batch", self.name, count=len(batch))
-            yield self._batch_slots.request()
-            self.engine.process(self._service_batch(batch))
-
-    def _service_batch(self, batch: List[FarFault]):
-        try:
-            yield self.config.uvm.fault_handling_latency
-            resolutions = [_FaultResolution(self, f).done for f in batch]
-            yield AllOf(self.engine, resolutions)
-        finally:
-            self._batch_slots.release()
+        batch: List[FarFault] = [first]
+        while len(batch) < cfg.fault_batch_size:
+            ok, fault = self.fault_queue.try_get()
+            if not ok:
+                break
+            batch.append(fault)
+        self.stats.counter("fault_batches").add()
+        self.stats.histogram("batch_size").record(len(batch))
+        if self._tracer.enabled:
+            self._tracer.emit("fault.batch", self.name, count=len(batch))
+        self._batch_slots.request().add_callback(_FaultBatch(self, batch).granted)
 
     #: bound on stale-reply re-resolutions; retry passes never migrate,
     #: so two racing on-touch faults cannot ping-pong a page forever.
     MAX_REPLY_RETRIES = 3
 
-    def _first_touch(self, vpn: int, gpu_id: int):
-        """Page still in CPU memory: migrate it to the first-touching GPU."""
+    def _first_touch(self, vpn: int, gpu_id: int, fn: Callable[..., None], *args: Any) -> None:
+        """Page still in CPU memory: migrate it to the first-touching GPU;
+        ``fn(*args, word)`` runs with the mapping."""
         # Another fault may have populated the page while we walked.
         word = self.host_page_table.translate(vpn)
         if word is not None:
             owner = PhysicalMemory.owner_of(pte_bits.ppn(word))
-            if owner == gpu_id:
-                self._record_resident(vpn, gpu_id)
-                return pte_bits.make_pte(pte_bits.ppn(word))
             self._record_resident(vpn, gpu_id)
-            return pte_bits.make_remote_pte(pte_bits.ppn(word), owner)
+            if owner == gpu_id:
+                word = pte_bits.make_pte(pte_bits.ppn(word))
+            else:
+                word = pte_bits.make_remote_pte(pte_bits.ppn(word), owner)
+            self.engine.tail(fn, *args, word)
+            return
         ppn = self.gpus[gpu_id].memory.allocate(vpn)
         self.host_page_table.set_entry(vpn, pte_bits.make_pte(ppn))
-        yield self.interconnect.host_to_gpu(gpu_id, self.config.page_size)
+        self.interconnect.host_to_gpu(
+            gpu_id, self.config.page_size, self._first_touched, vpn, gpu_id, ppn, fn, args
+        )
+
+    def _first_touched(self, vpn: int, gpu_id: int, ppn: int,
+                       fn: Callable[..., None], args: tuple) -> None:
         self._record_resident(vpn, gpu_id)
         if self.config.migration_policy is MigrationPolicy.FIRST_TOUCH:
             self._pinned.add(vpn)
         self.stats.counter("first_touch_migrations").add()
-        return pte_bits.make_pte(ppn)
+        self.engine.tail(fn, *args, pte_bits.make_pte(ppn))
 
     def _record_resident(self, vpn: int, gpu_id: int) -> None:
         """Directory bookkeeping: ``gpu_id`` is about to hold a valid
@@ -225,15 +231,18 @@ class UVMDriver:
             return
         if self.counters.note_remote_access(vpn, gpu_id) and vpn not in self._migrating:
             self._migrating.add(vpn)
-            self.engine.process(self._migration_request(gpu_id, vpn))
+            self.engine.schedule(0, self._request_migration, gpu_id, vpn)
 
-    def _migration_request(self, gpu_id: int, vpn: int):
+    def _request_migration(self, gpu_id: int, vpn: int) -> None:
         """GPU → driver migration request (§3.3 step 1), then migration."""
-        try:
-            yield self.interconnect.gpu_to_host(gpu_id, CONTROL_MESSAGE_BYTES)
-            yield self.engine.process(self._migrate(vpn, gpu_id, push_mapping=True))
-        finally:
-            self._migrating.discard(vpn)
+        self.interconnect.gpu_to_host(
+            gpu_id, CONTROL_MESSAGE_BYTES, self._migration_requested, gpu_id, vpn
+        )
+
+    def _migration_requested(self, gpu_id: int, vpn: int) -> None:
+        # The request's arrival: the ready queue is empty, so the
+        # migration starts at once (Engine.tail).
+        self._migrate(vpn, gpu_id, True, self._migrating.discard, vpn)
 
     def migration_gate(self, vpn: int) -> Optional[Gate]:
         """Gate closed while ``vpn`` is mid-migration (requests must wait)."""
@@ -243,109 +252,11 @@ class UVMDriver:
     # Migration (§3.3 steps 2-4) with shootdown orchestration
     # ------------------------------------------------------------------
 
-    def _migrate(self, vpn: int, dst: int, push_mapping: bool):
-        if vpn in self._gates:
-            yield self._gates[vpn].wait()
-            return
-        word = self.host_page_table.translate(vpn)
-        if word is None:
-            return
-        old_ppn = pte_bits.ppn(word)
-        src = PhysicalMemory.owner_of(old_ppn)
-        if src == dst:
-            return
-
-        gate = Gate(self.engine, open_=False)
-        self._gates[vpn] = gate
-        # Per-GPU park gauges: both endpoints of the migration are busy
-        # until the gate reopens (the page's TLB holders are shot down
-        # individually via the invalidation gauges above).
-        self.gpus[src].driver_busy += 1
-        self.gpus[dst].driver_busy += 1
-        t_request = self.engine.now
-        self.stats.counter("migrations").add()
-        if self._tracer.enabled:
-            self._tracer.emit("mig.start", self.name, vpn, src=src, dst=dst)
-        scheme = self.config.invalidation_scheme
-
-        host_walk = self.engine.process(self._host_invalidate_walk(vpn))
-        if scheme is InvalidationScheme.ZERO_LATENCY:
-            # Ideal: every GPU's PTE updated instantaneously, no contention.
-            for gpu in self.gpus:
-                gpu.apply_instant_invalidation(vpn)
-            yield host_walk
-        elif scheme in _DIRECTORY_SCHEMES:
-            # Must wait for the host walk to learn the access bits (§6.2).
-            holders = yield host_walk
-            targets = list(holders or [])
-            if self.tracker.suspects:
-                # Graceful degradation: a GPU whose directory state is
-                # suspect (repeated ack timeouts) is shot down whether or
-                # not the directory filter names it, until it recovers.
-                extra = sorted(self.tracker.suspects.difference(targets))
-                if extra:
-                    targets.extend(extra)
-                    self.stats.counter("inval_degraded").add(len(extra))
-                    if self._tracer.enabled:
-                        self._tracer.emit("inval.degrade", self.name, vpn, gpus=extra)
-            acks = [self._spawn_invalidation(g, vpn, dst) for g in targets]
-            yield AllOf(self.engine, acks)
-        else:
-            # Baseline: broadcast immediately, in parallel with the host walk.
-            acks = [
-                self._spawn_invalidation(g, vpn, dst)
-                for g in range(self.config.num_gpus)
-            ]
-            yield AllOf(self.engine, [host_walk] + acks)
-
-        waiting = self.engine.now - t_request
-        self.stats.latency("migration_waiting").record(waiting)
-
-        # §3.3 step 4: the actual data transfer.
-        new_ppn = self.gpus[dst].memory.allocate(vpn)
-        yield self.interconnect.gpu_to_gpu(src, dst, self.config.page_size)
-        self.gpus[src].memory.free(old_ppn)
-        self.host_page_table.set_entry(vpn, pte_bits.make_pte(new_ppn))
-        self._record_resident(vpn, dst)
-        self.counters.reset_page(vpn)
-
-        if push_mapping:
-            yield self.interconnect.host_to_gpu(dst, CONTROL_MESSAGE_BYTES)
-            yield self.gpus[dst].deliver_mapping(vpn, pte_bits.make_pte(new_ppn))
-
-        self.stats.latency("migration_total").record(self.engine.now - t_request)
-        if self._tracer.enabled:
-            self._tracer.emit(
-                "mig.done", self.name, vpn,
-                src=src, dst=dst, waited=waiting, cycles=self.engine.now - t_request,
-            )
-        self._generation[vpn] = self._generation.get(vpn, 0) + 1
-        self.gpus[src].driver_busy -= 1
-        self.gpus[dst].driver_busy -= 1
-        del self._gates[vpn]
-        gate.open()
-
-    def _host_invalidate_walk(self, vpn: int):
-        """Host-side PT walk that invalidates the mapping and (under
-        IDYLL) reads + clears the directory bits; returns the holders."""
-        yield self.host_walkers.request()
-        latency = self.config.uvm.host_walk_latency
-        holders: Optional[List[int]] = None
-        if self.directory is not None:
-            if isinstance(self.directory, VMTableDirectory):
-                # VM-Cache probe runs in parallel with the walk (§6.4).
-                latency = max(latency, self.directory.lookup_latency_for(vpn))
-            holders = self.directory.holders(vpn)
-            self.directory.clear(vpn)
-        yield latency
-        self.host_page_table.invalidate(vpn)
-        self.host_walkers.release()
-        return holders
-
-    def _spawn_invalidation(self, gpu_id: int, vpn: int, dst: int) -> Event:
-        """Launch one logical invalidation of ``vpn`` at ``gpu_id``; the
-        returned event fires when the driver holds a (surviving) ack."""
-        return _Invalidation(self, gpu_id, vpn, dst).done
+    def _migrate(self, vpn: int, dst: int, push_mapping: bool,
+                 fn: Callable[..., None], *args: Any) -> None:
+        """Migrate ``vpn`` to ``dst``; ``fn(*args)`` runs once the
+        migration (or the one it found in flight) is over."""
+        _Migration(self, vpn, dst, push_mapping, fn, args)
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -397,32 +308,54 @@ class UVMDriver:
     # Page replication (§7.4)
     # ------------------------------------------------------------------
 
-    def _resolve_replicated(self, vpn: int, gpu_id: int, owner: int, word: int, is_write: bool):
+    def _resolve_replicated(self, vpn: int, gpu_id: int, owner: int, word: int,
+                            is_write: bool, fn: Callable[..., None], *args: Any) -> None:
+        """Resolve a fault on a replicated page; ``fn(*args, word)`` runs
+        with the mapping."""
         if not is_write:
             if self.replicas.has_replica(vpn, gpu_id):
-                return pte_bits.make_pte(self.replicas.replica_ppn(vpn, gpu_id), writable=False)
+                word = pte_bits.make_pte(self.replicas.replica_ppn(vpn, gpu_id), writable=False)
+                self.engine.tail(fn, *args, word)
+                return
             replica_ppn = self.gpus[gpu_id].memory.allocate(vpn)
-            yield self.interconnect.gpu_to_gpu(owner, gpu_id, self.config.page_size)
-            self.replicas.add_replica(vpn, gpu_id, replica_ppn)
-            self._record_resident(vpn, gpu_id)
-            self.stats.counter("replications").add()
-            return pte_bits.make_pte(replica_ppn, writable=False)
+            self.interconnect.gpu_to_gpu(
+                owner, gpu_id, self.config.page_size,
+                self._replicated, vpn, gpu_id, replica_ppn, fn, args,
+            )
+            return
         # Writes collapse all replicas back to the home copy (§7.4).
-        yield self.engine.process(self.collapse_replicas(vpn))
-        self._record_resident(vpn, gpu_id)
-        return pte_bits.make_remote_pte(pte_bits.ppn(word), owner)
+        self.engine.tail(
+            self.collapse_replicas, vpn,
+            self._write_collapsed, vpn, gpu_id, owner, word, fn, args,
+        )
 
-    def collapse_replicas(self, vpn: int):
-        """Invalidate and free every replica of ``vpn`` (write collapse)."""
+    def _replicated(self, vpn: int, gpu_id: int, replica_ppn: int,
+                    fn: Callable[..., None], args: tuple) -> None:
+        self.replicas.add_replica(vpn, gpu_id, replica_ppn)
+        self._record_resident(vpn, gpu_id)
+        self.stats.counter("replications").add()
+        self.engine.tail(fn, *args, pte_bits.make_pte(replica_ppn, writable=False))
+
+    def _write_collapsed(self, vpn: int, gpu_id: int, owner: int, word: int,
+                         fn: Callable[..., None], args: tuple) -> None:
+        self._record_resident(vpn, gpu_id)
+        self.engine.tail(fn, *args, pte_bits.make_remote_pte(pte_bits.ppn(word), owner))
+
+    def collapse_replicas(self, vpn: int, fn: Callable[..., None], *args: Any) -> None:
+        """Invalidate and free every replica of ``vpn`` (write collapse);
+        ``fn(*args)`` runs once every holder has acked."""
         replicas = self.replicas.collapse(vpn)
         if not replicas:
+            self.engine.tail(fn, *args)
             return
-        acks = []
+        acked = _Countdown(self.engine, len(replicas), self._collapsed, fn, args)
         for holder, replica_ppn in replicas.items():
-            acks.append(self._spawn_invalidation(holder, vpn, holder))
+            _Invalidation(self, holder, vpn, holder, acked.done)
             self.gpus[holder].memory.free(replica_ppn)
-        yield AllOf(self.engine, acks)
+
+    def _collapsed(self, fn: Callable[..., None], args: tuple) -> None:
         self.stats.counter("replica_collapses").add()
+        self.engine.tail(fn, *args)
 
 
 # ----------------------------------------------------------------------
@@ -430,8 +363,56 @@ class UVMDriver:
 # ----------------------------------------------------------------------
 #
 # Each method is one state: it runs the work between two waits, then
-# registers the next state.  The first state runs inline, in the
-# constructor (DESIGN.md §7.1).
+# hands the next state to what it waits on as a continuation.  The first
+# state runs inline, in the constructor (DESIGN.md §7.1).  A state that
+# ends a machine hands its result on with Engine.tail.
+
+
+class _Countdown:
+    """``pending`` completions counted down: the last one hands on to
+    ``fn(*args)`` (an ``AllOf`` whose waiter is a continuation)."""
+
+    __slots__ = ("engine", "pending", "fn", "args")
+
+    def __init__(self, engine: Engine, pending: int, fn: Callable[..., None], *args: Any) -> None:
+        self.engine = engine
+        self.pending = pending
+        self.fn = fn
+        self.args = args
+
+    def done(self) -> None:
+        self.pending -= 1
+        if not self.pending:
+            self.engine.tail(self.fn, *self.args)
+
+
+class _FaultBatch:
+    """One batch of far faults on a service slot: the fault-handling
+    latency, then every fault's resolution, counted down; the slot is
+    released once the last reply has reached its GPU."""
+
+    __slots__ = ("driver", "faults")
+
+    def __init__(self, driver: UVMDriver, faults: List[FarFault]) -> None:
+        self.driver = driver
+        self.faults = faults
+
+    def granted(self, _ev) -> None:
+        """A service slot is ours: start the batch, then go back for the
+        next one."""
+        driver = self.driver
+        driver.engine.schedule(0, self._service)
+        driver._next_batch()
+
+    def _service(self) -> None:
+        driver = self.driver
+        driver.engine.defer(driver.config.uvm.fault_handling_latency, self._resolve)
+
+    def _resolve(self) -> None:
+        driver = self.driver
+        resolved = _Countdown(driver.engine, len(self.faults), driver._batch_slots.release)
+        for fault in self.faults:
+            _FaultResolution(driver, fault, resolved.done)
 
 
 class _FaultResolution:
@@ -443,16 +424,17 @@ class _FaultResolution:
     while the reply was in flight the mapping is stale, and the fault is
     re-resolved (at most :attr:`UVMDriver.MAX_REPLY_RETRIES` times,
     never migrating again); a GPU's refetch (``FarFault.retry``) never
-    migrates either.  ``done`` fires once the GPU holds the reply; first
-    touch, migration and replication run as child processes it waits on.
+    migrates either.  Once the GPU holds the reply, its continuation
+    runs and the batch counts the fault resolved.
     """
 
-    __slots__ = ("driver", "fault", "done", "attempts", "generation", "word")
+    __slots__ = ("driver", "fault", "counted", "attempts", "generation", "word")
 
-    def __init__(self, driver: UVMDriver, fault: FarFault) -> None:
+    def __init__(self, driver: UVMDriver, fault: FarFault, counted: Callable[[], None]) -> None:
         self.driver = driver
         self.fault = fault
-        self.done = Event(driver.engine)
+        #: counts the fault resolved in its batch.
+        self.counted = counted
         self.attempts = 0
         self.generation = 0
         self.word = 0
@@ -463,14 +445,14 @@ class _FaultResolution:
         self.generation = driver._generation.get(self.fault.vpn, 0)
         gate = driver._gates.get(self.fault.vpn)
         if gate is not None:
-            gate.wait().add_callback(self._walk_host)
+            gate.wait(self._walk_host)
             return
         self._walk_host()
 
-    def _walk_host(self, _ev: Optional[Event] = None) -> None:
+    def _walk_host(self) -> None:
         self.driver.host_walkers.request().add_callback(self._host_walker)
 
-    def _host_walker(self, _ev: Event) -> None:
+    def _host_walker(self, _ev) -> None:
         driver = self.driver
         driver.engine.defer(driver.config.uvm.host_walk_latency, self._host_walked)
 
@@ -482,7 +464,7 @@ class _FaultResolution:
 
         word = driver.host_page_table.translate(vpn)
         if word is None:
-            driver.engine.process(driver._first_touch(vpn, gpu_id)).add_callback(self._child_done)
+            driver.engine.tail(driver._first_touch, vpn, gpu_id, self._resolved)
             return
 
         owner = PhysicalMemory.owner_of(pte_bits.ppn(word))
@@ -492,21 +474,20 @@ class _FaultResolution:
             return
 
         if driver.config.page_replication:
-            driver.engine.process(
-                driver._resolve_replicated(vpn, gpu_id, owner, word, fault.is_write)
-            ).add_callback(self._child_done)
+            driver.engine.tail(
+                driver._resolve_replicated, vpn, gpu_id, owner, word, fault.is_write,
+                self._resolved,
+            )
             return
 
         policy = driver.config.migration_policy
         if policy is MigrationPolicy.ON_TOUCH and not (self.attempts or fault.retry):
             self.word = word
-            driver.engine.process(
-                driver._migrate(vpn, gpu_id, push_mapping=False)
-            ).add_callback(self._migrated)
+            driver.engine.tail(driver._migrate, vpn, gpu_id, False, self._migrated)
             return
         self._remote_mapping(word)
 
-    def _migrated(self, _ev: Event) -> None:
+    def _migrated(self) -> None:
         driver = self.driver
         vpn, gpu_id = self.fault.vpn, self.fault.gpu_id
         new_word = driver.host_page_table.translate(vpn)
@@ -524,18 +505,14 @@ class _FaultResolution:
         owner = PhysicalMemory.owner_of(pte_bits.ppn(word))
         self._resolved(pte_bits.make_remote_pte(pte_bits.ppn(word), owner))
 
-    def _child_done(self, ev: Event) -> None:
-        self._resolved(ev._value)
-
     def _resolved(self, word: int) -> None:
         """Reply with the resolved mapping over PCIe."""
-        driver = self.driver
         self.word = word
-        driver.interconnect.host_to_gpu(self.fault.gpu_id, CONTROL_MESSAGE_BYTES).add_callback(
-            self._replied
+        self.driver.interconnect.host_to_gpu(
+            self.fault.gpu_id, CONTROL_MESSAGE_BYTES, self._replied
         )
 
-    def _replied(self, _ev: Event) -> None:
+    def _replied(self) -> None:
         driver = self.driver
         fault = self.fault
         if driver._generation.get(fault.vpn, 0) != self.generation or fault.vpn in driver._gates:
@@ -562,8 +539,186 @@ class _FaultResolution:
             )
         driver._inflight_faults -= 1
         driver.gpus[fault.gpu_id].driver_busy -= 1
-        fault.resolved.succeed(self.word)
-        self.done.succeed(None)
+        # Two waiters, the GPU's continuation and then the batch count:
+        # the first runs at once if the ready queue is empty (it would be
+        # the next callback, with the batch count queued behind it).
+        ready = engine._ready
+        gpu_args = fault.args + (self.word,)
+        if ready:
+            ready.append((fault.fn, gpu_args))
+            ready.append((self.counted, ()))
+        else:
+            ready.append((self.counted, ()))
+            fault.fn(*gpu_args)
+
+
+class _Migration:
+    """One page migration (§3.3 steps 2-4) with its shootdown.
+
+    The page's gate closes; the host walk invalidates the host PTE and,
+    under a directory scheme, reads and clears the residency bits; the
+    shootdown goes to the directory's holders once the host walk is done
+    (IDYLL, directory), to every GPU in parallel with it (broadcast), or
+    is instantaneous (zero latency).  Acks are counted down; then the
+    page moves, the mapping is pushed to the destination if asked, the
+    gate opens and ``fn(*args)`` runs.  A migration that finds the page
+    already migrating waits for that one's gate instead.
+    """
+
+    __slots__ = (
+        "driver", "vpn", "dst", "push_mapping", "fn", "args", "src", "old_ppn",
+        "new_ppn", "gate", "t_request", "waiting", "acked",
+    )
+
+    def __init__(self, driver: UVMDriver, vpn: int, dst: int, push_mapping: bool,
+                 fn: Callable[..., None], args: tuple) -> None:
+        self.driver = driver
+        self.vpn = vpn
+        self.dst = dst
+        self.push_mapping = push_mapping
+        self.fn = fn
+        self.args = args
+        self._start()
+
+    def _done(self) -> None:
+        self.driver.engine.tail(self.fn, *self.args)
+
+    def _start(self) -> None:
+        driver = self.driver
+        vpn, dst = self.vpn, self.dst
+        gate = driver._gates.get(vpn)
+        if gate is not None:
+            gate.wait(self._done)
+            return
+        word = driver.host_page_table.translate(vpn)
+        if word is None:
+            self._done()
+            return
+        old_ppn = self.old_ppn = pte_bits.ppn(word)
+        src = self.src = PhysicalMemory.owner_of(old_ppn)
+        if src == dst:
+            self._done()
+            return
+
+        self.gate = driver._gates[vpn] = Gate(driver.engine)
+        # Per-GPU park gauges: both endpoints of the migration are busy
+        # until the gate reopens (the page's TLB holders are shot down
+        # individually via the invalidation gauges above).
+        driver.gpus[src].driver_busy += 1
+        driver.gpus[dst].driver_busy += 1
+        self.t_request = driver.engine.now
+        driver.stats.counter("migrations").add()
+        if driver._tracer.enabled:
+            driver._tracer.emit("mig.start", driver.name, vpn, src=src, dst=dst)
+        scheme = driver.config.invalidation_scheme
+
+        driver.engine.schedule(0, self._host_walk)
+        if scheme is InvalidationScheme.ZERO_LATENCY:
+            # Ideal: every GPU's PTE updated instantaneously, no contention.
+            for gpu in driver.gpus:
+                gpu.apply_instant_invalidation(vpn)
+        elif scheme not in _DIRECTORY_SCHEMES:
+            # Baseline: broadcast immediately, in parallel with the host
+            # walk, which counts as one more ack.
+            num_gpus = driver.config.num_gpus
+            self.acked = _Countdown(driver.engine, 1 + num_gpus, self._invalidated)
+            for g in range(num_gpus):
+                _Invalidation(driver, g, vpn, dst, self.acked.done)
+
+    def _host_walk(self) -> None:
+        """Host-side PT walk that invalidates the mapping and (under
+        IDYLL) reads + clears the directory bits."""
+        self.driver.host_walkers.request().add_callback(self._host_walker)
+
+    def _host_walker(self, _ev) -> None:
+        driver = self.driver
+        vpn = self.vpn
+        latency = driver.config.uvm.host_walk_latency
+        holders: Optional[List[int]] = None
+        directory = driver.directory
+        if directory is not None:
+            if isinstance(directory, VMTableDirectory):
+                # VM-Cache probe runs in parallel with the walk (§6.4).
+                latency = max(latency, directory.lookup_latency_for(vpn))
+            holders = directory.holders(vpn)
+            directory.clear(vpn)
+        driver.engine.defer(latency, self._host_walked, holders)
+
+    def _host_walked(self, holders: Optional[List[int]]) -> None:
+        driver = self.driver
+        driver.host_page_table.invalidate(self.vpn)
+        driver.host_walkers.release()
+        scheme = driver.config.invalidation_scheme
+        if scheme is InvalidationScheme.ZERO_LATENCY:
+            driver.engine.tail(self._invalidated)
+        elif scheme in _DIRECTORY_SCHEMES:
+            # The shootdown had to wait for the access bits (§6.2).
+            driver.engine.tail(self._shoot_down, holders)
+        else:
+            driver.engine.tail(self.acked.done)
+
+    def _shoot_down(self, holders: Optional[List[int]]) -> None:
+        driver = self.driver
+        vpn = self.vpn
+        targets = list(holders or [])
+        if driver.tracker.suspects:
+            # Graceful degradation: a GPU whose directory state is
+            # suspect (repeated ack timeouts) is shot down whether or
+            # not the directory filter names it, until it recovers.
+            extra = sorted(driver.tracker.suspects.difference(targets))
+            if extra:
+                targets.extend(extra)
+                driver.stats.counter("inval_degraded").add(len(extra))
+                if driver._tracer.enabled:
+                    driver._tracer.emit("inval.degrade", driver.name, vpn, gpus=extra)
+        if not targets:
+            driver.engine.tail(self._invalidated)
+            return
+        acked = _Countdown(driver.engine, len(targets), self._invalidated)
+        for g in targets:
+            _Invalidation(driver, g, vpn, self.dst, acked.done)
+
+    def _invalidated(self) -> None:
+        driver = self.driver
+        self.waiting = driver.engine.now - self.t_request
+        driver.stats.latency("migration_waiting").record(self.waiting)
+        # §3.3 step 4: the actual data transfer.
+        self.new_ppn = driver.gpus[self.dst].memory.allocate(self.vpn)
+        driver.interconnect.gpu_to_gpu(self.src, self.dst, driver.config.page_size, self._moved)
+
+    def _moved(self) -> None:
+        driver = self.driver
+        vpn = self.vpn
+        driver.gpus[self.src].memory.free(self.old_ppn)
+        driver.host_page_table.set_entry(vpn, pte_bits.make_pte(self.new_ppn))
+        driver._record_resident(vpn, self.dst)
+        driver.counters.reset_page(vpn)
+        if self.push_mapping:
+            driver.interconnect.host_to_gpu(self.dst, CONTROL_MESSAGE_BYTES, self._push)
+            return
+        self._finish()
+
+    def _push(self) -> None:
+        self.driver.gpus[self.dst].deliver_mapping(
+            self.vpn, pte_bits.make_pte(self.new_ppn), self._finish
+        )
+
+    def _finish(self) -> None:
+        driver = self.driver
+        vpn, src, dst = self.vpn, self.src, self.dst
+        engine = driver.engine
+        driver.stats.latency("migration_total").record(engine.now - self.t_request)
+        if driver._tracer.enabled:
+            driver._tracer.emit(
+                "mig.done", driver.name, vpn,
+                src=src, dst=dst, waited=self.waiting, cycles=engine.now - self.t_request,
+            )
+        driver._generation[vpn] = driver._generation.get(vpn, 0) + 1
+        driver.gpus[src].driver_busy -= 1
+        driver.gpus[dst].driver_busy -= 1
+        del driver._gates[vpn]
+        self.gate.open()
+        self._done()
 
 
 class _Invalidation:
@@ -572,8 +727,9 @@ class _Invalidation:
 
     Each is one :class:`~repro.uvm.protocol.InvalidationTracker` record:
     a sequence number, an ack applied idempotently, and the suspect
-    bookkeeping.  ``done`` is the record's ``acked`` event; the GPU's
-    ``driver_busy`` gauge drops just before it fires.
+    bookkeeping.  ``fn(*args)`` runs when the first surviving ack
+    reaches the driver; the GPU's ``driver_busy`` gauge drops just
+    before.
 
     Without a fault injector every message arrives, so an attempt is one
     request and one ack.  With one, each request and ack copy draws a
@@ -586,13 +742,15 @@ class _Invalidation:
     than letting a possibly-stale GPU proceed.
     """
 
-    __slots__ = ("driver", "pending", "dst", "done")
+    __slots__ = ("driver", "pending", "dst", "fn", "args")
 
-    def __init__(self, driver: UVMDriver, gpu_id: int, vpn: int, dst: int) -> None:
+    def __init__(self, driver: UVMDriver, gpu_id: int, vpn: int, dst: int,
+                 fn: Callable[..., None], *args: Any) -> None:
         self.driver = driver
         self.dst = dst
+        self.fn = fn
+        self.args = args
         pending = self.pending = driver.tracker.begin(gpu_id, vpn)
-        self.done = pending.acked
         driver.gpus[gpu_id].driver_busy += 1
         driver.stats.counter("invalidations_sent").add()
         if driver._tracer.enabled:
@@ -632,16 +790,16 @@ class _Invalidation:
         if plan.drop:
             return
         self.driver.interconnect.host_to_gpu(
-            self.pending.gpu_id, CONTROL_MESSAGE_BYTES, plan.delay
-        ).add_callback(self._delivered)
+            self.pending.gpu_id, CONTROL_MESSAGE_BYTES, self._delivered, extra_delay=plan.delay
+        )
 
-    def _delivered(self, _ev: Event) -> None:
+    def _delivered(self) -> None:
         pending = self.pending
         self.driver.gpus[pending.gpu_id].receive_invalidation(
-            pending.vpn, self.dst, pending
-        ).add_callback(self._acked)
+            pending.vpn, self.dst, pending, self._acked
+        )
 
-    def _acked(self, _ev: Event) -> None:
+    def _acked(self) -> None:
         """The GPU acked one request copy: carry the ack home."""
         plan = self._plan("inval_ack", "up")
         self._trace_faults(plan, "ack")
@@ -649,28 +807,29 @@ class _Invalidation:
             return
         interconnect = self.driver.interconnect
         gpu_id = self.pending.gpu_id
-        interconnect.gpu_to_host(gpu_id, CONTROL_MESSAGE_BYTES, plan.delay).add_callback(
-            self._ack_home
+        interconnect.gpu_to_host(
+            gpu_id, CONTROL_MESSAGE_BYTES, self._ack_home, extra_delay=plan.delay
         )
         if plan.duplicate:
-            interconnect.gpu_to_host(gpu_id, CONTROL_MESSAGE_BYTES).add_callback(self._ack_home)
+            interconnect.gpu_to_host(gpu_id, CONTROL_MESSAGE_BYTES, self._ack_home)
 
-    def _ack_home(self, _ev: Event) -> None:
+    def _ack_home(self) -> None:
         driver = self.driver
         pending = self.pending
-        if not pending.acked.triggered:
+        if not pending.acked:
             if driver._tracer.enabled:
                 driver._tracer.emit(
                     "inval.ack", driver.name, pending.vpn,
                     gpu=pending.gpu_id, iseq=pending.seq, attempt=pending.attempts,
                 )
             driver.gpus[pending.gpu_id].driver_busy -= 1
-        driver.tracker.deliver_ack(pending)
+        if driver.tracker.deliver_ack(pending):
+            driver.engine.tail(self.fn, *self.args)
 
     def _timed_out(self) -> None:
         """The current attempt's retry timer: retry, or give up."""
         pending = self.pending
-        if pending.acked.triggered:
+        if pending.acked:
             return
         driver = self.driver
         tracer = driver._tracer

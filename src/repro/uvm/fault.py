@@ -8,24 +8,27 @@ batch), and resolves faults against the centralized host page table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..sim.engine import Event
+from typing import Callable
 
 __all__ = ["FarFault"]
 
 
-@dataclass
 class FarFault:
     """One outstanding far fault awaiting driver resolution."""
 
-    gpu_id: int
-    vpn: int
-    is_write: bool
-    raised_at: int
-    #: fires with the new PTE word once the driver has resolved the fault
-    #: and pushed the mapping back to the GPU.
-    resolved: Event
-    #: a GPU's refetch of a reply that went stale before it was installed:
-    #: never migrates, so two GPUs cannot steal a page from each other forever.
-    retry: bool = False
+    __slots__ = ("gpu_id", "vpn", "is_write", "raised_at", "fn", "args", "retry")
+
+    def __init__(self, gpu_id: int, vpn: int, is_write: bool, raised_at: int,
+                 fn: Callable[..., None], args: tuple = (), retry: bool = False) -> None:
+        self.gpu_id = gpu_id
+        self.vpn = vpn
+        self.is_write = is_write
+        self.raised_at = raised_at
+        #: the faulting GPU's continuation: ``fn(*args, word)`` runs with
+        #: the new PTE word once the driver's reply has reached the GPU.
+        self.fn = fn
+        self.args = args
+        #: a GPU's refetch of a reply that went stale before it was
+        #: installed: never migrates, so two GPUs cannot steal a page from
+        #: each other forever.
+        self.retry = retry

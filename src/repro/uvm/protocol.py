@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..config import FaultConfig
-from ..sim.engine import Engine, Event
+from ..sim.engine import Engine
 from ..sim.stats import StatsGroup
 from ..sim.trace import NULL_TRACER
 
@@ -37,12 +37,12 @@ class PendingInvalidation:
         "seq", "gpu_id", "vpn", "acked", "attempts", "first_sent", "abandoned", "received",
     )
 
-    def __init__(self, seq: int, gpu_id: int, vpn: int, acked: Event, now: int) -> None:
+    def __init__(self, seq: int, gpu_id: int, vpn: int, now: int) -> None:
         self.seq = seq
         self.gpu_id = gpu_id
         self.vpn = vpn
-        #: fires exactly once, when the first surviving ack arrives.
-        self.acked = acked
+        #: set exactly once, when the first surviving ack arrives.
+        self.acked = False
         self.attempts = 0
         self.first_sent = now
         self.abandoned = False
@@ -81,9 +81,7 @@ class InvalidationTracker:
         simulated latency), so there is no window in which the directory
         has been cleared but the auditor cannot see the in-flight cover."""
         self._next_seq += 1
-        pending = PendingInvalidation(
-            self._next_seq, gpu_id, vpn, self.engine.event(), self.engine.now
-        )
+        pending = PendingInvalidation(self._next_seq, gpu_id, vpn, self.engine.now)
         self._pending[pending.seq] = pending
         key = (gpu_id, vpn)
         self._pending_pairs[key] = self._pending_pairs.get(key, 0) + 1
@@ -92,16 +90,16 @@ class InvalidationTracker:
     def deliver_ack(self, pending: PendingInvalidation) -> bool:
         """An ack packet arrived; True iff it was the first (the rest are
         duplicates/late retries and are dropped idempotently)."""
-        if pending.acked.triggered:
+        if pending.acked:
             self.stats.counter("duplicate_acks").add()
             return False
+        pending.acked = True
         self._retire(pending)
         if pending.abandoned:
             # A long-lost ack finally made it after retries were
             # exhausted: unblock the stalled migration (the GPU keeps its
             # suspect status until it re-proves itself with clean acks).
             self.stats.counter("acks_after_abandon").add()
-            pending.acked.succeed()
             return True
         streak = self._clean_streak.get(pending.gpu_id, 0)
         if pending.attempts == 0:
@@ -112,7 +110,6 @@ class InvalidationTracker:
                 self.stats.counter("suspects_recovered").add()
                 if self._tracer.enabled:
                     self._tracer.emit("inval.recover", "uvm", gpu=pending.gpu_id)
-        pending.acked.succeed()
         return True
 
     def note_retry(self, gpu_id: int) -> None:
@@ -168,11 +165,6 @@ class InvalidationTracker:
 
     def is_pending_pair(self, gpu_id: int, vpn: int) -> bool:
         return (gpu_id, vpn) in self._pending_pairs
-
-    def oldest_pending_age(self) -> int:
-        if not self._pending:
-            return 0
-        return self.engine.now - min(p.first_sent for p in self._pending.values())
 
     def deadline_violation(self, deadline: int) -> Optional[str]:
         """Watchdog hook: a human-readable description of the oldest

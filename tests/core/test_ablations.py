@@ -11,6 +11,10 @@ from repro.workloads.base import Workload
 PAGE = 1 << 20
 
 
+def _ack():
+    pass
+
+
 class TestMergeAblation:
     def test_no_merge_gives_one_vpn_per_entry(self):
         irmb = IRMB(IRMBConfig(bases=4, offsets_per_base=16, merge_enabled=False), LAYOUT_4K)
@@ -45,7 +49,7 @@ class TestBypassAblation:
         workload = Workload(name="m", traces=[[trace], [[]]])
         system = MultiGPUSystem(config)
         system.gpus[0].lazy.stop()
-        system.engine.schedule(4000, system.gpus[0].receive_invalidation, PAGE, 1)
+        system.engine.schedule(4000, system.gpus[0].receive_invalidation, PAGE, 1, None, _ack)
         system.run(workload)
         return system.gpus[0]
 
@@ -71,7 +75,7 @@ class TestIdleWritebackAblation:
         workload = Workload(name="m", traces=[[[(0, PAGE, False)]], [[]]])
         system = MultiGPUSystem(config)
         gpu = system.gpus[0]
-        system.engine.schedule(6000, gpu.receive_invalidation, PAGE, 1)
+        system.engine.schedule(6000, gpu.receive_invalidation, PAGE, 1, None, _ack)
         system.run(workload)
         # Without idle writeback, the invalidation stays in the IRMB and
         # the (stale) PTE stays valid in the page table.

@@ -124,9 +124,10 @@ def test_probe_hit_always_bypasses_local_walk(seed):
         gpu.lazy.accept_invalidation(vpn)
         assert gpu.lazy.probe(vpn) is True
 
-        translated = gpu.translate(0, vpn, False)
+        words = []
+        gpu.translate(0, vpn, False, words.append)
         system.engine.run()
-        outcome = {"word": translated.value}
+        outcome = {"word": words[0]}
 
         assert outcome["word"] is not None
         mine = [r for r in tracer.records() if r.vpn == vpn]

@@ -10,6 +10,10 @@ from repro.memory.page_table import PageTable
 from repro.sim.engine import Engine
 
 
+def _noop(_result):
+    pass
+
+
 def make_stack(bases=4, offsets=4, walkers=2):
     engine = Engine()
     table = PageTable(LAYOUT_4K)
@@ -59,11 +63,13 @@ class TestIdleWriteback:
         for vpn in (5, 600, 1200):
             table.set_entry(vpn, pte.make_pte(1))
             lazy.accept_invalidation(vpn)
-        engine.process(lazy.flush())
+        flushed = []
+        engine.schedule(0, lazy.flush, lambda: flushed.append(engine.now))
         engine.run()
         assert irmb.is_empty
         for vpn in (5, 600, 1200):
             assert table.translate(vpn) is None
+        assert flushed == [engine.now] and engine.now > 0
 
 
 class TestEvictionPropagation:
@@ -122,7 +128,7 @@ class TestNewMapping:
         lazy.on_new_mapping(5)  # aborts the queued walk
         from repro.gmmu.request import WalkKind
 
-        gmmu.walk(5, WalkKind.UPDATE, word=pte.make_pte(99))
+        gmmu.walk(5, WalkKind.UPDATE, _noop, word=pte.make_pte(99))
         engine.run()
         word = table.translate(5)
         assert word is not None and pte.ppn(word) == 99
@@ -144,10 +150,10 @@ class TestNewMapping:
             lazy.accept_invalidation(vpn)
         engine.run(until=150)  # idle writeback: walking a, v queued behind it
         assert lazy.on_new_mapping(v) is True
-        gmmu.walk(v, WalkKind.UPDATE, word=pte.make_pte(99))
+        gmmu.walk(v, WalkKind.UPDATE, _noop, word=pte.make_pte(99))
         lazy.accept_invalidation(v)  # the page moves again
         lazy.accept_invalidation(2 << 9)  # another base evicts v's entry
         for i in range(10):
-            gmmu.walk((5 << 9) | i, WalkKind.DEMAND)
+            gmmu.walk((5 << 9) | i, WalkKind.DEMAND, _noop)
         engine.run(until=1200)
         assert table.translate(v) is None or v in lazy.pending_vpns()

@@ -25,7 +25,7 @@ class TestTrackerLifecycle:
         pending = tracker.begin(1, _VPN)
         assert tracker.has_pending()
         assert tracker.is_pending_pair(1, _VPN)
-        assert not pending.acked.triggered
+        assert not pending.acked
 
     def test_sequence_numbers_are_unique(self):
         _, tracker = _tracker()
@@ -36,7 +36,7 @@ class TestTrackerLifecycle:
         _, tracker = _tracker()
         pending = tracker.begin(1, _VPN)
         assert tracker.deliver_ack(pending) is True
-        assert pending.acked.triggered
+        assert pending.acked
         assert not tracker.has_pending()
         assert not tracker.is_pending_pair(1, _VPN)
 
@@ -75,7 +75,7 @@ class TestSuspectState:
         pending = tracker.begin(2, _VPN)
         tracker.abandon(pending)
         assert tracker.deliver_ack(pending) is True
-        assert pending.acked.triggered
+        assert pending.acked
         assert not tracker.has_pending()
         assert tracker.stats.counter("acks_after_abandon").value == 1
         # Suspect status is only cleared by a clean-ack streak.
@@ -119,9 +119,11 @@ class TestDeadlines:
 
         engine.process(advance())
         engine.run()
-        assert tracker.oldest_pending_age() == 10_000
         message = tracker.deadline_violation(5_000)
         assert message is not None and f"seq={pending.seq}" in message
+        assert "unacked for 10000 cycles" in message
+        assert tracker.deadline_violation(10_000) is not None
+        assert tracker.deadline_violation(10_001) is None
         assert tracker.deadline_violation(20_000) is None
 
     def test_dump_lists_pending_and_suspects(self):

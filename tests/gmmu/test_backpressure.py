@@ -14,6 +14,10 @@ from repro.memory.page_table import PageTable
 from repro.sim.engine import Engine
 
 
+def _noop(_result):
+    pass
+
+
 def make_gmmu(walkers=1):
     engine = Engine()
     table = PageTable(LAYOUT_4K)
@@ -27,12 +31,12 @@ class TestQueueBackpressure:
     def test_all_submissions_eventually_complete(self):
         """Submissions beyond the free walkers queue but never drop."""
         engine, table, gmmu = make_gmmu(walkers=1)
-        requests = []
+        results = []
         for i in range(20):
             table.set_entry(i << 18, pte.make_pte(i))
-            requests.append(gmmu.walk(i << 18, WalkKind.DEMAND))
+            gmmu.walk(i << 18, WalkKind.DEMAND, results.append)
         engine.run()
-        assert all(r.done.triggered for r in requests)
+        assert sorted(results) == sorted(pte.make_pte(i) for i in range(20))
         assert gmmu.stats.latency("total.demand").count == 20
 
     def test_fifo_service_order(self):
@@ -40,8 +44,7 @@ class TestQueueBackpressure:
         order = []
         for i in range(6):
             table.set_entry(i << 18, pte.make_pte(i))
-            request = gmmu.walk(i << 18, WalkKind.DEMAND)
-            request.done.add_callback(lambda _e, i=i: order.append(i))
+            gmmu.walk(i << 18, WalkKind.DEMAND, lambda _word, i=i: order.append(i))
         engine.run()
         assert order == sorted(order)
 
@@ -49,7 +52,7 @@ class TestQueueBackpressure:
         engine, table, gmmu = make_gmmu(walkers=1)
         for i in range(10):
             table.set_entry(i << 18, pte.make_pte(i))
-            gmmu.walk(i << 18, WalkKind.DEMAND)
+            gmmu.walk(i << 18, WalkKind.DEMAND, _noop)
         engine.run()
         wait = gmmu.stats.latency("queue_wait.demand")
         assert wait.max > wait.min
@@ -59,9 +62,9 @@ class TestQueueBackpressure:
         engine, table, gmmu = make_gmmu(walkers=1)
         for i in range(8):
             table.set_entry(i << 18, pte.make_pte(i))
-            gmmu.walk(i << 18, WalkKind.INVALIDATE)
+            gmmu.walk(i << 18, WalkKind.INVALIDATE, _noop)
         table.set_entry(0x7F << 18, pte.make_pte(1))
-        demand = gmmu.walk(0x7F << 18, WalkKind.DEMAND)
+        demand = gmmu.walk(0x7F << 18, WalkKind.DEMAND, _noop)
         engine.run()
         assert demand.started_at - demand.issued_at >= 8 * 100
 
@@ -69,7 +72,7 @@ class TestQueueBackpressure:
         engine, table, gmmu = make_gmmu(walkers=2)
         for i in range(6):
             table.set_entry(i << 18, pte.make_pte(i))
-            gmmu.walk(i << 18, WalkKind.DEMAND)
+            gmmu.walk(i << 18, WalkKind.DEMAND, _noop)
         # Before the engine runs, submissions are queued or pending.
         assert gmmu.load >= 0
         engine.run()

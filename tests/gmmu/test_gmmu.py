@@ -14,6 +14,17 @@ from repro.memory.walk_cache import PageWalkCache
 from repro.sim.engine import Engine
 
 
+def _noop(_result):
+    pass
+
+
+def walk(gmmu, vpn, kind, word=None):
+    """Submit a walk; returns the request and the list its continuation
+    appends the walk's result to."""
+    results = []
+    return gmmu.walk(vpn, kind, results.append, word=word), results
+
+
 def make_gmmu(walkers=2, pwc=128):
     engine = Engine()
     table = PageTable(LAYOUT_4K)
@@ -29,40 +40,40 @@ class TestDemandWalks:
     def test_cold_walk_costs_four_levels(self):
         engine, table, gmmu = make_gmmu()
         table.set_entry(0x123, pte.make_pte(7))
-        request = gmmu.walk(0x123, WalkKind.DEMAND)
+        _request, results = walk(gmmu, 0x123, WalkKind.DEMAND)
         engine.run()
-        assert request.done.value == pte.make_pte(7)
+        assert results == [pte.make_pte(7)]
         assert engine.now == 400
 
     def test_warm_walk_hits_pwc(self):
         engine, table, gmmu = make_gmmu()
         table.set_entry(0x123, pte.make_pte(7))
-        gmmu.walk(0x123, WalkKind.DEMAND)
+        gmmu.walk(0x123, WalkKind.DEMAND, _noop)
         engine.run()
         t0 = engine.now
-        gmmu.walk(0x123, WalkKind.DEMAND)
+        gmmu.walk(0x123, WalkKind.DEMAND, _noop)
         engine.run()
         assert engine.now - t0 == 100  # leaf-level PWC hit: one access
 
     def test_demand_walk_of_absent_pte_returns_none(self):
         engine, _table, gmmu = make_gmmu()
-        request = gmmu.walk(0x5, WalkKind.DEMAND)
+        _request, results = walk(gmmu, 0x5, WalkKind.DEMAND)
         engine.run()
-        assert request.done.value is None
+        assert results == [None]
 
     def test_invalid_pte_translates_to_none(self):
         engine, table, gmmu = make_gmmu()
         table.set_entry(0x5, pte.clear_valid(pte.make_pte(9)))
-        request = gmmu.walk(0x5, WalkKind.DEMAND)
+        _request, results = walk(gmmu, 0x5, WalkKind.DEMAND)
         engine.run()
-        assert request.done.value is None
+        assert results == [None]
 
 
 class TestInvalidateAndUpdateWalks:
     def test_invalidate_clears_valid_bit(self):
         engine, table, gmmu = make_gmmu()
         table.set_entry(0x5, pte.make_pte(9))
-        request = gmmu.walk(0x5, WalkKind.INVALIDATE)
+        request = gmmu.walk(0x5, WalkKind.INVALIDATE, _noop)
         engine.run()
         assert request.was_valid is True
         assert table.translate(0x5) is None
@@ -70,20 +81,20 @@ class TestInvalidateAndUpdateWalks:
 
     def test_unnecessary_invalidation_counted(self):
         engine, _table, gmmu = make_gmmu()
-        gmmu.walk(0x5, WalkKind.INVALIDATE)
+        gmmu.walk(0x5, WalkKind.INVALIDATE, _noop)
         engine.run()
         assert gmmu.stats.counter("invalidations.unnecessary").value == 1
 
     def test_update_installs_word(self):
         engine, table, gmmu = make_gmmu()
-        gmmu.walk(0x5, WalkKind.UPDATE, word=pte.make_pte(3))
+        gmmu.walk(0x5, WalkKind.UPDATE, _noop, word=pte.make_pte(3))
         engine.run()
         assert table.translate(0x5) == pte.make_pte(3)
 
     def test_aborted_invalidate_leaves_pte_alone(self):
         engine, table, gmmu = make_gmmu(walkers=1)
         table.set_entry(0x5, pte.make_pte(9))
-        request = gmmu.walk(0x5, WalkKind.INVALIDATE)
+        request = gmmu.walk(0x5, WalkKind.INVALIDATE, _noop)
         request.aborted = True
         engine.run()
         assert table.translate(0x5) is not None
@@ -97,8 +108,8 @@ class TestContention:
         table.set_entry(0x0 << 9, pte.make_pte(1))
         far = 0x5 << 27 | 0x3 << 18  # shares no useful PWC tags
         table.set_entry(far, pte.make_pte(2))
-        gmmu.walk(0x0 << 9, WalkKind.DEMAND)
-        gmmu.walk(far, WalkKind.DEMAND)
+        gmmu.walk(0x0 << 9, WalkKind.DEMAND, _noop)
+        gmmu.walk(far, WalkKind.DEMAND, _noop)
         engine.run()
         assert engine.now >= 700  # second walk queued behind the first
 
@@ -107,8 +118,8 @@ class TestContention:
         table.set_entry(0x0 << 9, pte.make_pte(1))
         far = 0x5 << 27 | 0x3 << 18
         table.set_entry(far, pte.make_pte(2))
-        gmmu.walk(0x0 << 9, WalkKind.DEMAND)
-        gmmu.walk(far, WalkKind.DEMAND)
+        gmmu.walk(0x0 << 9, WalkKind.DEMAND, _noop)
+        gmmu.walk(far, WalkKind.DEMAND, _noop)
         engine.run()
         assert engine.now <= 500
 
@@ -119,8 +130,8 @@ class TestContention:
         for i in range(5):
             table.set_entry(i << 20, pte.make_pte(i))
         for i in range(5):
-            gmmu.walk(i << 20, WalkKind.INVALIDATE)
-        demand = gmmu.walk(0x7FFF << 20, WalkKind.DEMAND)
+            gmmu.walk(i << 20, WalkKind.INVALIDATE, _noop)
+        demand = gmmu.walk(0x7FFF << 20, WalkKind.DEMAND, _noop)
         engine.run()
         queue_wait = demand.started_at - demand.issued_at
         assert queue_wait > 0
@@ -128,11 +139,47 @@ class TestContention:
     def test_queue_wait_recorded_per_kind(self):
         engine, table, gmmu = make_gmmu(walkers=1)
         table.set_entry(1, pte.make_pte(1))
-        gmmu.walk(1, WalkKind.DEMAND)
-        gmmu.walk(1, WalkKind.DEMAND)
+        gmmu.walk(1, WalkKind.DEMAND, _noop)
+        gmmu.walk(1, WalkKind.DEMAND, _noop)
         engine.run()
         assert gmmu.stats.latency("queue_wait.demand").count == 2
         assert gmmu.stats.latency("queue_wait.demand").max > 0
+
+
+class TestContinuations:
+    def test_continuation_runs_after_thread_passes_to_next_walk(self):
+        engine, _table, gmmu = make_gmmu(walkers=1)
+        seen = []
+        queued = []
+
+        def first_done(_result):
+            seen.append((engine.now, queued[0].started_at, gmmu.load))
+
+        gmmu.walk(0x1, WalkKind.DEMAND, first_done)
+        queued.append(gmmu.walk(0x2, WalkKind.DEMAND, _noop))
+        engine.run()
+        assert seen == [(400, 400, 1)]
+
+    def test_continuation_runs_before_work_its_retirement_queued(self):
+        """A queued walk aborted meanwhile is skipped when the thread
+        passes on; its continuation runs after the retiring walk's."""
+        engine, _table, gmmu = make_gmmu(walkers=1)
+        order = []
+        gmmu.walk(0x1, WalkKind.DEMAND, lambda _r: order.append(("first", engine.now)))
+        aborted = gmmu.walk(0x2, WalkKind.INVALIDATE, lambda r: order.append(("aborted", r)))
+        aborted.aborted = True
+        gmmu.walk(0x3, WalkKind.DEMAND, lambda _r: order.append(("third", engine.now)))
+        engine.run()
+        assert order[:2] == [("first", 400), ("aborted", None)]
+        assert order[2][0] == "third" and order[2][1] > 400
+
+    def test_continuation_receives_its_arguments_then_the_result(self):
+        engine, table, gmmu = make_gmmu()
+        table.set_entry(0x9, pte.make_pte(4))
+        got = []
+        gmmu.walk(0x9, WalkKind.DEMAND, lambda *args: got.append(args), "lane", 2)
+        engine.run()
+        assert got == [("lane", 2, pte.make_pte(4))]
 
 
 class TestZeroLatencyWalks:
@@ -152,10 +199,10 @@ class TestZeroLatencyWalks:
         table = PageTable(LAYOUT_4K)
         config = GMMUConfig(walker_threads=1, walk_latency_per_level=0)
         gmmu = GMMU(engine, config, table, injector=self._StallFirst())
-        requests = [gmmu.walk(i, WalkKind.DEMAND) for i in range(3000)]
+        walks = [walk(gmmu, i, WalkKind.DEMAND) for i in range(3000)]
         engine.run()
-        assert all(r.done.triggered for r in requests)
-        assert requests[-1].started_at == 50
+        assert all(results == [None] for _request, results in walks)
+        assert walks[-1][0].started_at == 50
         assert gmmu.is_idle
 
 
@@ -164,7 +211,7 @@ class TestIdleTracking:
         engine, table, gmmu = make_gmmu()
         assert gmmu.is_idle
         table.set_entry(1, pte.make_pte(1))
-        gmmu.walk(1, WalkKind.DEMAND)
+        gmmu.walk(1, WalkKind.DEMAND, _noop)
         assert not gmmu.is_idle
         engine.run()
         assert gmmu.is_idle
@@ -172,28 +219,31 @@ class TestIdleTracking:
     def test_wait_idle_fires_on_drain(self):
         engine, table, gmmu = make_gmmu(walkers=1)
         table.set_entry(1, pte.make_pte(1))
-        gmmu.walk(1, WalkKind.DEMAND)
-        ev = gmmu.wait_idle()
-        assert not ev.triggered
+        gmmu.walk(1, WalkKind.DEMAND, _noop)
+        woken = []
+        gmmu.wait_idle(lambda: woken.append(engine.now))
+        engine.schedule(0, woken.append, "ready work")
         engine.run()
-        assert ev.triggered
+        assert woken == ["ready work", 400]
 
     def test_wait_idle_fires_at_once_while_a_walker_is_free(self):
         """A walker is available when nothing is queued and a thread is
         free, even with another thread mid-walk (§6.3)."""
         engine, table, gmmu = make_gmmu(walkers=2)
         table.set_entry(1, pte.make_pte(1))
-        request = gmmu.walk(1, WalkKind.DEMAND)
-        ev = gmmu.wait_idle()
-        assert ev.triggered
+        _request, results = walk(gmmu, 1, WalkKind.DEMAND)
+        woken = []
+        gmmu.wait_idle(lambda: woken.append(engine.now))
         assert not gmmu.is_idle
+        engine.run(until=0)
+        assert woken == [0]  # from the ready queue, in the same cycle
         engine.run()
-        assert request.done.triggered
+        assert results == [pte.make_pte(1)]
 
     def test_invalidation_busy_cycles_accumulate(self):
         engine, table, gmmu = make_gmmu()
         table.set_entry(1, pte.make_pte(1))
-        gmmu.walk(1, WalkKind.INVALIDATE)
+        gmmu.walk(1, WalkKind.INVALIDATE, _noop)
         engine.run()
         assert gmmu.invalidation_busy_cycles() == 400
         assert gmmu.any_busy_cycles() == 400
@@ -201,7 +251,7 @@ class TestIdleTracking:
     def test_demand_walks_do_not_count_as_inval_busy(self):
         engine, table, gmmu = make_gmmu()
         table.set_entry(1, pte.make_pte(1))
-        gmmu.walk(1, WalkKind.DEMAND)
+        gmmu.walk(1, WalkKind.DEMAND, _noop)
         engine.run()
         assert gmmu.invalidation_busy_cycles() == 0
         assert gmmu.any_busy_cycles() == 400
@@ -269,7 +319,7 @@ class TestWalkerTiming:
 
         def submit(i):
             word = pte.make_pte(7) if kinds[i] is WalkKind.UPDATE else None
-            requests[i] = gmmu.walk(submits[i][1], kinds[i], word=word)
+            requests[i] = gmmu.walk(submits[i][1], kinds[i], _noop, word=word)
 
         for i, (cycle, _vpn) in enumerate(submits):
             engine.schedule(cycle, submit, i)

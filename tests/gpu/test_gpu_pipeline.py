@@ -10,6 +10,10 @@ from repro.workloads.base import Workload
 PAGE = 1 << 20
 
 
+def _ack(*_args):
+    pass
+
+
 def tiny_config(**overrides):
     config = replace(baseline_config(num_gpus=2), trace_lanes=2, inflight_per_cu=4)
     return replace(config, **overrides) if overrides else config
@@ -78,9 +82,10 @@ class TestZeroLatencies:
         gpu = system.gpus[0]
         word = pte.make_pte(5)
         gpu.l1_tlbs[0].insert(PAGE, word)
-        translated = gpu.translate(0, PAGE, False)
+        words = []
+        gpu.translate(0, PAGE, False, words.append)
         system.engine.run()
-        assert translated.value == word
+        assert words == [word]
 
 
 class TestFastPath:
@@ -107,24 +112,25 @@ class TestInvalidationReceipt:
         system, _result = run_single_gpu([(0, PAGE, False)] * 3)
         gpu = system.gpus[0]
         assert gpu.l1_tlbs[0].probe(PAGE)
-        gpu.receive_invalidation(PAGE, dst=1)
+        gpu.receive_invalidation(PAGE, 1, None, _ack)
         assert not gpu.l1_tlbs[0].probe(PAGE)
         assert not gpu.l2_tlb.probe(PAGE)
 
     def test_broadcast_receipt_walks_page_table(self):
         system, _result = run_single_gpu([(0, PAGE, False)])
         gpu = system.gpus[0]
-        ack = gpu.receive_invalidation(PAGE, dst=1)
-        assert not ack.triggered  # must wait for the INVALIDATE walk
+        acks = []
+        gpu.receive_invalidation(PAGE, 1, None, acks.append, "ack")
+        assert acks == []  # must wait for the INVALIDATE walk
         system.engine.run()
-        assert ack.triggered
+        assert acks == ["ack"]
         assert gpu.page_table.translate(PAGE) is None
 
     def test_necessary_vs_unnecessary_accounting(self):
         system, _result = run_single_gpu([(0, PAGE, False)])
         gpu = system.gpus[0]
-        gpu.receive_invalidation(PAGE, dst=1)        # valid PTE -> necessary
-        gpu.receive_invalidation(PAGE + 99, dst=1)   # absent -> unnecessary
+        gpu.receive_invalidation(PAGE, 1, None, _ack)        # valid PTE -> necessary
+        gpu.receive_invalidation(PAGE + 99, 1, None, _ack)   # absent -> unnecessary
         assert gpu.stats.counter("inval_received.necessary").value == 1
         assert gpu.stats.counter("inval_received.unnecessary").value == 1
 
@@ -132,8 +138,9 @@ class TestInvalidationReceipt:
         config = tiny_config(invalidation_scheme=InvalidationScheme.IDYLL)
         system, _result = run_single_gpu([(0, PAGE, False)], config=config)
         gpu = system.gpus[0]
-        ack = gpu.receive_invalidation(PAGE, dst=1)
-        assert ack.triggered  # buffered in the IRMB, no walk needed
+        acks = []
+        gpu.receive_invalidation(PAGE, 1, None, acks.append, "ack")
+        assert acks == ["ack"]  # buffered in the IRMB, no walk needed
         assert gpu.irmb.lookup(PAGE)
         # The stale PTE is still in the page table (lazy!).
         assert gpu.page_table.translate(PAGE) is not None
@@ -149,9 +156,10 @@ class TestDeliverMapping:
     def test_deliver_installs_pte(self):
         system, _result = run_single_gpu([])
         gpu = system.gpus[0]
-        done = gpu.deliver_mapping(PAGE, pte.make_pte(0x42))
+        done = []
+        gpu.deliver_mapping(PAGE, pte.make_pte(0x42), done.append, "installed")
         system.engine.run()
-        assert done.triggered
+        assert done == ["installed"]
         word = gpu.page_table.translate(PAGE)
         assert word is not None and pte.ppn(word) == 0x42
 
@@ -159,9 +167,9 @@ class TestDeliverMapping:
         config = tiny_config(invalidation_scheme=InvalidationScheme.IDYLL)
         system, _result = run_single_gpu([(0, PAGE, False)], config=config)
         gpu = system.gpus[0]
-        gpu.receive_invalidation(PAGE, dst=1)
+        gpu.receive_invalidation(PAGE, 1, None, _ack)
         assert gpu.irmb.lookup(PAGE)
-        gpu.deliver_mapping(PAGE, pte.make_pte(0x42))
+        gpu.deliver_mapping(PAGE, pte.make_pte(0x42), _ack)
         assert not gpu.irmb.lookup(PAGE)
 
 
@@ -178,7 +186,7 @@ class TestIRMBBypass:
         # in the IRMB when the second access arrives.
         gpu.lazy.stop()
         # Inject the invalidation between the two accesses.
-        system.engine.schedule(4000, gpu.receive_invalidation, PAGE, 1)
+        system.engine.schedule(4000, gpu.receive_invalidation, PAGE, 1, None, _ack)
         result = system.run(workload)
         assert gpu.stats.counter("irmb_bypasses").value == 1
         assert result.far_faults == 2  # initial touch + bypass refault

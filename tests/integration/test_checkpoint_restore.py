@@ -324,7 +324,7 @@ class TestFaultedCheckpoints:
             ]
             payload = real_snapshot(system, workload, exact)
             if timers:
-                assert all(entry[2].__self__.done.triggered for entry in timers)
+                assert all(entry[2].__self__.pending.acked for entry in timers)
                 over_timer.append(tmp_path / f"ckpt-{system.engine.now:012d}.ckpt")
             return payload
 

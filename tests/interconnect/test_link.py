@@ -10,33 +10,70 @@ from repro.interconnect.topology import Interconnect
 from repro.sim.engine import Engine
 
 
+def _noop():
+    pass
+
+
+def _arrivals(engine):
+    """A continuation that records the cycle it runs in, and its log."""
+    log = []
+    return log, lambda tag=None: log.append((engine.now, tag))
+
+
 class TestLink:
     def test_transfer_takes_serialisation_plus_latency(self):
         engine = Engine()
         link = Link(engine, bandwidth_gbps=1.0, latency=50, clock_ghz=1.0)
-        done = link.transfer(100)  # 100 B at 1 GB/s @1 GHz = 100 cycles
+        log, arrived = _arrivals(engine)
+        link.transfer(100, arrived)  # 100 B at 1 GB/s @1 GHz = 100 cycles
         engine.run()
-        assert done.triggered
+        assert log == [(150, None)]
         assert engine.now == 150
 
     def test_serialisation_contention(self):
         """Two transfers share the port: the second waits its turn."""
         engine = Engine()
         link = Link(engine, bandwidth_gbps=1.0, latency=0, clock_ghz=1.0)
-        link.transfer(100)
-        second = link.transfer(100)
+        log, arrived = _arrivals(engine)
+        link.transfer(100, arrived, "first")
+        link.transfer(100, arrived, "second")
         engine.run()
-        assert second.triggered
+        assert log == [(100, "first"), (200, "second")]
         assert engine.now == 200
 
     def test_propagation_is_pipelined(self):
         """Latency overlaps with the next transfer's serialisation."""
         engine = Engine()
         link = Link(engine, bandwidth_gbps=1.0, latency=1000, clock_ghz=1.0)
-        link.transfer(10)
-        link.transfer(10)
+        link.transfer(10, _noop)
+        link.transfer(10, _noop)
         engine.run()
         assert engine.now == 20 + 1000  # not 2x latency
+
+    def test_continuation_runs_in_arrival_cycle_before_later_ready_work(self):
+        """The arrival's calendar entry runs the continuation itself: in
+        the arrival cycle, before a same-cycle entry pushed after the
+        transfer started and before the ready work that entry queues."""
+        engine = Engine()
+        link = Link(engine, bandwidth_gbps=1.0, latency=50, clock_ghz=1.0)
+        order = []
+
+        def later():
+            order.append(("later", engine.now))
+            engine.schedule(0, order.append, ("queued", engine.now))
+
+        link.transfer(100, lambda: order.append(("arrived", engine.now)))
+        engine.schedule(150, later)
+        engine.run()
+        assert order == [("arrived", 150), ("later", 150), ("queued", 150)]
+
+    def test_continuation_receives_its_arguments(self):
+        engine = Engine()
+        link = Link(engine, bandwidth_gbps=1.0, latency=0, clock_ghz=1.0)
+        got = []
+        link.transfer(10, lambda *args: got.append(args), 1, "two")
+        engine.run()
+        assert got == [(1, "two")]
 
     def test_nvlink_page_transfer_cycles(self):
         """Table 2: 4 KB over 300 GB/s NVLink ~ 14 cycles of occupancy."""
@@ -46,8 +83,8 @@ class TestLink:
     def test_stats_accumulate(self):
         engine = Engine()
         link = Link(engine, 1.0, 0)
-        link.transfer(10)
-        link.send_control()
+        link.transfer(10, _noop)
+        link.transfer(CONTROL_MESSAGE_BYTES, _noop)
         engine.run()
         assert link.stats.counter("transfers").value == 2
         assert link.stats.counter("bytes").value == 10 + CONTROL_MESSAGE_BYTES
@@ -64,25 +101,27 @@ class TestInterconnect:
 
     def test_gpu_to_gpu_completes(self):
         engine, net = self.make()
-        done = net.gpu_to_gpu(0, 1, 4096)
+        log, arrived = _arrivals(engine)
+        net.gpu_to_gpu(0, 1, 4096, arrived)
         engine.run()
-        assert done.triggered
+        assert log == [(engine.now, None)]
+        assert net.inflight == 0
 
     def test_self_transfer_rejected(self):
         _engine, net = self.make()
         with pytest.raises(ValueError):
-            net.gpu_to_gpu(2, 2, 64)
+            net.gpu_to_gpu(2, 2, 64, _noop)
 
     def test_unknown_gpu_rejected(self):
         _engine, net = self.make(2)
         with pytest.raises(ValueError):
-            net.gpu_to_host(5, 64)
+            net.gpu_to_host(5, 64, _noop)
 
     def test_traffic_accounting(self):
         engine, net = self.make()
-        net.gpu_to_gpu(0, 1, 1000)
-        net.gpu_to_host(0, 64)
-        net.host_to_gpu(1, 64)
+        net.gpu_to_gpu(0, 1, 1000, _noop)
+        net.gpu_to_host(0, 64, _noop)
+        net.host_to_gpu(1, 64, _noop)
         engine.run()
         assert net.nvlink_bytes() == 1000
         assert net.pcie_bytes() == 128
@@ -91,11 +130,11 @@ class TestInterconnect:
         """Table 2: 32 GB/s PCIe vs 300 GB/s NVLink."""
         engine, net = self.make()
         t0 = engine.now
-        net.gpu_to_gpu(0, 1, 1 << 20)
+        net.gpu_to_gpu(0, 1, 1 << 20, _noop)
         engine.run()
         nv = engine.now - t0
         engine2, net2 = self.make()
-        net2.host_to_gpu(0, 1 << 20)
+        net2.host_to_gpu(0, 1 << 20, _noop)
         engine2.run()
         assert engine2.now > nv
 
@@ -143,9 +182,9 @@ class TestPortTiming:
         arrived = [None] * len(issues)
 
         def issue(i, size, hold):
-            def landed(_ev, i=i):
+            def landed(i=i):
                 arrived[i] = engine.now
-            link.transfer(size, extra_delay=hold).add_callback(landed)
+            link.transfer(size, landed, extra_delay=hold)
 
         for i, (cycle, size, hold) in enumerate(issues):
             engine.schedule(cycle, issue, i, size, hold)

@@ -90,6 +90,35 @@ class TestEngineBasics:
         assert times == [5, 15]
 
 
+class TestTail:
+    def test_runs_at_once_when_the_ready_queue_is_empty(self):
+        engine = Engine()
+        order = []
+
+        def arrive():
+            engine.tail(order.append, ("continuation", engine.now))
+            order.append("after tail")
+
+        engine.schedule(5, arrive)
+        engine.run()
+        assert order == [("continuation", 5), "after tail"]
+
+    def test_queues_behind_ready_work(self):
+        """With work already queued, the continuation goes where an
+        event's waiter would: behind that work, before later work."""
+        engine = Engine()
+        order = []
+
+        def arrive():
+            engine.schedule(0, order.append, "queued before")
+            engine.tail(order.append, "continuation")
+            engine.schedule(0, order.append, "queued after")
+
+        engine.schedule(5, arrive)
+        engine.run()
+        assert order == ["queued before", "continuation", "queued after"]
+
+
 class TestEvent:
     def test_succeed_fires_callbacks(self):
         engine = Engine()

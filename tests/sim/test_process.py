@@ -16,7 +16,10 @@ class TestResource:
         assert first.triggered and second.triggered
         assert not third.triggered
         assert res.in_use == 2
-        assert res.queue_length == 1
+        # The queued request is granted by the next release, not before.
+        res.release()
+        assert third.triggered
+        assert res.in_use == 2
 
     def test_release_wakes_fifo(self):
         engine = Engine()
@@ -39,10 +42,12 @@ class TestResource:
             res.release()
 
     def test_idle_count(self):
+        """Capacity minus the held servers are granted at once; the next
+        request queues."""
         engine = Engine()
         res = Resource(engine, 3)
         res.request()
-        assert res.idle == 2
+        assert [res.request().triggered for _ in range(3)] == [True, True, False]
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(SimulationError):
@@ -62,24 +67,33 @@ class TestStore:
         engine = Engine()
         store = Store(engine)
         store.try_put("x")
-        got = store.get()
-        assert got.triggered and got.value == "x"
+        got = []
+        store.get(got.append)
+        assert got == []  # handed over from the ready queue
+        engine.run()
+        assert got == ["x"]
 
     def test_get_waits_for_put(self):
         engine = Engine()
         store = Store(engine)
-        got = store.get()
-        assert not got.triggered
+        got = []
+        store.get(got.append)
+        engine.run()
+        assert got == []
         store.try_put("y")
         engine.run()
-        assert got.value == "y"
+        assert got == ["y"]
 
     def test_fifo_order(self):
         engine = Engine()
         store = Store(engine)
         for item in (1, 2, 3):
             store.try_put(item)
-        assert [store.get().value for _ in range(3)] == [1, 2, 3]
+        got = []
+        for _ in range(3):
+            store.get(got.append)
+        engine.run()
+        assert got == [1, 2, 3]
 
     def test_try_get(self):
         engine = Engine()
@@ -93,32 +107,44 @@ class TestStore:
     def test_waiting_getter_receives_direct_handoff(self):
         engine = Engine()
         store = Store(engine)
-        got = store.get()
+        got = []
+        store.get(lambda tag, item: got.append((tag, item)), "getter")
         store.try_put("z")
         engine.run()
-        assert got.value == "z"
+        assert got == [("getter", "z")]
         assert len(store) == 0
 
 
 class TestGate:
     def test_open_gate_passes_immediately(self):
         engine = Engine()
-        gate = Gate(engine, open_=True)
-        assert gate.wait().triggered
+        gate = Gate(engine)
+        gate.open()
+        passed = []
+        gate.wait(passed.append, "through")
+        engine.run()
+        assert passed == ["through"]
+        assert engine.now == 0
 
     def test_closed_gate_blocks_until_open(self):
         engine = Engine()
-        gate = Gate(engine, open_=False)
-        ev = gate.wait()
-        assert not ev.triggered
-        gate.open()
+        gate = Gate(engine)
+        assert not gate.is_open
+        passed = []
+        gate.wait(passed.append, "through")
         engine.run()
-        assert ev.triggered
+        assert passed == []
+        engine.schedule(40, gate.open)
+        engine.run()
+        assert passed == ["through"]
+        assert engine.now == 40
 
     def test_open_releases_all_waiters(self):
         engine = Engine()
-        gate = Gate(engine, open_=False)
-        events = [gate.wait() for _ in range(10)]
+        gate = Gate(engine)
+        passed = []
+        for i in range(10):
+            gate.wait(passed.append, i)
         gate.open()
         engine.run()
-        assert all(e.triggered for e in events)
+        assert passed == list(range(10))
