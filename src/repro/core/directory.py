@@ -42,6 +42,8 @@ class InPTEDirectory:
         self.num_bits = num_bits
         self.name = "in_pte_directory"
         self.stats = StatsGroup(self.name)
+        # Bound once: every fault resolution and migration sets a bit.
+        self._n_bits_set = self.stats.counter("bits_set")
         self._tracer = tracer
 
     #: in-PTE lookups ride the host page-table walk: no extra latency (§6.2).
@@ -55,7 +57,7 @@ class InPTEDirectory:
         self.host_page_table.set_entry(
             vpn, pte_bits.set_directory_bit(word, gpu_id, self.num_bits)
         )
-        self.stats.counter("bits_set").add()
+        self._n_bits_set.value += 1
         if self._tracer.enabled:
             self._tracer.emit("dir.set", self.name, vpn, gpu=gpu_id)
 

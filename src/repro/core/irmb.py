@@ -35,7 +35,10 @@ __all__ = ["IRMB"]
 class IRMB:
     """One GPU's invalidation request merging buffer."""
 
-    __slots__ = ("config", "layout", "name", "stats", "_tracer", "_entries")
+    __slots__ = (
+        "config", "layout", "name", "stats", "_tracer", "_entries",
+        "_n_lookup_hits", "_n_lookup_misses", "_n_merged", "_n_new",
+    )
 
     def __init__(
         self,
@@ -48,6 +51,12 @@ class IRMB:
         self.layout = layout
         self.name = name
         self.stats = StatsGroup(name)
+        # Bound once: every invalidation inserts and every demand L2 miss
+        # probes.
+        self._n_lookup_hits = self.stats.counter("lookup_hits")
+        self._n_lookup_misses = self.stats.counter("lookup_misses")
+        self._n_merged = self.stats.counter("merged_inserts")
+        self._n_new = self.stats.counter("new_entry_inserts")
         self._tracer = tracer
         #: base → set of offsets, in LRU order (least-recent first).
         self._entries: "OrderedDict[int, Set[int]]" = OrderedDict()
@@ -110,7 +119,7 @@ class IRMB:
                         "irmb.evict", self.name, kind="offset", base=base, count=len(evicted)
                     )
             entry.add(offset)
-            self.stats.counter("merged_inserts").add()
+            self._n_merged.value += 1
             if traced:
                 tracer.emit("irmb.insert", self.name, vpn, kind="merge", base=base)
             return evicted
@@ -125,7 +134,7 @@ class IRMB:
                     "irmb.evict", self.name, kind="base", base=lru_base, count=len(evicted)
                 )
         self._entries[base] = {offset}
-        self.stats.counter("new_entry_inserts").add()
+        self._n_new.value += 1
         if traced:
             tracer.emit("irmb.insert", self.name, vpn, kind="new", base=base)
         return evicted
@@ -137,9 +146,11 @@ class IRMB:
         are probes by demand misses, not invalidation traffic.)"""
         base, offset = self._split(vpn)
         entry = self._entries.get(base)
-        hit = entry is not None and offset in entry
-        self.stats.counter("lookup_hits" if hit else "lookup_misses").add()
-        return hit
+        if entry is not None and offset in entry:
+            self._n_lookup_hits.value += 1
+            return True
+        self._n_lookup_misses.value += 1
+        return False
 
     def peek(self, vpn: int) -> bool:
         """Statistics-free :meth:`lookup` — the fast path's eligibility

@@ -49,6 +49,7 @@ class LazyInvalidationController:
         self.gmmu = gmmu
         self.name = name
         self.stats = StatsGroup(name)
+        self._n_accepted = self.stats.counter("accepted")
         self._tracer = engine.tracer
         #: the idle-writeback loop is waiting for an insertion.
         self._nonempty_waiter = False
@@ -74,7 +75,7 @@ class LazyInvalidationController:
         if tracer.enabled:
             tracer.emit("lazy.accept", self.name, vpn)
         evicted = self.irmb.insert(vpn)
-        self.stats.counter("accepted").add()
+        self._n_accepted.value += 1
         if evicted:
             self._queue(evicted)
         if self._nonempty_waiter:

@@ -45,6 +45,7 @@ class GMMU:
         "_tracer", "pwc", "_queue", "_threads", "_busy", "_idle_waiters",
         "_inval_inflight", "_inval_since", "_inval_busy",
         "_any_inflight", "_any_since", "_any_busy", "_kind_stats",
+        "_n_aborted", "_n_inval_necessary", "_n_inval_unnecessary",
     )
 
     def __init__(
@@ -80,37 +81,37 @@ class GMMU:
         self._any_inflight = 0
         self._any_since = 0
         self._any_busy = 0
-        # Per-kind stat objects, bound lazily on first use: the f-string
-        # key construction plus StatsGroup dict probe is measurable at
-        # one-per-walk rates.
-        self._kind_stats: dict = {}
-
-    def _stats_for(self, kind: WalkKind) -> tuple:
-        stats = self._kind_stats.get(kind)
-        if stats is None:
-            v = kind.value
-            group = self.stats
-            stats = (
-                group.counter(f"submitted.{v}"),
-                group.latency(f"queue_wait.{v}"),
-                group.latency(f"walk_levels.{v}"),
-                group.latency(f"total.{v}"),
+        # Bound once: every walk bumps its kind's statistics.  Kind ->
+        # (submitted, queue_wait, walk_levels, total); a walk takes its
+        # tuple at submit and carries it to retirement.
+        group = self.stats
+        self._kind_stats = {
+            kind: (
+                group.counter(f"submitted.{kind.value}"),
+                group.latency(f"queue_wait.{kind.value}"),
+                group.latency(f"walk_levels.{kind.value}"),
+                group.latency(f"total.{kind.value}"),
             )
-            self._kind_stats[kind] = stats
-        return stats
+            for kind in WalkKind
+        }
+        self._n_aborted = group.counter("aborted_walks")
+        self._n_inval_necessary = group.counter("invalidations.necessary")
+        self._n_inval_unnecessary = group.counter("invalidations.unnecessary")
 
     # -- submission --------------------------------------------------------
 
     def submit(self, request: WalkRequest) -> None:
         """Start the walk now if nothing is queued and a walker thread is
         free, else queue it behind the walks already waiting."""
-        self._stats_for(request.kind)[0].add()
+        stats = request.stats = self._kind_stats[request.kind]
+        stats[0].value += 1
+        now = self.engine._now
         if request.kind is _INVALIDATE:
             if self._inval_inflight == 0:
-                self._inval_since = self.engine.now
+                self._inval_since = now
             self._inval_inflight += 1
         if self._any_inflight == 0:
-            self._any_since = self.engine.now
+            self._any_since = now
         self._any_inflight += 1
         if self._busy < self._threads and not self._queue:
             self._busy += 1
@@ -152,16 +153,13 @@ class GMMU:
         # the untraced fast path pays a single branch.
         tracer = self._tracer
         traced = tracer.enabled
-        # (submitted, queue_wait, walk_levels, total) for this kind,
-        # carried along the walk's calendar entries.
-        stats = self._stats_for(request.kind)
         request.started_at = self.engine._now
         queue_wait = request.started_at - request.issued_at
-        stats[1].record(queue_wait)
+        request.stats[1].record(queue_wait)
 
         if request.aborted:
             # Superseded while queued (a fresh mapping arrived): drop it.
-            self.stats.counter("aborted_walks").add()
+            self._n_aborted.value += 1
             if traced:
                 tracer.emit("walk.abort", self.name, request.vpn, kind=request.kind.value)
             self._account_done(request)
@@ -183,21 +181,21 @@ class GMMU:
                         "fault.inject", self.name, request.vpn,
                         kind="walker_stall", cycles=stall,
                     )
-                self.engine.defer(stall, self._walk_levels, request, levels, stats)
+                self.engine.defer(stall, self._walk_levels, request, levels)
                 return True
-        self._walk_levels(request, levels, stats)
+        self._walk_levels(request, levels)
         return True
 
-    def _walk_levels(self, request: WalkRequest, levels: int, stats: tuple) -> None:
+    def _walk_levels(self, request: WalkRequest, levels: int) -> None:
         # ``schedule``, not ``defer``: a zero-cycle walk retires one
         # ready hop later rather than inline, so a thread handed down a
         # long queue of them never recurses.
         self.engine.schedule(
-            levels * self.config.walk_latency_per_level, self._walk_done, request, levels, stats
+            levels * self.config.walk_latency_per_level, self._walk_done, request, levels
         )
 
-    def _walk_done(self, request: WalkRequest, levels: int, stats: tuple) -> None:
-        _, _, lat_levels, lat_total = stats
+    def _walk_done(self, request: WalkRequest, levels: int) -> None:
+        _, _, lat_levels, lat_total = request.stats
         self.pwc.fill(request.vpn)
         lat_levels.record(levels)
 
@@ -206,14 +204,15 @@ class GMMU:
         elif request.kind is _INVALIDATE:
             if request.aborted:
                 # A fresh mapping raced in while we were walking: leave it.
-                self.stats.counter("aborted_walks").add()
+                self._n_aborted.value += 1
                 request.was_valid = False
                 result = False
             else:
                 request.was_valid = self.page_table.invalidate(request.vpn)
-                self.stats.counter(
-                    "invalidations.necessary" if request.was_valid else "invalidations.unnecessary"
-                ).add()
+                if request.was_valid:
+                    self._n_inval_necessary.value += 1
+                else:
+                    self._n_inval_unnecessary.value += 1
                 result = request.was_valid
         else:  # UPDATE
             assert request.word is not None, "UPDATE walk needs a PTE word"
@@ -256,13 +255,14 @@ class GMMU:
             self.engine._ready.extend(waiters)
 
     def _account_done(self, request: WalkRequest) -> None:
+        now = self.engine._now
         if request.kind is _INVALIDATE:
             self._inval_inflight -= 1
             if self._inval_inflight == 0:
-                self._inval_busy += self.engine.now - self._inval_since
+                self._inval_busy += now - self._inval_since
         self._any_inflight -= 1
         if self._any_inflight == 0:
-            self._any_busy += self.engine.now - self._any_since
+            self._any_busy += now - self._any_since
 
     def invalidation_busy_cycles(self) -> int:
         """Cycles so far during which >=1 invalidation was being handled."""

@@ -30,7 +30,7 @@ class WalkRequest:
 
     __slots__ = (
         "vpn", "kind", "issued_at", "fn", "args", "word", "started_at",
-        "was_valid", "aborted",
+        "was_valid", "aborted", "stats",
     )
 
     def __init__(self, vpn: int, kind: WalkKind, issued_at: int,
@@ -51,3 +51,5 @@ class WalkRequest:
         #: queued: the invalidation must not clobber the new PTE (§6.3 — a
         #: replayed mapping supersedes the pending invalidation).
         self.aborted = False
+        #: the GMMU's statistics for this walk's kind, bound at submit.
+        self.stats: tuple = ()

@@ -76,6 +76,13 @@ class Lane:
         Checkpointing reads ``i`` from the generator's frame, which for a
         restored lane whose entry has not fired yet holds only these
         parameters: the index parameter must keep the name ``i``.
+
+        A window grant waits on a :meth:`Resource.request` event only
+        when it must.  With a free slot and an empty ready queue the lane
+        takes the slot at once (:meth:`Resource.try_acquire`): the
+        granted event's ready hop would be the next callback to run, so
+        the lane goes on exactly where it would have (the tail rule of
+        :meth:`~repro.sim.engine.Engine.tail`).
         """
         if entry == "start":
             self.attach_window()
@@ -93,9 +100,12 @@ class Lane:
         try_fast = gpu.try_fast_access
         schedule = engine.schedule
         request = window.request
+        acquire = window.try_acquire
+        ready = engine._ready
         if entry == "drain":
             for _ in range(remaining):
-                yield request()
+                if ready or not acquire():
+                    yield request()
             return
         if entry == "parked":
             if fp is None:
@@ -122,14 +132,15 @@ class Lane:
                     yield wait
                 entry = "window"
         if entry == "window":
-            yield request()
+            if ready or not acquire():
+                yield request()
             gpu.instructions += gaps[i] + 1
             vpn = vpns[i]
             is_write = bool(writes[i])
             latency = try_fast(lane_id, vpn, is_write)
             if latency is not None:
                 if fp is not None:
-                    releases.append(engine.now + latency)
+                    releases.append(engine._now + latency)
                 schedule(latency, window.release)
             else:
                 self._slow += 1
@@ -150,7 +161,8 @@ class Lane:
                 gap = gaps[i]
                 if gap:
                     yield gap
-            yield request()
+            if ready or not acquire():
+                yield request()
             gpu.instructions += gaps[i] + 1
             vpn = vpns[i]
             is_write = bool(writes[i])
@@ -158,7 +170,7 @@ class Lane:
             if latency is not None:
                 # Fast path: occupancy modelled with one scheduled release.
                 if fp is not None:
-                    releases.append(engine.now + latency)
+                    releases.append(engine._now + latency)
                 schedule(latency, window.release)
             else:
                 self._slow += 1
@@ -167,7 +179,8 @@ class Lane:
         # Drain: reacquire every slot so we return only when all
         # outstanding accesses have completed.
         for _ in range(capacity):
-            yield request()
+            if ready or not acquire():
+                yield request()
 
     def attach_window(self, in_use: int = 0) -> None:
         """Build the lane's in-flight window with ``in_use`` slots held.

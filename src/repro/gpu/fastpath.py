@@ -43,10 +43,9 @@ another GPU migrates.
 Unparking succeeds the park event with ``(index, arrival)``.  The lane
 generator resumes at the current (earlier or equal) engine time and
 re-derives the exact issue time of the escaping access through the
-normal ``yield wait; yield window.request()`` sequence — release events
-for window slots the replay consumed arithmetically are materialised
-onto the calendar first, so the FIFO grant reproduces ``issue_i``
-exactly.
+normal gap wait and window grant — release events for window slots the
+replay consumed arithmetically are materialised onto the calendar
+first, so the FIFO grant reproduces ``issue_i`` exactly.
 
 Equivalence argument (summary; DESIGN.md §8 has the full version)
 -----------------------------------------------------------------

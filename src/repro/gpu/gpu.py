@@ -86,6 +86,8 @@ class GPU:
             TLB(config.l1_tlb, f"gpu{gpu_id}.l1tlb{i}", tracer=engine.tracer)
             for i in range(config.trace_lanes)
         ]
+        #: the L1 TLBs a shootdown visits (see :meth:`attach_lanes`).
+        self._lane_l1s: List[TLB] = self.l1_tlbs
         self.l1_mshrs: List[MSHR] = [
             MSHR(engine, f"gpu{gpu_id}.l1mshr{i}") for i in range(config.trace_lanes)
         ]
@@ -128,25 +130,45 @@ class GPU:
         self._l2_latency = config.l2_tlb.lookup_latency
         self._dram_latency = config.dram_latency
         self._fast_latency = self._l1_latency + config.dram_latency
-        self._n_local = self.stats.counter("local_accesses")
-        self._n_remote = self.stats.counter("remote_accesses")
-        self._n_completed = self.stats.counter("accesses_completed")
+        #: the driver's migration gates: VPN -> the Gate that holds the
+        #: page's requests while it migrates.  A gate leaves the table
+        #: before it opens, so every gate found there is closed.
+        self._gates = driver._gates
+        stats = self.stats
+        self._n_local = stats.counter("local_accesses")
+        self._n_remote = stats.counter("remote_accesses")
+        self._n_completed = stats.counter("accesses_completed")
+        self._n_far_faults = stats.counter("far_faults")
+        self._n_irmb_bypasses = stats.counter("irmb_bypasses")
+        self._n_inval_necessary = stats.counter("inval_received.necessary")
+        self._n_inval_unnecessary = stats.counter("inval_received.unnecessary")
+        self._t_demand_miss = stats.latency("demand_miss_latency")
+        self._t_far_fault = stats.latency("far_fault_latency")
+        self._t_migration_stall = stats.latency("migration_stall")
+
+    def attach_lanes(self, count: int) -> None:
+        """Lanes ``0 .. count - 1`` replay traces on this GPU.
+
+        No other lane can fill an L1 TLB, so shootdowns and raced-fill
+        flushes visit only these lanes' L1 TLBs.  A GPU with no lanes
+        attached visits all of them."""
+        self._lane_l1s = self.l1_tlbs[:count] if count else self.l1_tlbs
 
     # ------------------------------------------------------------------
     # The access pipeline
     # ------------------------------------------------------------------
 
     def try_fast_access(self, lane: int, vpn: int, is_write: bool) -> Optional[int]:
-        """Synchronous fast path for the overwhelmingly common case — an
-        L1 TLB hit on a local, non-migrating page.  Returns the access's
-        total latency so the lane can model occupancy with a single
-        scheduled event, or None when the full pipeline must run.
+        """Synchronous fast path for an L1 TLB hit on a local,
+        non-migrating page: 50,257 of the 345,600 accesses (14.5%) of
+        the benchmark's Table-3 ``apps`` set at seed 7.  Returns the
+        access's total latency so the lane can model occupancy with a
+        single scheduled event, or None when the full pipeline must run.
 
         This is purely a simulator optimisation: the latency and all
         statistics are identical to the slow path for the covered case.
         """
-        gate = self.driver.migration_gate(vpn)
-        if gate is not None and not gate.is_open:
+        if vpn in self._gates:
             return None
         l1 = self.l1_tlbs[lane]
         word = l1.peek(vpn)
@@ -157,8 +179,8 @@ class GPU:
         if PhysicalMemory.owner_of(pte_bits.ppn(word)) != self.gpu_id:
             return None
         l1.lookup(vpn)  # record the hit and refresh LRU
-        self._n_local.add()
-        self._n_completed.add()
+        self._n_local.value += 1
+        self._n_completed.value += 1
         return self._fast_latency
 
     def access(self, lane, vpn: int, is_write: bool) -> None:
@@ -168,13 +190,6 @@ class GPU:
         access retires, frees the lane's window slot and leaves the
         lane's slow-access count."""
         _Access(self, lane, lane.lane_id, vpn, is_write)
-
-    def translate(self, lane: int, vpn: int, is_write: bool,
-                  fn: Callable[..., None], *args: Any) -> None:
-        """Translate ``vpn`` through lane ``lane``'s TLB hierarchy alone
-        (no migration stall, no data access); ``fn(*args, word)`` runs
-        from the ready queue with the PTE word."""
-        _Translation(self, lane, vpn, is_write, fn, args)
 
     # ------------------------------------------------------------------
     # Shootdown handling (driver-facing)
@@ -232,10 +247,10 @@ class GPU:
         """The receive-time half of an invalidation: count it, advance
         the page's epoch (so every payload fetched before it is
         recognised as stale) and shoot down the TLBs."""
-        necessary = self.page_table.translate(vpn) is not None
-        self.stats.counter(
-            "inval_received.necessary" if necessary else "inval_received.unnecessary"
-        ).add()
+        if self.page_table.translate(vpn) is not None:
+            self._n_inval_necessary.value += 1
+        else:
+            self._n_inval_unnecessary.value += 1
         self._inval_epoch[vpn] = self._inval_epoch.get(vpn, 0) + 1
         self._shootdown_tlbs(vpn)
 
@@ -243,7 +258,7 @@ class GPU:
         """TLB shootdown is immediate in baseline *and* IDYLL (§6.3)."""
         self.inval_generation += 1
         self.l2_tlb.shootdown(vpn)
-        for l1 in self.l1_tlbs:
+        for l1 in self._lane_l1s:
             l1.shootdown(vpn)
 
     def _flush_raced_fills(self, vpn: int) -> None:
@@ -258,7 +273,7 @@ class GPU:
         IRMB writeback) actually applies; a no-op unless a fill raced.
         """
         flushed = self.l2_tlb.shootdown(vpn)
-        for l1 in self.l1_tlbs:
+        for l1 in self._lane_l1s:
             flushed = l1.shootdown(vpn) or flushed
         if flushed:
             # The fast path must revalidate any lane parked on this page.
@@ -449,7 +464,7 @@ class _Access:
         if lazy is not None and gpu.config.irmb_bypass_enabled and lazy.probe(vpn):
             # IRMB hit: the local PTE is stale — bypass the local walk and
             # raise the far fault straight away (§6.3 scenario three).
-            gpu.stats.counter("irmb_bypasses").add()
+            gpu._n_irmb_bypasses.value += 1
             if gpu._tracer.enabled:
                 gpu._tracer.emit("irmb.bypass", gpu.name, vpn)
             self._far_fault()
@@ -458,7 +473,7 @@ class _Access:
 
     def _l2_coalesced(self, payload: tuple) -> None:
         gpu = self.gpu
-        gpu.stats.latency("demand_miss_latency").record(gpu.engine._now - self.t_miss)
+        gpu._t_demand_miss.record(gpu.engine._now - self.t_miss)
         self._l1_fill(*payload)  # (word, version), stamped by the primary
 
     def _walked(self, word: Optional[int]) -> None:
@@ -476,7 +491,7 @@ class _Access:
         gpu.l2_tlb.insert(vpn, word)
         version = gpu._inval_epoch.get(vpn, 0)
         gpu.l2_mshr.complete(vpn, (word, version))
-        gpu.stats.latency("demand_miss_latency").record(gpu.engine._now - self.t_miss)
+        gpu._t_demand_miss.record(gpu.engine._now - self.t_miss)
         self._l1_fill(word, version)
 
     def _l1_fill(self, word: int, version: int) -> None:
@@ -502,7 +517,7 @@ class _Access:
     def _far_fault(self) -> None:
         gpu = self.gpu
         self.t_fault = gpu.engine._now
-        gpu.stats.counter("far_faults").add()
+        gpu._n_far_faults.value += 1
         # Version the payload at *fetch* time, not install time: a
         # shootdown applied anywhere between raising the fault and the
         # UPDATE walk retiring makes the reply stale, and capturing the
@@ -543,7 +558,7 @@ class _Access:
             self.epoch = gpu._inval_epoch.get(vpn, 0)
             self._raise_fault(retry=True)
             return
-        gpu.stats.latency("far_fault_latency").record(gpu.engine._now - self.t_fault)
+        gpu._t_far_fault.record(gpu.engine._now - self.t_fault)
         self._l2_fill(self.word)
 
     def _transfw_forward(self) -> None:
@@ -593,8 +608,8 @@ class _Access:
         established, then re-translate (§5.2's page migration waiting)."""
         gpu = self.gpu
         self.word = word
-        gate = gpu.driver.migration_gate(self.vpn)
-        if gate is None or gate.is_open:
+        gate = gpu._gates.get(self.vpn)
+        if gate is None:
             self._data_access()
             return
         self.t_stall = gpu.engine._now
@@ -602,7 +617,7 @@ class _Access:
 
     def _gate_opened(self) -> None:
         gpu = self.gpu
-        gpu.stats.latency("migration_stall").record(gpu.engine._now - self.t_stall)
+        gpu._t_migration_stall.record(gpu.engine._now - self.t_stall)
         self._translate()
 
     def _data_access(self) -> None:
@@ -623,10 +638,10 @@ class _Access:
         gpu = self.gpu
         owner = PhysicalMemory.owner_of(pte_bits.ppn(self.word))
         if owner == gpu.gpu_id:
-            gpu._n_local.add()
+            gpu._n_local.value += 1
             gpu.engine.defer(gpu._dram_latency, self._retire)
             return
-        gpu._n_remote.add()
+        gpu._n_remote.value += 1
         gpu.driver.note_remote_access(gpu.gpu_id, self.vpn)
         self.owner = owner
         gpu.interconnect.gpu_to_gpu(gpu.gpu_id, owner, CONTROL_MESSAGE_BYTES, self._remote_read)
@@ -641,24 +656,7 @@ class _Access:
 
     def _retire(self) -> None:
         lane = self.lane
-        self.gpu._n_completed.add()
+        self.gpu._n_completed.value += 1
         lane._window.release()
         lane._slow -= 1
 
-
-class _Translation(_Access):
-    """Translation alone: ``fn(*args, word)`` runs from the ready queue
-    with the PTE word."""
-
-    __slots__ = ("fn", "args")
-
-    def __init__(self, gpu: GPU, lane_id: int, vpn: int, is_write: bool,
-                 fn: Callable[..., None], args: tuple) -> None:
-        # Set before the translation starts: a zero-cycle L1 hit finishes
-        # inside the constructor.
-        self.fn = fn
-        self.args = args
-        super().__init__(gpu, None, lane_id, vpn, is_write)
-
-    def _translated(self, word: int) -> None:
-        self.gpu.engine._ready.append((self.fn, self.args + (word,)))

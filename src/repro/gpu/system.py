@@ -189,6 +189,7 @@ class MultiGPUSystem:
                 self._lanes.append(lane)
                 self._lane_procs[proc] = lane
                 lane_processes.append(proc)
+            gpu.attach_lanes(len(gpu_traces))
 
         self._spawn_master(lane_processes)
         self._spawn_supervisors()

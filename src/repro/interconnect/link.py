@@ -107,7 +107,11 @@ class Link:
         now = engine._now
         free_at = self._free_at
         start = now if now >= free_at else free_at
-        serialised = self._free_at = start + self.serialisation_cycles(num_bytes)
+        try:
+            cycles = self._ser_cache[num_bytes]
+        except KeyError:
+            cycles = self.serialisation_cycles(num_bytes)
+        serialised = self._free_at = start + cycles
         engine._seq += 1
         _heappush(
             engine._heap,

@@ -59,6 +59,11 @@ class Interconnect:
         #: every transfer asks it for an episode-dependent extra delay —
         #: a downed link stalls traffic to the end of its outage.
         self.chaos = None
+        #: every GPU-to-GPU route ``(src, dst)``: one membership test
+        #: validates both endpoints of a transfer.
+        self._gpu_routes = frozenset(
+            (src, dst) for src in range(num_gpus) for dst in range(num_gpus) if src != dst
+        )
         self._nvlink_out: Dict[int, Link] = {
             g: Link(
                 engine,
@@ -82,9 +87,12 @@ class Interconnect:
                 config.clock_ghz, name=f"pcie{g}.down", owner=self,
             )
 
-    def _check_gpu(self, gpu: int) -> None:
-        if not 0 <= gpu < self.num_gpus:
-            raise ValueError(f"no such GPU: {gpu}")
+    def _route_error(self, *gpus: int) -> ValueError:
+        """Why a route through ``gpus`` is not in the topology."""
+        for gpu in gpus:
+            if gpu not in self._pcie_up:
+                return ValueError(f"no such GPU: {gpu}")
+        return ValueError("gpu_to_gpu requires distinct endpoints")
 
     def fingerprint(self) -> str:
         return topology_fingerprint(self.num_gpus)
@@ -97,33 +105,34 @@ class Interconnect:
                     return l
         raise KeyError(f"no such link: {name}")
 
-    def _chaos_delay(self, link: Link) -> int:
-        if self.chaos is None:
-            return 0
-        return self.chaos.link_transfer_delay(link)
-
     def gpu_to_gpu(self, src: int, dst: int, num_bytes: int, fn: Callable[..., None],
                    *args: Any, extra_delay: int = 0) -> None:
         """Transfer between two GPUs over the source's NVLink port;
         ``fn(*args)`` runs when it arrives."""
-        self._check_gpu(src)
-        self._check_gpu(dst)
-        if src == dst:
-            raise ValueError("gpu_to_gpu requires distinct endpoints")
+        if (src, dst) not in self._gpu_routes:
+            raise self._route_error(src, dst)
         link = self._nvlink_out[src]
-        link.transfer(num_bytes, fn, *args, extra_delay=extra_delay + self._chaos_delay(link))
+        if self.chaos is not None:
+            extra_delay += self.chaos.link_transfer_delay(link)
+        link.transfer(num_bytes, fn, *args, extra_delay=extra_delay)
 
     def gpu_to_host(self, gpu: int, num_bytes: int, fn: Callable[..., None],
                     *args: Any, extra_delay: int = 0) -> None:
-        self._check_gpu(gpu)
+        if gpu not in self._pcie_up:
+            raise self._route_error(gpu)
         link = self._pcie_up[gpu]
-        link.transfer(num_bytes, fn, *args, extra_delay=extra_delay + self._chaos_delay(link))
+        if self.chaos is not None:
+            extra_delay += self.chaos.link_transfer_delay(link)
+        link.transfer(num_bytes, fn, *args, extra_delay=extra_delay)
 
     def host_to_gpu(self, gpu: int, num_bytes: int, fn: Callable[..., None],
                     *args: Any, extra_delay: int = 0) -> None:
-        self._check_gpu(gpu)
+        if gpu not in self._pcie_down:
+            raise self._route_error(gpu)
         link = self._pcie_down[gpu]
-        link.transfer(num_bytes, fn, *args, extra_delay=extra_delay + self._chaos_delay(link))
+        if self.chaos is not None:
+            extra_delay += self.chaos.link_transfer_delay(link)
+        link.transfer(num_bytes, fn, *args, extra_delay=extra_delay)
 
     def snapshot(self) -> dict:
         if self.inflight:

@@ -57,9 +57,9 @@ class PageWalkCache:
             tag = (level, vpn >> shift)
             if tag in tags:
                 tags.move_to_end(tag)
-                self._hits.add()
+                self._hits.value += 1
                 return level
-        self._misses.add()
+        self._misses.value += 1
         return None
 
     def fill(self, vpn: int, down_to_level: int = 1) -> None:
@@ -75,7 +75,7 @@ class PageWalkCache:
                 continue
             if len(tags) >= self.entries:
                 tags.popitem(last=False)
-                self._evictions.add()
+                self._evictions.value += 1
             tags[tag] = None
 
     def invalidate_all(self) -> None:

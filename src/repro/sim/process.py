@@ -11,9 +11,13 @@ These mirror the queueing structures found in the modelled hardware:
   blocked during migration).
 
 A :class:`Resource` grant is an :class:`Event`, because ``Lane.run``
-waits on it.  A :class:`Store` getter and a :class:`Gate` waiter are
-continuations ``(fn, *args)``, appended to the ready queue where an
-event would have appended its waiter.
+waits on it.  A lane gets that event only when it must wait: with a
+free slot and an empty ready queue it takes the slot at once through
+:meth:`Resource.try_acquire`, since the grant's ready hop would be the
+next callback anyway (the tail rule of
+:meth:`~repro.sim.engine.Engine.tail`).  A :class:`Store` getter and a
+:class:`Gate` waiter are continuations ``(fn, *args)``, appended to the
+ready queue where an event would have appended its waiter.
 """
 
 from __future__ import annotations
@@ -42,6 +46,14 @@ class Resource:
     @property
     def in_use(self) -> int:
         return self._in_use
+
+    def try_acquire(self) -> bool:
+        """Take a free server now, without an event; False, taking
+        nothing, when every server is in use."""
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            return True
+        return False
 
     def request(self) -> Event:
         """Returns an event that fires when a server is granted."""

@@ -437,6 +437,7 @@ def restore_system(payload: dict, override_config=None, tracer=None):
     for gpu, gpu_traces in zip(system.gpus, workload.traces):
         for lane_id, trace in enumerate(gpu_traces):
             lanes.append(Lane(gpu, lane_id, trace))
+        gpu.attach_lanes(len(gpu_traces))
     lane_states = payload["lanes"]
     if len(lanes) != len(lane_states):
         raise CheckpointError(

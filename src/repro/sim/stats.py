@@ -1,7 +1,11 @@
 """Statistics primitives shared by all simulated components.
 
 Every component owns a :class:`StatsGroup`; the system-level collector in
-:mod:`repro.metrics` merges them into the per-figure reports.
+:mod:`repro.metrics` merges them into the per-figure reports.  A
+component binds the statistics its hot paths touch once, when it is
+built, and bumps a bound counter with ``counter.value += 1``: looking a
+statistic up by name, or calling :meth:`Counter.add`, on every access
+costs a Python call each time.
 """
 
 from __future__ import annotations
@@ -40,12 +44,15 @@ class LatencyStat:
         self.max: Optional[int] = None
 
     def record(self, sample: int) -> None:
+        if self.count:
+            if sample < self.min:
+                self.min = sample
+            elif sample > self.max:
+                self.max = sample
+        else:
+            self.min = self.max = sample
         self.count += 1
         self.total += sample
-        if self.min is None or sample < self.min:
-            self.min = sample
-        if self.max is None or sample > self.max:
-            self.max = sample
 
     @property
     def mean(self) -> float:

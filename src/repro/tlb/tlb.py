@@ -39,14 +39,12 @@ class TLB:
             OrderedDict() for _ in range(self._n_sets)
         ]
         # Counters pre-bound once: lookup() runs per memory access, so the
-        # per-call StatsGroup dict lookup is worth removing.
+        # per-call StatsGroup dict lookup is worth removing; they are
+        # bumped in place, without a call.
         self._hits = self.stats.counter("hits")
         self._misses = self.stats.counter("misses")
         self._evictions = self.stats.counter("evictions")
         self._shootdowns = self.stats.counter("shootdowns")
-
-    def _set_for(self, vpn: int) -> "OrderedDict[int, int]":
-        return self._sets[vpn % self._n_sets]
 
     @property
     def lookup_latency(self) -> int:
@@ -58,19 +56,19 @@ class TLB:
         entry_set = self._sets[vpn % self._n_sets]
         word = entry_set.get(vpn)
         if word is None:
-            self._misses.add()
+            self._misses.value += 1
             if tracer.enabled:
                 tracer.emit("tlb.miss", self.name, vpn)
             return None
         entry_set.move_to_end(vpn)
-        self._hits.add()
+        self._hits.value += 1
         if tracer.enabled:
             tracer.emit("tlb.hit", self.name, vpn)
         return word
 
     def probe(self, vpn: int) -> bool:
         """Presence check without touching LRU or stats."""
-        return vpn in self._set_for(vpn)
+        return vpn in self._sets[vpn % self._n_sets]
 
     def peek(self, vpn: int) -> Optional[int]:
         """Entry lookup without touching LRU or stats (simulator-internal)."""
@@ -85,7 +83,7 @@ class TLB:
             return
         if len(entry_set) >= self.config.associativity:
             victim, _ = entry_set.popitem(last=False)
-            self._evictions.add()
+            self._evictions.value += 1
             if tracer.enabled:
                 tracer.emit("tlb.evict", self.name, victim)
         entry_set[vpn] = word
@@ -94,10 +92,10 @@ class TLB:
 
     def shootdown(self, vpn: int) -> bool:
         """Invalidate one translation; True iff it was present."""
-        entry_set = self._set_for(vpn)
+        entry_set = self._sets[vpn % self._n_sets]
         if vpn in entry_set:
             del entry_set[vpn]
-            self._shootdowns.add()
+            self._shootdowns.value += 1
             tracer = self._tracer
             if tracer.enabled:
                 tracer.emit("tlb.shootdown", self.name, vpn)
@@ -132,7 +130,7 @@ class TLB:
         self.stats.restore(state["stats"])
 
     def hit_rate(self) -> float:
-        hits = self.stats.counter("hits").value
-        misses = self.stats.counter("misses").value
+        hits = self._hits.value
+        misses = self._misses.value
         total = hits + misses
         return hits / total if total else 0.0

@@ -67,6 +67,16 @@ class UVMDriver:
         self.name = "uvm"
         self.stats = StatsGroup("uvm")
         self._tracer = engine.tracer
+        # Bound once: the fault, migration and shootdown chains bump these.
+        stats = self.stats
+        self._n_far_faults = stats.counter("far_faults")
+        self._n_first_touch = stats.counter("first_touch_migrations")
+        self._n_remote_mappings = stats.counter("remote_mappings")
+        self._n_migrations = stats.counter("migrations")
+        self._n_invalidations_sent = stats.counter("invalidations_sent")
+        self._t_fault = stats.latency("fault_latency")
+        self._t_migration_waiting = stats.latency("migration_waiting")
+        self._t_migration_total = stats.latency("migration_total")
         #: fault injector (None in unfaulted runs): it draws the fate of
         #: every invalidation request and ack, and its presence arms each
         #: attempt's retry timer.
@@ -133,10 +143,10 @@ class UVMDriver:
         with the new PTE word once the reply has reached the GPU.
         ``retry`` marks the refetch of a reply that went stale before it
         was installed: it is resolved without migrating."""
-        fault = FarFault(gpu_id, vpn, is_write, self.engine.now, fn, args, retry)
+        fault = FarFault(gpu_id, vpn, is_write, self.engine._now, fn, args, retry)
         self._inflight_faults += 1
         self.gpus[gpu_id].driver_busy += 1
-        self.stats.counter("far_faults").add()
+        self._n_far_faults.value += 1
         if self._tracer.enabled:
             self._tracer.emit("fault.raise", self.name, vpn, gpu=gpu_id, write=is_write)
         # GPU fault buffer -> interrupt -> driver fetches the fault info
@@ -201,7 +211,7 @@ class UVMDriver:
         self._record_resident(vpn, gpu_id)
         if self.config.migration_policy is MigrationPolicy.FIRST_TOUCH:
             self._pinned.add(vpn)
-        self.stats.counter("first_touch_migrations").add()
+        self._n_first_touch.value += 1
         self.engine.tail(fn, *args, pte_bits.make_pte(ppn))
 
     def _record_resident(self, vpn: int, gpu_id: int) -> None:
@@ -243,10 +253,6 @@ class UVMDriver:
         # The request's arrival: the ready queue is empty, so the
         # migration starts at once (Engine.tail).
         self._migrate(vpn, gpu_id, True, self._migrating.discard, vpn)
-
-    def migration_gate(self, vpn: int) -> Optional[Gate]:
-        """Gate closed while ``vpn`` is mid-migration (requests must wait)."""
-        return self._gates.get(vpn)
 
     # ------------------------------------------------------------------
     # Migration (§3.3 steps 2-4) with shootdown orchestration
@@ -501,7 +507,7 @@ class _FaultResolution:
         # first-touch (pinned) and access-counter: hand out a remote mapping.
         driver = self.driver
         driver._record_resident(self.fault.vpn, self.fault.gpu_id)
-        driver.stats.counter("remote_mappings").add()
+        driver._n_remote_mappings.value += 1
         owner = PhysicalMemory.owner_of(pte_bits.ppn(word))
         self._resolved(pte_bits.make_remote_pte(pte_bits.ppn(word), owner))
 
@@ -531,7 +537,7 @@ class _FaultResolution:
                 self._attempt()
                 return
         engine = driver.engine
-        driver.stats.latency("fault_latency").record(engine._now - fault.raised_at)
+        driver._t_fault.record(engine._now - fault.raised_at)
         if driver._tracer.enabled:
             driver._tracer.emit(
                 "fault.resolve", driver.name, fault.vpn,
@@ -606,8 +612,8 @@ class _Migration:
         # individually via the invalidation gauges above).
         driver.gpus[src].driver_busy += 1
         driver.gpus[dst].driver_busy += 1
-        self.t_request = driver.engine.now
-        driver.stats.counter("migrations").add()
+        self.t_request = driver.engine._now
+        driver._n_migrations.value += 1
         if driver._tracer.enabled:
             driver._tracer.emit("mig.start", driver.name, vpn, src=src, dst=dst)
         scheme = driver.config.invalidation_scheme
@@ -680,8 +686,8 @@ class _Migration:
 
     def _invalidated(self) -> None:
         driver = self.driver
-        self.waiting = driver.engine.now - self.t_request
-        driver.stats.latency("migration_waiting").record(self.waiting)
+        self.waiting = driver.engine._now - self.t_request
+        driver._t_migration_waiting.record(self.waiting)
         # §3.3 step 4: the actual data transfer.
         self.new_ppn = driver.gpus[self.dst].memory.allocate(self.vpn)
         driver.interconnect.gpu_to_gpu(self.src, self.dst, driver.config.page_size, self._moved)
@@ -707,11 +713,11 @@ class _Migration:
         driver = self.driver
         vpn, src, dst = self.vpn, self.src, self.dst
         engine = driver.engine
-        driver.stats.latency("migration_total").record(engine.now - self.t_request)
+        driver._t_migration_total.record(engine._now - self.t_request)
         if driver._tracer.enabled:
             driver._tracer.emit(
                 "mig.done", driver.name, vpn,
-                src=src, dst=dst, waited=self.waiting, cycles=engine.now - self.t_request,
+                src=src, dst=dst, waited=self.waiting, cycles=engine._now - self.t_request,
             )
         driver._generation[vpn] = driver._generation.get(vpn, 0) + 1
         driver.gpus[src].driver_busy -= 1
@@ -752,7 +758,7 @@ class _Invalidation:
         self.args = args
         pending = self.pending = driver.tracker.begin(gpu_id, vpn)
         driver.gpus[gpu_id].driver_busy += 1
-        driver.stats.counter("invalidations_sent").add()
+        driver._n_invalidations_sent.value += 1
         if driver._tracer.enabled:
             driver._tracer.emit("inval.send", driver.name, vpn, gpu=gpu_id, iseq=pending.seq)
         self._attempt()

@@ -28,6 +28,9 @@ class AccessCounters:
     def __init__(self, config: UVMConfig, tracer=NULL_TRACER) -> None:
         self.threshold = config.effective_threshold
         self.stats = StatsGroup("access_counters")
+        # Bound once: every remote data access increments.
+        self._n_increments = self.stats.counter("increments")
+        self._n_threshold_hits = self.stats.counter("threshold_hits")
         self._tracer = tracer
         self._counts: Dict[int, Dict[int, int]] = {}
 
@@ -36,9 +39,9 @@ class AccessCounters:
         caller should initiate a migration request)."""
         per_gpu = self._counts.setdefault(vpn, {})
         per_gpu[gpu_id] = per_gpu.get(gpu_id, 0) + 1
-        self.stats.counter("increments").add()
+        self._n_increments.value += 1
         if per_gpu[gpu_id] == self.threshold:
-            self.stats.counter("threshold_hits").add()
+            self._n_threshold_hits.value += 1
             if self._tracer.enabled:
                 self._tracer.emit(
                     "mig.decide", "access_counters", vpn,

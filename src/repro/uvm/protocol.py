@@ -81,7 +81,7 @@ class InvalidationTracker:
         simulated latency), so there is no window in which the directory
         has been cleared but the auditor cannot see the in-flight cover."""
         self._next_seq += 1
-        pending = PendingInvalidation(self._next_seq, gpu_id, vpn, self.engine.now)
+        pending = PendingInvalidation(self._next_seq, gpu_id, vpn, self.engine._now)
         self._pending[pending.seq] = pending
         key = (gpu_id, vpn)
         self._pending_pairs[key] = self._pending_pairs.get(key, 0) + 1

@@ -16,6 +16,7 @@ import pytest
 
 from repro.config import IRMBConfig, InvalidationScheme, baseline_config
 from repro.core.irmb import IRMB
+from repro.gpu.cu import Lane
 from repro.gpu.system import MultiGPUSystem
 from repro.memory.address import AddressLayout
 from repro.sim.trace import TraceRecorder
@@ -118,18 +119,23 @@ def test_probe_hit_always_bypasses_local_walk(seed):
     )
     system = MultiGPUSystem(config, tracer=tracer)
     gpu = system.gpus[0]
+    lane = Lane(gpu, 0, [])
+    lane.attach_window()
 
     for i in range(15):
         vpn = BASE_VPN + rng.randrange(1 << 16)
         gpu.lazy.accept_invalidation(vpn)
         assert gpu.lazy.probe(vpn) is True
 
-        words = []
-        gpu.translate(0, vpn, False, words.append)
+        assert lane._window.try_acquire()
+        lane._slow += 1
+        gpu.access(lane, vpn, False)
         system.engine.run()
-        outcome = {"word": words[0]}
 
-        assert outcome["word"] is not None
+        # The access retired with the far fault's mapping installed.
+        assert lane._slow == 0
+        assert gpu.stats.counter("accesses_completed").value == i + 1
+        assert gpu.l1_tlbs[0].peek(vpn) is not None
         mine = [r for r in tracer.records() if r.vpn == vpn]
         assert any(r.event == "irmb.bypass" for r in mine)
         demand_walks = [

@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 from repro.config import GMMUConfig, InvalidationScheme, TLBConfig, baseline_config
+from repro.gpu.cu import Lane
 from repro.gpu.system import MultiGPUSystem
 from repro.memory import pte
 from repro.workloads.base import Workload
@@ -77,15 +78,35 @@ class TestZeroLatencies:
         assert not result.aborted
         assert result.accesses == workload.total_accesses()
 
-    def test_translate_fires_on_zero_latency_l1_hit(self):
+    def test_access_completes_on_zero_latency_l1_hit(self):
+        """The L1 hit runs inside ``GPU.access``; the access then serves
+        the data and retires, releasing its window slot."""
         system = MultiGPUSystem(self.zero_config())
         gpu = system.gpus[0]
-        word = pte.make_pte(5)
-        gpu.l1_tlbs[0].insert(PAGE, word)
-        words = []
-        gpu.translate(0, PAGE, False, words.append)
+        gpu.l1_tlbs[0].insert(PAGE, pte.make_pte(5))
+        lane = Lane(gpu, 0, [])
+        lane.attach_window(in_use=1)
+        lane._slow = 1
+        gpu.access(lane, PAGE, False)
+        assert gpu.l1_tlbs[0].stats.counter("hits").value == 1
         system.engine.run()
-        assert words == [word]
+        assert gpu.stats.counter("accesses_completed").value == 1
+        assert gpu.stats.counter("local_accesses").value == 1
+        assert lane._window.in_use == 0 and lane._slow == 0
+
+    def test_window_grant_waits_behind_queued_same_cycle_work(self):
+        """A free window slot is taken at once only when the ready queue
+        is empty.  Here an L1 fill is queued behind the lane's first
+        step, so the grant waits for its ready hop, the fill runs first,
+        and the zero-cycle lookup hits."""
+        system = MultiGPUSystem(self.zero_config())
+        gpu = system.gpus[0]
+        lane = Lane(gpu, 0, [(0, PAGE, False)])
+        system.engine.process(lane.run())
+        system.engine.schedule(0, gpu.l1_tlbs[0].insert, PAGE, pte.make_pte(5))
+        system.engine.run()
+        assert gpu.l1_tlbs[0].stats.counter("hits").value == 1
+        assert gpu.stats.counter("accesses_completed").value == 1
 
 
 class TestFastPath:

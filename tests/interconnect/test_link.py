@@ -109,13 +109,27 @@ class TestInterconnect:
 
     def test_self_transfer_rejected(self):
         _engine, net = self.make()
-        with pytest.raises(ValueError):
-            net.gpu_to_gpu(2, 2, 64, _noop)
+        for gpu in range(4):
+            with pytest.raises(ValueError, match="distinct endpoints"):
+                net.gpu_to_gpu(gpu, gpu, 64, _noop)
+        assert net.inflight == 0
 
     def test_unknown_gpu_rejected(self):
+        """A 2-GPU topology rejects GPU ids past its end and negative ones
+        on every route, at either end of ``gpu_to_gpu``, naming the id,
+        and sends nothing."""
         _engine, net = self.make(2)
-        with pytest.raises(ValueError):
-            net.gpu_to_host(5, 64, _noop)
+        routes = (
+            lambda gpu: net.gpu_to_gpu(gpu, 0, 64, _noop),
+            lambda gpu: net.gpu_to_gpu(0, gpu, 64, _noop),
+            lambda gpu: net.gpu_to_host(gpu, 64, _noop),
+            lambda gpu: net.host_to_gpu(gpu, 64, _noop),
+        )
+        for route in routes:
+            for gpu in (2, 5, -1):
+                with pytest.raises(ValueError, match=f"no such GPU: {gpu}$"):
+                    route(gpu)
+        assert net.inflight == 0
 
     def test_traffic_accounting(self):
         engine, net = self.make()
