@@ -57,20 +57,20 @@ def _peak_rss_kb() -> int:
 
 @_benchmark("engine_drain")
 def bench_engine_drain(quick: bool = False) -> Dict[str, float]:
-    """Raw event-kernel throughput: interleaved processes yielding a
-    deterministic mix of zero and positive delays."""
+    """Raw event-kernel throughput: interleaved callbacks that each
+    reschedule themselves after a deterministic mix of delays."""
     from .sim.engine import Engine
 
     n_procs = 50
     steps = 400 if quick else 4000
 
-    def proc(pid: int):
-        for step in range(steps):
-            yield (pid + step) % 7 + 1
+    def proc(pid: int, step: int) -> None:
+        if step < steps:
+            engine.defer((pid + step) % 7 + 1, proc, pid, step + 1)
 
     engine = Engine()
     for pid in range(n_procs):
-        engine.process(proc(pid))
+        engine.schedule(0, proc, pid, 0)
     t0 = time.perf_counter()
     engine.run()
     wall = time.perf_counter() - t0

@@ -118,16 +118,18 @@ def irmb_merge_then_evict(tracer: TraceRecorder) -> None:
     for vpn in vpns:
         page_table.set_entry(vpn, pte_bits.make_pte(vpn & 0xFFFF))
 
-    def script():
-        for vpn in vpns:
-            lazy.accept_invalidation(vpn)
-            yield 50
+    def script(step: int) -> None:
+        """Accept one invalidation every 50 cycles, then probe and flush."""
+        if step < len(vpns):
+            lazy.accept_invalidation(vpns[step])
+            engine.defer(50, script, step + 1)
+            return
         # A probe by a demand miss hits the buffered invalidation.
         lazy.probe(base_b + 7)
         # Drain whatever is still merged.
         engine.schedule(0, lazy.flush)
 
-    engine.process(script())
+    engine.schedule(0, script, 0)
     engine.run()
 
 

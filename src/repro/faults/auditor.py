@@ -32,7 +32,7 @@ from ..memory import pte as pte_bits
 from ..memory.physmem import PhysicalMemory
 from ..sim.engine import SimulationAbort
 
-__all__ = ["InvariantViolation", "audit_system", "audit_loop", "protocol_dump"]
+__all__ = ["InvariantViolation", "AuditLoop", "audit_system", "protocol_dump"]
 
 #: cap on violations reported per audit (the first few tell the story).
 MAX_REPORTED = 20
@@ -163,37 +163,40 @@ def _audit_checks(system) -> List[str]:
     return violations
 
 
-def _audit_once(system, active_fn: Callable[[], bool]) -> bool:
-    """One periodic audit; False means the loop should exit."""
-    engine = system.engine
-    if not active_fn():
-        return False
-    system.audits_run += 1
-    violations = audit_system(system)
-    if violations:
+class AuditLoop:
+    """Periodic audits every ``interval`` cycles while ``active_fn()``
+    holds; raises :class:`InvariantViolation` on the first inconsistent
+    snapshot.  :meth:`start` arms it; each :meth:`tick` arms the next."""
+
+    def __init__(self, system, interval: int, active_fn: Callable[[], bool]) -> None:
+        self.system = system
+        self.interval = interval
+        self.active_fn = active_fn
+
+    def start(self) -> None:
+        """The first audit comes ``interval`` cycles after the
+        ready-queue entry this makes runs."""
+        engine = self.system.engine
+        engine.schedule(0, engine.defer, self.interval, self.tick)
+
+    def tick(self) -> None:
+        system = self.system
+        engine = system.engine
+        if not self.active_fn():
+            return
+        system.audits_run += 1
+        violations = audit_system(system)
+        if violations:
+            if engine.tracer.enabled:
+                engine.tracer.emit("audit.fail", "auditor", count=len(violations))
+            raise InvariantViolation(
+                f"invariant audit failed at cycle {engine.now}: {violations[0]}"
+                + (f" (+{len(violations) - 1} more)" if len(violations) > 1 else ""),
+                dump=protocol_dump(system, violations),
+            )
         if engine.tracer.enabled:
-            engine.tracer.emit("audit.fail", "auditor", count=len(violations))
-        raise InvariantViolation(
-            f"invariant audit failed at cycle {engine.now}: {violations[0]}"
-            + (f" (+{len(violations) - 1} more)" if len(violations) > 1 else ""),
-            dump=protocol_dump(system, violations),
-        )
-    if engine.tracer.enabled:
-        engine.tracer.emit("audit.pass", "auditor")
-    return True
-
-
-def audit_loop(system, interval: int, active_fn: Callable[[], bool],
-               wait_first: bool = True):
-    """Process body: periodic audits every ``interval`` cycles while the
-    simulation is active; raises :class:`InvariantViolation` on the first
-    inconsistent snapshot.  A checkpoint-restored loop starts from its
-    pending tick's calendar entry with ``wait_first=False``: it audits
-    at once."""
-    if wait_first:
-        yield interval
-    while _audit_once(system, active_fn):
-        yield interval
+            engine.tracer.emit("audit.pass", "auditor")
+        engine.defer(self.interval, self.tick)
 
 
 def protocol_dump(system, violations: Optional[List[str]] = None) -> str:

@@ -312,8 +312,7 @@ class ChaosController:
       recorded in ``system.audits_run``).
     """
 
-    def __init__(self, system, timeline: FaultTimeline, at=None,
-                 start: bool = True) -> None:
+    def __init__(self, system, timeline: FaultTimeline) -> None:
         self.system = system
         self.engine = system.engine
         self.timeline = timeline
@@ -326,11 +325,6 @@ class ChaosController:
         self._last_progress: Optional[int] = None
         self._last_change = 0
         self._finalized = False
-        #: the loop Process (checkpoint restore classifies its calendar
-        #: entry by identity, like the watchdog's).  The loop wakes first,
-        #: so a restored controller simply starts from its pending wake's
-        #: calendar key ``at``.
-        self._proc = self.engine.process(self._loop(), at=at) if start else None
 
     # -- sampling -----------------------------------------------------------
 
@@ -448,24 +442,22 @@ class ChaosController:
                 ttr=report["time_to_recover"],
             )
 
-    def _step(self) -> Optional[int]:
-        """One wake: bookkeeping, then the next wake time (None = exit)."""
+    def start(self) -> None:
+        """The first wake runs from the ready-queue entry this makes."""
+        self.engine.schedule(0, self.tick)
+
+    def tick(self) -> None:
+        """One wake: bookkeeping, then the next wake, unless the campaign
+        is over."""
         self._on_wake()
         if not self.system.still_active() and not self._open:
             self.finalize()
-            return None
+            return
         nxt = self._next_wake(self.engine.now)
         if nxt is None:
             self.finalize()
-            return None
-        return nxt
-
-    def _loop(self):
-        while True:
-            nxt = self._step()
-            if nxt is None:
-                return
-            yield nxt - self.engine.now
+            return
+        self.engine.defer(nxt - self.engine.now, self.tick)
 
     # -- campaign finish ----------------------------------------------------
 

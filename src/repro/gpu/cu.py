@@ -15,15 +15,20 @@ accesses later) only when an access needs the full event pipeline or
 its GPU's driver gauge rises.  See ``fastpath.py`` for the protocol
 and the observational-equivalence argument.
 
-:meth:`Lane.run` is the lane's only loop.  Checkpoint restore re-enters
-it mid-trace through its ``entry`` parameter: at the window grant of
-access ``i``, parked, or in the end-of-trace drain.
+A lane is a callback state machine (DESIGN.md §7.1) with one method
+per wait: :meth:`Lane.start`, the end of a compute gap
+(``_arrived``), an unpark (``_unparked``), the window grant and issue
+loop (``_issue``) and the end-of-trace drain (``_drain``).  Its
+position is plain data — ``index``, the next access to issue, and
+``_owed``, the drain's grants still to take — so checkpoint restore
+restarts a lane by setting them and queueing the state it was in.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Tuple
+from heapq import heappush
+from typing import Callable, Iterable, Optional, Tuple
 
 from ..sim.process import Resource
 from ..workloads.base import TraceBuffer, _as_buffer
@@ -32,13 +37,19 @@ __all__ = ["Lane"]
 
 
 class Lane:
-    """One trace-driven CU lane of a GPU."""
+    """One trace-driven CU lane of a GPU.
 
-    def __init__(self, gpu, lane_id: int, trace: Iterable[Tuple[int, int, bool]]) -> None:
+    ``done``, if given, is called from the ready queue once the lane
+    has retired its whole trace (the run's :class:`Countdown`)."""
+
+    def __init__(self, gpu, lane_id: int, trace: Iterable[Tuple[int, int, bool]],
+                 done: Optional[Callable[[], None]] = None) -> None:
         self.gpu = gpu
         self.lane_id = lane_id
         self.trace: TraceBuffer = _as_buffer(trace)
-        # Replay state shared with the fast path (populated in run()).
+        self.done = done
+        # Replay state shared with the fast path (the window is built by
+        # attach_window).
         self._window: Resource = None  # type: ignore[assignment]
         self._releases: deque = deque()
         self._gaps = self.trace.gaps
@@ -46,151 +57,155 @@ class Lane:
         self._writes = self.trace.writes
         self._n = len(self.trace)
         self._capacity = 0
+        #: the next trace access to issue.
+        self.index = 0
+        #: window grants the end-of-trace drain has still to take.
+        self._owed = 0
+        #: the lane has drained its window and called ``done``.
+        self.retired = False
         #: this lane's in-flight slow (full-pipeline) accesses.  Parking
         #: requires zero: a slow access holds a window slot with an
         #: event-driven (unknown) release time that the replay ring
         #: cannot model.
         self._slow = 0
 
-    def run(self, i: int = 0, entry: str = "start", arrival: int = 0,
-            ring=None, backed: int = 0, remaining: int = 0):
-        """Process body: replay the trace from access ``i``, then drain
-        the window.
-
-        ``entry`` says where the loop is entered.  Every entry but
-        ``"start"`` continues a checkpoint-restored lane, whose window
-        :meth:`attach_window` has already rebuilt:
-
-        * ``"start"``  — a fresh lane.
-        * ``"window"`` — access ``i`` waits for its window grant.  A lane
-          snapshotted in its compute gap is restarted by its gap's
-          calendar entry (``Engine.process(..., at=key)``); one
-          snapshotted at its window, or an emergency restart, starts at
-          once.
-        * ``"parked"`` — re-park with the saved replay state ``(arrival,
-          ring, backed)``, or materialise the ring when restored without
-          a fast path.
-        * ``"drain"``  — the end-of-trace drain with ``remaining``
-          grants still owed.
-
-        Checkpointing reads ``i`` from the generator's frame, which for a
-        restored lane whose entry has not fired yet holds only these
-        parameters: the index parameter must keep the name ``i``.
-
-        A window grant waits on a :meth:`Resource.request` event only
-        when it must.  With a free slot and an empty ready queue the lane
-        takes the slot at once (:meth:`Resource.try_acquire`): the
-        granted event's ready hop would be the next callback to run, so
-        the lane goes on exactly where it would have (the tail rule of
-        :meth:`~repro.sim.engine.Engine.tail`).
-        """
-        if entry == "start":
-            self.attach_window()
-        gpu = self.gpu
-        engine = gpu.engine
-        window = self._window
-        capacity = self._capacity
-        gaps = self._gaps
-        vpns = self._vpns
-        writes = self._writes
-        n = self._n
-        releases = self._releases
-        fp = gpu.fastpath
-        lane_id = self.lane_id
-        try_fast = gpu.try_fast_access
-        schedule = engine.schedule
-        request = window.request
-        acquire = window.try_acquire
-        ready = engine._ready
-        if entry == "drain":
-            for _ in range(remaining):
-                if ready or not acquire():
-                    yield request()
-            return
-        if entry == "parked":
-            if fp is None:
-                # Restored under a config without the batched fast path
-                # (tracing, fault injection, fastpath_enabled=False):
-                # degrade to the event path by materialising the saved
-                # window state exactly as an unpark would — back every
-                # future ring entry past the calendar-backed prefix with
-                # a fresh release event, drop entries already in the
-                # past, and continue from the saved (i, arrival).
-                now = engine.now
-                entries = list(ring) if ring is not None else []
-                for r in entries[backed:]:
-                    if r > now:
-                        window._in_use += 1
-                        schedule(r - now, window.release)
-                releases.clear()
-                releases.extend(entries)
-            else:
-                i, arrival = yield fp.repark(self, i, arrival, ring, backed)
-            if i < n:
-                wait = arrival - engine.now
-                if wait > 0:
-                    yield wait
-                entry = "window"
-        if entry == "window":
-            if ready or not acquire():
-                yield request()
-            gpu.instructions += gaps[i] + 1
-            vpn = vpns[i]
-            is_write = bool(writes[i])
-            latency = try_fast(lane_id, vpn, is_write)
-            if latency is not None:
-                if fp is not None:
-                    releases.append(engine._now + latency)
-                schedule(latency, window.release)
-            else:
-                self._slow += 1
-                gpu.access(self, vpn, is_write)
-            i += 1
-        while i < n:
-            if fp is not None and self._slow == 0 and not gpu.driver_busy:
-                i, arrival = yield fp.park(self, i)
-                if i >= n:
-                    break
-                # Resumed (at or before the escaping access's arrival
-                # time) to run access ``i`` through the event pipeline;
-                # the window grant below lands at its exact issue time.
-                wait = arrival - engine.now
-                if wait > 0:
-                    yield wait
-            else:
-                gap = gaps[i]
-                if gap:
-                    yield gap
-            if ready or not acquire():
-                yield request()
-            gpu.instructions += gaps[i] + 1
-            vpn = vpns[i]
-            is_write = bool(writes[i])
-            latency = try_fast(lane_id, vpn, is_write)
-            if latency is not None:
-                # Fast path: occupancy modelled with one scheduled release.
-                if fp is not None:
-                    releases.append(engine._now + latency)
-                schedule(latency, window.release)
-            else:
-                self._slow += 1
-                gpu.access(self, vpn, is_write)
-            i += 1
-        # Drain: reacquire every slot so we return only when all
-        # outstanding accesses have completed.
-        for _ in range(capacity):
-            if ready or not acquire():
-                yield request()
-
     def attach_window(self, in_use: int = 0) -> None:
         """Build the lane's in-flight window with ``in_use`` slots held.
 
-        A fresh lane builds an empty one as :meth:`run` starts.
-        Checkpoint restore builds it before the lane restarts, with the
-        slots held by the in-flight accesses whose release events it
-        pushes back onto the calendar."""
+        A fresh lane builds an empty one as it starts.  Checkpoint
+        restore builds it before the lane restarts, with the slots held
+        by the in-flight accesses whose release events it pushes back
+        onto the calendar."""
         capacity = self.gpu.config.inflight_per_cu
         window = Resource(self.gpu.engine, capacity)
         window._in_use = in_use
         self._window = window
         self._capacity = capacity
+        self._owed = capacity
+
+    def start(self) -> None:
+        """First step of a fresh lane, from the ready queue: park, wait
+        out access 0's compute gap, or ask for its window slot."""
+        self.attach_window()
+        gpu = self.gpu
+        if not self._n:
+            self._drain()
+        elif gpu.fastpath is not None and not gpu.driver_busy:
+            gpu.fastpath.park(self, 0)
+        else:
+            gpu.engine.defer(self._gaps[0], self._arrived)
+
+    def _arrived(self) -> None:
+        """Access ``index`` has arrived (its gap is over): take a window
+        slot, at once when one is free and the ready queue is empty (the
+        tail rule of :meth:`~repro.sim.engine.Engine.tail`), else from
+        the ready queue when one is granted."""
+        window = self._window
+        if self.gpu.engine._ready or not window.try_acquire():
+            window.request(self._issue)
+            return
+        self._issue()
+
+    def _issue(self) -> None:
+        """Access ``index`` holds a window slot: issue it, then go on
+        issuing until the lane must wait — to park, for a compute gap,
+        for a window slot, or for the drain.
+
+        The loop stays inside this one state: a grant that called the
+        issue that calls the next grant would recurse once per access
+        with zero gaps and a deep window."""
+        gpu = self.gpu
+        engine = gpu.engine
+        window = self._window
+        gaps = self._gaps
+        vpns = self._vpns
+        writes = self._writes
+        n = self._n
+        fp = gpu.fastpath
+        lane_id = self.lane_id
+        i = self.index
+        while True:
+            gpu.instructions += gaps[i] + 1
+            vpn = vpns[i]
+            is_write = bool(writes[i])
+            latency = gpu.try_fast_access(lane_id, vpn, is_write)
+            if latency is not None:
+                # Fast path: occupancy modelled with one scheduled release.
+                if fp is not None:
+                    self._releases.append(engine._now + latency)
+                engine.schedule(latency, window.release)
+            else:
+                self._slow += 1
+                gpu.access(self, vpn, is_write)
+            i += 1
+            self.index = i
+            if i >= n:
+                self._drain()
+                return
+            if fp is not None and self._slow == 0 and not gpu.driver_busy:
+                fp.park(self, i)
+                return
+            gap = gaps[i]
+            if gap:
+                # Engine.defer(gap, self._arrived), inlined.
+                engine._seq += 1
+                heappush(engine._heap, (engine._now + gap, engine._seq, self._arrived, ()))
+                return
+            if engine._ready or not window.try_acquire():
+                window.request(self._issue)
+                return
+
+    def _unparked(self, index: int, arrival: int) -> None:
+        """Back from the fast path, at or before ``arrival``, the arrival
+        time of access ``index``: wait for it and take its slot on the
+        event path, or drain past the trace's end."""
+        self.index = index
+        if index >= self._n:
+            self._drain()
+            return
+        engine = self.gpu.engine
+        engine.defer(max(arrival - engine._now, 0), self._arrived)
+
+    def _restart_parked(self, arrival: int, ring, backed: int) -> None:
+        """Checkpoint restore of a lane parked before access ``index``
+        with replay state ``(arrival, ring, backed)``: park it again, or,
+        restored without a fast path (tracing, fault injection,
+        ``fastpath_enabled=False``), materialise the saved window state
+        exactly as an unpark would and go on on the event path."""
+        fp = self.gpu.fastpath
+        if fp is not None:
+            fp.repark(self, self.index, arrival, ring, backed)
+            return
+        self._materialise(ring or (), backed)
+        self._unparked(self.index, arrival)
+
+    def _materialise(self, ring, backed: int) -> None:
+        """Leave parking with the release ring ``ring``: back every entry
+        past the calendar-backed prefix of ``backed`` that releases in
+        the future with a release event (an entry already past issued and
+        completed while parked), and keep the ring as the lane's
+        releases."""
+        engine = self.gpu.engine
+        now = engine._now
+        window = self._window
+        for r in list(ring)[backed:]:
+            if r > now:
+                window._in_use += 1
+                engine.schedule(r - now, window.release)
+        releases = self._releases
+        releases.clear()
+        releases.extend(ring)
+
+    def _drain(self) -> None:
+        """End of trace: take back every window slot, so the lane retires
+        only once its last access has; then hand on to ``done``."""
+        window = self._window
+        ready = self.gpu.engine._ready
+        while self._owed:
+            self._owed -= 1
+            if ready or not window.try_acquire():
+                window.request(self._drain)
+                return
+        self.retired = True
+        if self.done is not None:
+            ready.append((self.done, ()))

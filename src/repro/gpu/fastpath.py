@@ -1,6 +1,6 @@
 """Batched fast-path replay: the second tier of the two-tier replay core.
 
-The event engine (tier one) is exact but pays generator/heap machinery
+The event engine (tier one) is exact but pays callback/heap machinery
 per access.  The overwhelmingly common access, however, is an L1 TLB hit
 on a local page, whose behaviour is a pure arithmetic recurrence over
 the lane's in-flight window:
@@ -25,11 +25,12 @@ event, however finely the lanes interleave.
 
 Parking protocol
 ----------------
-A lane parks by yielding an Event obtained from :meth:`FastPath.park`.
-While parked it owns **no calendar entries** except window-release
-timeouts that were already scheduled before parking; its in-flight
-window is modelled by a ring of release times (at most ``capacity``
-deep).  The engine's :attr:`~repro.sim.engine.Engine.batcher` hook calls
+A lane parks by calling :meth:`FastPath.park` instead of waiting out
+its next compute gap.  While parked it owns **no calendar entries**
+except window-release timeouts that were already scheduled before
+parking; its in-flight window is modelled by a ring of release times
+(at most ``capacity`` deep).  The engine's
+:attr:`~repro.sim.engine.Engine.batcher` hook calls
 :meth:`FastPath.try_batch` whenever the ready queue is empty — i.e.
 *between every two calendar events* — and replay is bounded by the next
 calendar event's timestamp.
@@ -40,12 +41,12 @@ targeting it, no migration it is an endpoint of) and is unparked the
 round after the gauge rises, so pure-replay GPUs keep batching while
 another GPU migrates.
 
-Unparking succeeds the park event with ``(index, arrival)``.  The lane
-generator resumes at the current (earlier or equal) engine time and
-re-derives the exact issue time of the escaping access through the
-normal gap wait and window grant — release events for window slots the
-replay consumed arithmetically are materialised onto the calendar
-first, so the FIFO grant reproduces ``issue_i`` exactly.
+Unparking queues the lane's ``_unparked(index, arrival)`` continuation
+on the ready queue.  The lane resumes at the current (earlier or equal)
+engine time and re-derives the exact issue time of the escaping access
+through the normal gap wait and window grant — release events for
+window slots the replay consumed arithmetically are materialised onto
+the calendar first, so the FIFO grant reproduces ``issue_i`` exactly.
 
 Equivalence argument (summary; DESIGN.md §8 has the full version)
 -----------------------------------------------------------------
@@ -87,7 +88,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from ..memory import pte as pte_bits
 from ..memory.physmem import PhysicalMemory
-from ..sim.engine import Engine, Event
+from ..sim.engine import Engine
 
 __all__ = ["FastPath", "ParkedLane"]
 
@@ -97,12 +98,11 @@ _INF = float("inf")
 class ParkedLane:
     """Replay state for one parked lane."""
 
-    __slots__ = ("lane", "event", "index", "arrival", "ring", "backed", "gen")
+    __slots__ = ("lane", "index", "arrival", "ring", "backed", "gen")
 
-    def __init__(self, lane, event: Event, index: int, arrival: int,
+    def __init__(self, lane, index: int, arrival: int,
                  ring: deque, backed: int, gen: int) -> None:
         self.lane = lane
-        self.event = event
         #: next unevaluated trace index.
         self.index = index
         #: arrival time of access ``index`` (issue of the previous access
@@ -146,9 +146,9 @@ class FastPath:
     # Park / unpark
     # ------------------------------------------------------------------
 
-    def park(self, lane, index: int) -> Event:
-        """Park ``lane`` before issuing access ``index``; returns the
-        event whose value ``(index, arrival)`` resumes the lane.
+    def park(self, lane, index: int) -> None:
+        """Park ``lane`` before issuing access ``index``; the lane
+        resumes through its ``_unparked(index, arrival)`` continuation.
 
         Callers park only while ``lane.gpu.driver_busy`` is zero:
         episodes touching other GPUs cannot mutate state this GPU's
@@ -164,7 +164,6 @@ class FastPath:
         gpu = lane.gpu
         rec = ParkedLane(
             lane,
-            Event(engine),
             index,
             engine._now + lane._gaps[index],
             deque(releases),
@@ -176,9 +175,8 @@ class FastPath:
         self._parked[lane] = rec
         self._parked_windows.add(id(window))
         self.parks += 1
-        return rec.event
 
-    def repark(self, lane, index: int, arrival: int, ring, backed: int) -> Event:
+    def repark(self, lane, index: int, arrival: int, ring, backed: int) -> None:
         """Re-register a lane parked at checkpoint time with its saved
         replay state (checkpoint restore).  Unlike :meth:`park` this must
         not recompute ``arrival`` — the saved value already accounts for
@@ -187,7 +185,6 @@ class FastPath:
         engine = self.engine
         rec = ParkedLane(
             lane,
-            Event(engine),
             index,
             arrival,
             deque(ring),
@@ -198,7 +195,6 @@ class FastPath:
             engine.batcher = self.try_batch
         self._parked[lane] = rec
         self._parked_windows.add(id(lane._window))
-        return rec.event
 
     def _unpark(self, rec: ParkedLane) -> None:
         lane = rec.lane
@@ -208,25 +204,9 @@ class FastPath:
         engine = self.engine
         if not self._parked:
             engine.batcher = None
-        now = engine._now
-        ring = rec.ring
-        # Materialise release events for window slots the replay filled:
-        # every ring entry past the still-calendar-backed prefix that
-        # releases in the future.  (Entries <= now correspond to accesses
-        # that both issued and completed inside the replayed span.)
-        if len(ring) > rec.backed:
-            entries = list(ring)
-            release = window.release
-            schedule = engine.schedule
-            for r in entries[rec.backed:]:
-                if r > now:
-                    window._in_use += 1
-                    schedule(r - now, release)
-        # In place: the lane's run() loop holds a reference to this deque.
-        releases = lane._releases
-        releases.clear()
-        releases.extend(ring)
-        rec.event.succeed((rec.index, rec.arrival))
+        # Release events for the window slots the replay filled.
+        lane._materialise(rec.ring, rec.backed)
+        engine._ready.append((lane._unparked, (rec.index, rec.arrival)))
 
     def _replayable(self, rec: ParkedLane, vpn: int) -> Optional[OrderedDict]:
         """``try_fast_access``'s acceptance test for an access by

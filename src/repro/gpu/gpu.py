@@ -428,10 +428,9 @@ class _Access:
             self._translated(word)
             return
         mshr1 = gpu.l1_mshrs[self.lane_id]
-        if vpn in mshr1:
+        if not mshr1.allocate(vpn):
             mshr1.wait(vpn, self._l1_coalesced)
             return
-        mshr1.allocate(vpn)
         # L2 TLB and IRMB are probed in parallel; both fit in the L2 latency.
         gpu.engine.defer(gpu._l2_latency, self._l2_lookup)
 
@@ -456,10 +455,9 @@ class _Access:
         # Demand L2 TLB miss: IRMB bypass / page walk / far fault.
         self.t_miss = gpu.engine._now
         l2_mshr = gpu.l2_mshr
-        if vpn in l2_mshr:
+        if not l2_mshr.allocate(vpn):
             l2_mshr.wait(vpn, self._l2_coalesced)
             return
-        l2_mshr.allocate(vpn)
         lazy = gpu.lazy
         if lazy is not None and gpu.config.irmb_bypass_enabled and lazy.probe(vpn):
             # IRMB hit: the local PTE is stale — bypass the local walk and

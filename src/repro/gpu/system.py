@@ -18,12 +18,13 @@ from __future__ import annotations
 import gc
 
 from ..config import SystemConfig
-from ..faults.auditor import InvariantViolation, audit_loop, audit_system, protocol_dump
+from ..faults.auditor import AuditLoop, InvariantViolation, audit_system, protocol_dump
 from ..faults.injector import FaultInjector
 from ..faults.schedule import ChaosController, FaultTimeline, ScheduledFaultInjector
 from ..interconnect.topology import Interconnect
 from ..memory.address import AddressLayout
-from ..sim.engine import AllOf, Engine, LivenessWatchdog, SimulationAbort, WatchdogError
+from ..sim.engine import Engine, LivenessWatchdog, SimulationAbort, WatchdogError
+from ..sim.process import Countdown
 from ..uvm.driver import UVMDriver
 from .cu import Lane
 from .gpu import GPU
@@ -124,11 +125,10 @@ class MultiGPUSystem:
         # Run-time registries (populated by run()/restore): checkpointing
         # classifies calendar entries by the identity of these objects.
         self._lanes: list = []
-        self._lane_procs: dict = {}
+        #: every lane has retired (see _lanes_retired).
         self._master_done: bool = False
-        self._master_proc = None
         self._watchdog = None
-        self._audit_proc = None
+        self._auditor = None
         self._controller = None
         #: chaos campaign supervisor (spawned with the other supervisors
         #: when a failure-trace timeline is armed).
@@ -179,20 +179,18 @@ class MultiGPUSystem:
                 f"workload has {len(workload.traces)} GPU traces, "
                 f"system has {self.config.num_gpus} GPUs"
             )
-        lane_processes = []
+        done = self._end_after(sum(map(len, workload.traces)))
         for gpu, gpu_traces in zip(self.gpus, workload.traces):
             for lane_id, trace in enumerate(gpu_traces):
                 if lane_id >= self.config.trace_lanes:
                     raise ValueError("workload has more lanes than config.trace_lanes")
-                lane = Lane(gpu, lane_id, trace)
-                proc = self.engine.process(lane.run())
+                lane = Lane(gpu, lane_id, trace, done)
+                self.engine.schedule(0, lane.start)
                 self._lanes.append(lane)
-                self._lane_procs[proc] = lane
-                lane_processes.append(proc)
             gpu.attach_lanes(len(gpu_traces))
 
-        self._spawn_master(lane_processes)
-        self._spawn_supervisors()
+        for _name, supervisor in self._spawn_supervisors():
+            supervisor.start()
         if checkpoint_every:
             from ..sim.snapshot import CheckpointController
 
@@ -201,57 +199,63 @@ class MultiGPUSystem:
             )
         return self._finish(workload)
 
-    def _spawn_master(self, lane_processes) -> None:
-        def master():
-            """Records end-to-end time once every lane retires."""
-            if lane_processes:
-                yield AllOf(self.engine, lane_processes)
-            self.finish_time = self.engine.now
-            self._master_done = True
-            for gpu in self.gpus:
-                if gpu.lazy is not None:
-                    gpu.lazy.stop()
+    def _end_after(self, lanes: int):
+        """The callback each of ``lanes`` running lanes makes as it
+        retires: the last one ends the run.  With no lane to wait for,
+        the run ends from the ready queue."""
+        if not lanes:
+            self.engine.schedule(0, self._lanes_retired)
+        return Countdown(self.engine, lanes, self._lanes_retired).done
 
-        self._master_proc = self.engine.process(master())
+    def _lanes_retired(self) -> None:
+        """Records end-to-end time once every lane retires."""
+        self.finish_time = self.engine.now
+        self._master_done = True
+        for gpu in self.gpus:
+            if gpu.lazy is not None:
+                gpu.lazy.stop()
 
     def still_active(self) -> bool:
         """Lanes still running, or invalidations still unacked."""
         return not self._master_done or self.driver.tracker.has_pending()
 
-    def _spawn_supervisors(self, at=None, watchdog: bool = True,
-                           audit: bool = True, chaos: bool = True) -> None:
-        """Arm the watchdog, periodic auditor, and chaos-campaign
-        controller per the fault config / failure-trace timeline.
+    def _spawn_supervisors(self, watchdog: bool = True, audit: bool = True,
+                           chaos: bool = True) -> list:
+        """Build the watchdog, periodic auditor, and chaos-campaign
+        controller per the fault config / failure-trace timeline, and
+        return the ones built as ``(name, supervisor)`` pairs in start
+        order.  A fresh run starts each; checkpoint restore puts a
+        supervisor's pending tick back at its calendar key instead.
 
-        ``at`` (checkpoint restore) maps ``"watchdog"``, ``"audit"`` and
-        ``"chaos"`` to the calendar key of that loop's pending tick; a
-        loop found there starts from its key and ticks first.
         ``watchdog``/``audit``/``chaos`` let a restore skip a supervisor
-        whose loop had already exited at snapshot time.
+        that had already lapsed at snapshot time.
         """
         faults = self.config.faults
-        tracker = self.driver.tracker
-        at = at or {}
+        built = []
         if watchdog and faults.watchdog_active:
             self._watchdog = LivenessWatchdog(
                 self.engine,
                 interval=faults.watchdog_interval,
                 stall_window=faults.watchdog_stall_window,
                 progress_fn=self._progress_metric,
-                dump_fn=lambda: protocol_dump(self),
-                deadline_fn=lambda: tracker.deadline_violation(faults.ack_deadline),
+                dump_fn=self._protocol_dump,
+                deadline_fn=self._deadline_violation,
                 active_fn=self.still_active,
-                at=at.get("watchdog"),
             )
+            built.append(("watchdog", self._watchdog))
         if audit and faults.audit_interval > 0:
-            key = at.get("audit")
-            self._audit_proc = self.engine.process(
-                audit_loop(self, faults.audit_interval, self.still_active,
-                           wait_first=key is None),
-                at=key,
-            )
+            self._auditor = AuditLoop(self, faults.audit_interval, self.still_active)
+            built.append(("audit", self._auditor))
         if chaos and self.timeline is not None:
-            self.chaos = ChaosController(self, self.timeline, at=at.get("chaos"))
+            self.chaos = ChaosController(self, self.timeline)
+            built.append(("chaos", self.chaos))
+        return built
+
+    def _protocol_dump(self) -> str:
+        return protocol_dump(self)
+
+    def _deadline_violation(self):
+        return self.driver.tracker.deadline_violation(self.config.faults.ack_deadline)
 
     def _finish(self, workload) -> "SimulationResult":
         if workload.total_accesses() >= _COLLECT_AFTER_ACCESSES:

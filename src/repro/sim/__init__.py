@@ -1,4 +1,4 @@
-"""Discrete-event simulation kernel (engine, processes, stats, RNG).
+"""Discrete-event simulation kernel (engine, sync primitives, stats, RNG).
 
 Import the submodule you need (``repro.sim.engine``, ``repro.sim.rng``,
 ...): the package re-exports nothing, so a light user such as the

@@ -1,16 +1,16 @@
 """Discrete-event simulation kernel.
 
 The engine is a classic event-calendar simulator: a binary heap of
-``(time, sequence, callback)`` entries drained in timestamp order.  The
-simulated hardware is written as callback state machines: a producer (a
-link transfer, a page walk, a far fault ...) takes the waiting state as
-a continuation ``(fn, *args)`` and hands its result straight to it
-(:meth:`Engine.tail`).  On top of the calendar there is also a small
-coroutine layer (:class:`Process`) modelled after SimPy, for the trace
-lanes and the run's supervisors: Python generators that ``yield`` an
-int delay or a waitable object (an :class:`Event`, another process, or
-an :class:`AllOf` composition) and are resumed by the engine when the
-waited-on condition completes.
+``(time, sequence, callback)`` entries drained in timestamp order, and
+a FIFO ready queue for zero-delay work.  Everything that drives
+simulated time is a callback state machine, one method per state: a
+producer (a link transfer, a page walk, a far fault, a window grant
+...) takes the waiting state as a continuation ``(fn, *args)`` and
+hands its result straight to it (:meth:`Engine.tail`); a state that
+waits out a delay pushes its successor onto the calendar
+(:meth:`Engine.defer`).  The trace lanes, the run's end and the
+supervisors (the :class:`LivenessWatchdog` here, the auditor, the
+chaos and checkpoint controllers) are machines of the same kind.
 
 Timestamps are integers (cycles).  All scheduling is deterministic: events
 scheduled for the same cycle fire in scheduling order, which makes every
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from .trace import NULL_TRACER
 
@@ -32,9 +32,6 @@ _heappop = heapq.heappop
 
 __all__ = [
     "Engine",
-    "Event",
-    "Process",
-    "AllOf",
     "SimulationError",
     "SimulationAbort",
     "WatchdogError",
@@ -118,10 +115,10 @@ class Engine:
     def defer(self, delay: int, fn: Callable[..., None], *args: Any) -> None:
         """Continue a callback state machine ``delay`` cycles from now.
 
-        The exact calendar effect of a :class:`Process` yielding the bare
-        int ``delay``: a positive delay is one heap entry, zero runs
-        ``fn(*args)`` at once (a process continues without a ready-queue
-        hop), and a negative delay is an error.
+        A positive delay is one heap entry.  Zero runs ``fn(*args)`` at
+        once: the machine goes on within the same callback, with no
+        ready-queue hop, unlike :meth:`schedule`.  A negative delay is an
+        error.
         """
         if delay > 0:
             self._seq += 1
@@ -135,31 +132,16 @@ class Engine:
         """Hand a result to its one waiting continuation, ``fn(*args)``.
 
         Call it only as the last act of a callback that the drain loop
-        invoked, directly or through tail calls.  A waiter resumed by
-        ``Event.succeed`` would be appended to the ready queue here; if
-        that queue is empty it would be the next callback to run, so the
-        continuation runs at once and sees the same state.  Otherwise it
-        is appended exactly where the waiter would have been.
+        invoked, directly or through tail calls.  With the ready queue
+        empty, the continuation appended there would be the next
+        callback to run, so it runs at once and sees the same state;
+        otherwise it is appended to the ready queue.
         """
         ready = self._ready
         if ready:
             ready.append((fn, args))
         else:
             fn(*args)
-
-    def event(self) -> "Event":
-        """Create a fresh one-shot event bound to this engine."""
-        return Event(self)
-
-    def process(self, generator: Generator,
-                at: Optional[Tuple[int, int]] = None) -> "Process":
-        """Launch ``generator`` as a simulation process.
-
-        Its first step runs from the ready queue or, given ``at``, from a
-        calendar entry with that ``(time, seq)`` key: checkpoint restore
-        restarts each suspended process from the entry it was waiting on.
-        """
-        return Process(self, generator, at)
 
     def run(self, until: Optional[int] = None) -> int:
         """Drain the calendar; returns the final simulation time.
@@ -262,73 +244,6 @@ class Engine:
         return self._now
 
 
-class Event:
-    """One-shot event: processes may wait on it; it succeeds at most once."""
-
-    __slots__ = ("engine", "_callbacks", "_value", "_triggered")
-
-    def __init__(self, engine: Engine) -> None:
-        self.engine = engine
-        self._callbacks: Optional[List[Callable[["Event"], None]]] = []
-        self._value: Any = None
-        self._triggered = False
-
-    @property
-    def triggered(self) -> bool:
-        return self._triggered
-
-    @property
-    def value(self) -> Any:
-        if not self._triggered:
-            raise SimulationError("event has not fired yet")
-        return self._value
-
-    def succeed(self, value: Any = None) -> "Event":
-        """Fire the event now, resuming all waiters this cycle."""
-        if self._triggered:
-            raise SimulationError("event already triggered")
-        self._triggered = True
-        self._value = value
-        callbacks, self._callbacks = self._callbacks, None
-        if callbacks:
-            # Equivalent to engine.schedule(0, cb, self) per callback,
-            # without the per-callback delay test and call overhead.
-            append = self.engine._ready.append
-            args = (self,)
-            for cb in callbacks:
-                append((cb, args))
-        return self
-
-    def add_callback(self, cb: Callable[["Event"], None]) -> None:
-        """Invoke ``cb(event)`` when the event fires (immediately if fired)."""
-        callbacks = self._callbacks
-        if callbacks is None:
-            self.engine._ready.append((cb, (self,)))
-        else:
-            callbacks.append(cb)
-
-
-class AllOf(Event):
-    """Fires once every child event has fired; value is the list of values."""
-
-    __slots__ = ("_pending", "_children")
-
-    def __init__(self, engine: Engine, events: Iterable[Event]) -> None:
-        super().__init__(engine)
-        self._children = list(events)
-        self._pending = len(self._children)
-        if self._pending == 0:
-            self.succeed([])
-            return
-        for ev in self._children:
-            ev.add_callback(self._child_done)
-
-    def _child_done(self, _ev: Event) -> None:
-        self._pending -= 1
-        if self._pending == 0 and not self._triggered:
-            self.succeed([c.value for c in self._children])
-
-
 class LivenessWatchdog:
     """Detects deadlock/livelock in a running simulation.
 
@@ -339,9 +254,10 @@ class LivenessWatchdog:
     the watchdog raises :class:`WatchdogError` carrying ``dump_fn()``'s
     diagnostic snapshot — aborting ``Engine.run`` instead of hanging.
 
-    The watchdog's own periodic timeout keeps the event calendar
+    The watchdog's own periodic check keeps the event calendar
     non-empty, so ``active_fn`` tells it when the simulation proper has
-    finished and it should let the engine drain.
+    finished and it should let the engine drain.  :meth:`start` arms
+    it; each :meth:`tick` arms the next.
     """
 
     def __init__(
@@ -350,10 +266,9 @@ class LivenessWatchdog:
         interval: int,
         stall_window: int,
         progress_fn: Callable[[], int],
-        dump_fn: Callable[[], str] = lambda: "",
+        dump_fn: Optional[Callable[[], str]] = None,
         deadline_fn: Optional[Callable[[], Optional[str]]] = None,
         active_fn: Optional[Callable[[], bool]] = None,
-        at: Optional[Tuple[int, int]] = None,
     ) -> None:
         if interval < 1:
             raise SimulationError("watchdog interval must be >= 1 cycle")
@@ -367,28 +282,26 @@ class LivenessWatchdog:
         self.deadline_fn = deadline_fn
         self.active_fn = active_fn
         self.checks = 0
-        self._stopped = False
         self._last_progress = progress_fn()
         self._last_change = engine.now
-        #: the loop Process (checkpoint restore classifies its calendar
-        #: entry by identity).  A restored watchdog starts from its pending
-        #: tick's calendar key ``at`` and ticks first.
-        self._proc = engine.process(self._loop(wait_first=at is None), at=at)
 
-    def stop(self) -> None:
-        """Let the loop exit at its next tick (simulation finished)."""
-        self._stopped = True
+    def start(self) -> None:
+        """Arm the watchdog: the first check comes ``interval`` cycles
+        after the ready-queue entry this makes runs."""
+        engine = self.engine
+        engine.schedule(0, engine.defer, self.interval, self.tick)
 
     def _abort(self, reason: str) -> None:
         tracer = self.engine.tracer
         if tracer.enabled:
             tracer.emit("watchdog.abort", "watchdog", reason=reason)
-        raise WatchdogError(reason, dump=self.dump_fn())
+        raise WatchdogError(reason, dump=self.dump_fn() if self.dump_fn else "")
 
-    def _tick(self) -> bool:
-        """One periodic check; False means the loop should exit."""
-        if self._stopped or (self.active_fn is not None and not self.active_fn()):
-            return False
+    def tick(self) -> None:
+        """One periodic check; arms the next unless the simulation has
+        finished."""
+        if self.active_fn is not None and not self.active_fn():
+            return
         self.checks += 1
         if self.deadline_fn is not None:
             violated = self.deadline_fn()
@@ -403,13 +316,7 @@ class LivenessWatchdog:
                 f"no forward progress for {self.engine.now - self._last_change} "
                 f"cycles (metric stuck at {progress})"
             )
-        return True
-
-    def _loop(self, wait_first: bool = True):
-        if wait_first:
-            yield self.interval
-        while self._tick():
-            yield self.interval
+        self.engine.defer(self.interval, self.tick)
 
     def snapshot(self) -> dict:
         return {
@@ -422,68 +329,3 @@ class LivenessWatchdog:
         self.checks = state["checks"]
         self._last_progress = state["last_progress"]
         self._last_change = state["last_change"]
-
-
-class Process(Event):
-    """A generator-based simulation process.
-
-    The wrapped generator yields waitables; when the waitable fires the
-    generator is resumed with its value.  A process is itself an
-    :class:`Event` that fires with the generator's return value, so
-    processes can wait on each other.
-    """
-
-    __slots__ = ("_gen", "_waiting_on")
-
-    def __init__(self, engine: Engine, generator: Generator,
-                 at: Optional[Tuple[int, int]] = None) -> None:
-        # Flattened Event.__init__.
-        self.engine = engine
-        self._callbacks = []
-        self._value = None
-        self._triggered = False
-        self._gen = generator
-        self._waiting_on: Optional[Event] = None
-        if at is None:
-            engine._ready.append((self._resume, (None,)))
-        else:
-            _heappush(engine._heap, (at[0], at[1], self._resume, (None,)))
-
-    def _on_wait_done(self, ev: Event) -> None:
-        self._waiting_on = None
-        self._resume(ev._value)
-
-    def _resume(self, value: Any) -> None:
-        if self._triggered:
-            return
-        gen_send = self._gen.send
-        while True:
-            try:
-                target = gen_send(value)
-            except StopIteration as stop:
-                self.succeed(stop.value)
-                return
-            # Fast path: ``yield <int>`` is a bare timeout — no Event object.
-            if type(target) is int:
-                if target > 0:
-                    engine = self.engine
-                    engine._seq += 1
-                    _heappush(
-                        engine._heap,
-                        (engine._now + target, engine._seq, self._resume, (None,)),
-                    )
-                    return
-                if target == 0:
-                    value = None
-                    continue
-                # Negative delay: delegate for the canonical error.
-                self.engine.schedule(target, self._resume, None)
-                return
-            if not isinstance(target, Event):
-                raise SimulationError(
-                    f"process yielded non-waitable {target!r}; yield an int delay, "
-                    "Event, or Process"
-                )
-            self._waiting_on = target
-            target.add_callback(self._on_wait_done)
-            return

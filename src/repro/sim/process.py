@@ -9,15 +9,16 @@ These mirror the queueing structures found in the modelled hardware:
   queue).
 * :class:`Gate` — a barrier that holds waiters until it opens (pages
   blocked during migration).
+* :class:`Countdown` — a join: the last of ``n`` completions hands on
+  (a shootdown's acks, a fault batch's resolutions, the run's lanes).
 
-A :class:`Resource` grant is an :class:`Event`, because ``Lane.run``
-waits on it.  A lane gets that event only when it must wait: with a
-free slot and an empty ready queue it takes the slot at once through
-:meth:`Resource.try_acquire`, since the grant's ready hop would be the
-next callback anyway (the tail rule of
-:meth:`~repro.sim.engine.Engine.tail`).  A :class:`Store` getter and a
-:class:`Gate` waiter are continuations ``(fn, *args)``, appended to the
-ready queue where an event would have appended its waiter.
+Every waiter is a continuation ``(fn, *args)``.  A :class:`Resource`
+grantee, a :class:`Store` getter and a :class:`Gate` waiter run from
+the ready queue, appended when the grant, item or opening comes.  A
+lane that finds a free window slot with an empty ready queue takes it
+at once through :meth:`Resource.try_acquire` instead, since the
+grant's ready hop would be the next callback anyway (the tail rule of
+:meth:`~repro.sim.engine.Engine.tail`).
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque
 
-from .engine import Engine, Event, SimulationError
+from .engine import Engine, SimulationError
 
-__all__ = ["Resource", "Store", "Gate"]
+__all__ = ["Resource", "Store", "Gate", "Countdown"]
 
 
 class Resource:
@@ -41,29 +42,29 @@ class Resource:
         self.engine = engine
         self.capacity = capacity
         self._in_use = 0
-        self._waiters: Deque[Event] = deque()
+        #: waiting requests' continuations ``(fn, args)``, oldest first.
+        self._waiters: Deque[tuple] = deque()
 
     @property
     def in_use(self) -> int:
         return self._in_use
 
     def try_acquire(self) -> bool:
-        """Take a free server now, without an event; False, taking
+        """Take a free server now, without a ready hop; False, taking
         nothing, when every server is in use."""
         if self._in_use < self.capacity:
             self._in_use += 1
             return True
         return False
 
-    def request(self) -> Event:
-        """Returns an event that fires when a server is granted."""
-        ev = Event(self.engine)
+    def request(self, fn: Callable[..., None], *args: Any) -> None:
+        """Call ``fn(*args)`` from the ready queue once a server is
+        granted: at once if one is free, else when one is released."""
         if self._in_use < self.capacity:
             self._in_use += 1
-            ev.succeed()
+            self.engine._ready.append((fn, args))
         else:
-            self._waiters.append(ev)
-        return ev
+            self._waiters.append((fn, args))
 
     def release(self) -> None:
         """Return a server to the pool, waking the head waiter if any."""
@@ -71,7 +72,7 @@ class Resource:
             raise SimulationError("release() without matching request()")
         if self._waiters:
             # Hand the server directly to the next waiter.
-            self._waiters.popleft().succeed()
+            self.engine._ready.append(self._waiters.popleft())
         else:
             self._in_use -= 1
 
@@ -124,10 +125,6 @@ class Gate:
         self._open = False
         self._waiters: list = []
 
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
     def open(self) -> None:
         """Open the gate and release every waiter at the current time,
         in the order they arrived."""
@@ -142,3 +139,21 @@ class Gate:
             self.engine._ready.append((fn, args))
         else:
             self._waiters.append((fn, args))
+
+
+class Countdown:
+    """``pending`` completions counted down: the last :meth:`done` hands
+    on to ``fn(*args)``."""
+
+    __slots__ = ("engine", "pending", "fn", "args")
+
+    def __init__(self, engine: Engine, pending: int, fn: Callable[..., None], *args: Any) -> None:
+        self.engine = engine
+        self.pending = pending
+        self.fn = fn
+        self.args = args
+
+    def done(self) -> None:
+        self.pending -= 1
+        if not self.pending:
+            self.engine.tail(self.fn, *self.args)

@@ -1,13 +1,13 @@
 """Deterministic checkpoint/restore for a running simulation.
 
-The simulator's processes are Python generators, which cannot be
-pickled, so checkpoints are taken only at **quiescent instants**: cycles
-at which every pending calendar entry is one of a small set of
-*classifiable* continuations whose state is pure data —
+Checkpoints are taken only at **quiescent instants**: cycles at which
+every pending calendar entry is one of a small set of *classifiable*
+continuations whose state is pure data —
 
-* a trace lane blocked in a compute gap (its own timed resume),
+* a trace lane's compute gap ending (its own timed continuation),
 * a window-slot release for an in-flight fast access,
-* the liveness watchdog's or invariant auditor's next periodic tick,
+* the liveness watchdog's, invariant auditor's or chaos controller's
+  next periodic tick,
 * the retry timer of an invalidation already acked (droppable: it
   returns at once when it fires),
 * the checkpoint controller's own next tick (respawned on restore).
@@ -21,19 +21,15 @@ plain data payload: component ``snapshot()`` dicts plus a symbolic
 calendar of ``(time, seq, kind, lane)`` entries.
 
 Restore builds a **fresh** :class:`~repro.gpu.system.MultiGPUSystem`
-from the pickled config/seed (its background service loops block in
-their prologues exactly as the original's did), restores every
-component in place, and rebuilds the calendar with the *original*
-``(time, seq)`` keys, so all same-cycle tie-breaks replay identically.
-Window releases go back verbatim.  Each suspended process — a lane in
-its gap, a supervisor's next tick — is restarted *from* the entry it
-was waiting on (``Engine.process(generator, at=(time, seq))``), so its
-first step runs exactly where the original process would have resumed;
-every other unfinished lane re-enters :meth:`~repro.gpu.cu.Lane.run` at
-once, at its window, parked, or draining.  The result: continuing a
-restored run — even in a different process — produces field-for-field
-identical statistics and byte-identical event traces to the
-uninterrupted run.
+from the pickled config/seed, restores every component in place, and
+rebuilds the calendar with the *original* ``(time, seq)`` keys, so all
+same-cycle tie-breaks replay identically.  Window releases, lanes'
+gap ends and supervisors' ticks go back verbatim, each owned by its
+rebuilt lane or supervisor.  Every other unfinished lane restarts from
+the ready queue, in lane order: waiting for its window slot, parked,
+or draining.  The result: continuing a restored run — even in a
+different process — produces field-for-field identical statistics and
+byte-identical event traces to the uninterrupted run.
 
 An **emergency** snapshot (``exact=False``) relaxes all of this for
 watchdog/auditor aborts: in-flight episodes are dropped, every
@@ -55,10 +51,11 @@ import os
 import pickle
 import struct
 import tempfile
-from typing import Dict, List, Optional, Tuple
+from heapq import heapify
+from typing import Dict, List, Optional, Set, Tuple
 
+from ..gpu.cu import Lane
 from ..uvm.driver import _Invalidation
-from .engine import Process
 from .process import Resource
 from .trace import TraceRecorder
 
@@ -136,19 +133,20 @@ def _classify_calendar(system) -> Tuple[List[tuple], Dict[int, List[int]]]:
     not pure data.  Also returns each lane's pending window-release
     times in calendar order."""
     lane_index = {id(lane): idx for idx, lane in enumerate(system._lanes)}
-    proc_index = {
-        id(proc): lane_index[id(lane)]
-        for proc, lane in system._lane_procs.items()
-    }
     window_index = {
         id(lane._window): idx
         for idx, lane in enumerate(system._lanes)
         if lane._window is not None
     }
-    watchdog_proc = system._watchdog._proc if system._watchdog is not None else None
-    audit_proc = system._audit_proc
-    chaos_proc = system.chaos._proc if system.chaos is not None else None
-    controller_proc = system._controller._proc if system._controller is not None else None
+    supervisors = {
+        id(supervisor): name
+        for name, supervisor in (
+            ("watchdog", system._watchdog),
+            ("audit", system._auditor),
+            ("chaos", system.chaos),
+        )
+        if supervisor is not None
+    }
 
     symbols: List[tuple] = []
     release_times: Dict[int, List[int]] = {}
@@ -162,23 +160,15 @@ def _classify_calendar(system) -> Tuple[List[tuple], Dict[int, List[int]]]:
             if owner.pending.acked:
                 continue  # an acked invalidation's retry timer: a no-op
             raise NotQuiescent("invalidation retry timer live")
-        if cls is Process:
-            idx = proc_index.get(id(owner))
-            if idx is not None:
-                symbols.append((time, seq, "lane", idx))
-                continue
-            if owner is watchdog_proc:
-                symbols.append((time, seq, "watchdog", None))
-                continue
-            if owner is audit_proc:
-                symbols.append((time, seq, "audit", None))
-                continue
-            if owner is chaos_proc:
-                symbols.append((time, seq, "chaos", None))
-                continue
-            if owner is controller_proc:
-                continue  # the restore spawns its own controller
-            raise NotQuiescent("non-lane process timer in flight")
+        if cls is Lane:
+            symbols.append((time, seq, "lane", lane_index[id(owner)]))
+            continue
+        name = supervisors.get(id(owner))
+        if name is not None:
+            symbols.append((time, seq, name, None))
+            continue
+        if owner is system._controller:
+            continue  # the restore spawns its own controller
         if cls is Resource and fn.__func__ is Resource.release:
             idx = window_index.get(id(owner))
             if idx is not None:
@@ -190,19 +180,19 @@ def _classify_calendar(system) -> Tuple[List[tuple], Dict[int, List[int]]]:
     return symbols, release_times
 
 
-def _lane_states(system, release_times: Dict[int, List[int]]) -> List[dict]:
+def _lane_states(system, calendar: List[tuple],
+                 release_times: Dict[int, List[int]]) -> List[dict]:
     fastpath = system.fastpath
     parked = fastpath._parked if fastpath is not None else {}
-    proc_of = {id(lane): proc for proc, lane in system._lane_procs.items()}
+    # A lane's only calendar entry is the end of its compute gap.
+    in_gap: Set[int] = {idx for _t, _s, kind, idx in calendar if kind == "lane"}
     states: List[dict] = []
     for idx, lane in enumerate(system._lanes):
-        proc = proc_of.get(id(lane))
-        if proc is None or proc._triggered:
+        if lane.retired:
             states.append({"phase": "done"})
             continue
         releases = release_times.get(idx, [])
-        window = lane._window
-        in_use = window._in_use if window is not None else 0
+        in_use = lane._window._in_use
         if lane in parked:
             rec = parked[lane]
             states.append({
@@ -210,25 +200,19 @@ def _lane_states(system, release_times: Dict[int, List[int]]) -> List[dict]:
                 "ring": list(rec.ring), "backed": rec.backed,
                 "in_use": in_use, "releases": releases,
             })
-            continue
-        # A lane restored from its gap entry that has not fired yet has
-        # an unstarted generator: no wait target, and only run()'s
-        # parameters (among them ``i``) in its frame.
-        frame = proc._gen.gi_frame
-        index = frame.f_locals["i"] if frame is not None else lane._n
-        if proc._waiting_on is None:
+        elif idx in in_gap:
             states.append({
-                "phase": "gap", "index": index,
+                "phase": "gap", "index": lane.index,
                 "in_use": in_use, "releases": releases,
             })
-        elif index >= lane._n:
+        elif lane.index >= lane._n:
             states.append({
-                "phase": "drain", "index": index, "remaining": len(releases),
+                "phase": "drain", "index": lane.index, "remaining": len(releases),
                 "in_use": in_use, "releases": releases,
             })
         else:
             states.append({
-                "phase": "window", "index": index,
+                "phase": "window", "index": lane.index,
                 "in_use": in_use, "releases": releases,
             })
     return states
@@ -243,19 +227,10 @@ def _emergency_lane_states(system) -> List[dict]:
     with an empty window; in-flight accesses are dropped."""
     fastpath = system.fastpath
     parked = fastpath._parked if fastpath is not None else {}
-    proc_of = {id(lane): proc for proc, lane in system._lane_procs.items()}
     states: List[dict] = []
     for lane in system._lanes:
-        proc = proc_of.get(id(lane))
-        if proc is None or proc._triggered:
-            states.append({"phase": "done"})
-            continue
-        if lane in parked:
-            index = parked[lane].index
-        else:
-            frame = proc._gen.gi_frame
-            index = frame.f_locals.get("i", 0) if frame is not None else 0
-        if index >= lane._n:
+        index = parked[lane].index if lane in parked else lane.index
+        if lane.retired or index >= lane._n:
             states.append({"phase": "done"})
         else:
             states.append({
@@ -365,7 +340,7 @@ def snapshot_system(system, workload, exact: bool = True) -> dict:
         if reason is not None:
             raise NotQuiescent(reason)
         calendar, release_times = _classify_calendar(system)
-        lanes = _lane_states(system, release_times)
+        lanes = _lane_states(system, calendar, release_times)
         watchdog = system._watchdog.snapshot() if system._watchdog is not None else None
     else:
         lanes = _emergency_lane_states(system)
@@ -404,7 +379,6 @@ def restore_system(payload: dict, override_config=None, tracer=None):
     :class:`~repro.config.SystemConfig` — the supported use is disabling
     fault injection when resuming an emergency checkpoint.
     """
-    from ..gpu.cu import Lane
     from ..gpu.system import MultiGPUSystem
 
     if payload.get("version") != FORMAT_VERSION:
@@ -429,92 +403,94 @@ def restore_system(payload: dict, override_config=None, tracer=None):
     if system.injector is not None and payload.get("injector") is not None:
         system.injector.restore(payload["injector"])
     system.audits_run = payload["audits_run"]
+    master_done = payload["master_done"]
+    if master_done:
+        system._lanes_retired()
     system.finish_time = payload["finish_time"]
     if not payload.get("exact", True):
         _sanitize_restored(system)
 
+    lane_states = payload["lanes"]
+    done = None
+    if not master_done:
+        done = system._end_after(
+            sum(state["phase"] != "done" for state in lane_states)
+        )
     lanes: List[Lane] = []
     for gpu, gpu_traces in zip(system.gpus, workload.traces):
         for lane_id, trace in enumerate(gpu_traces):
-            lanes.append(Lane(gpu, lane_id, trace))
+            lanes.append(Lane(gpu, lane_id, trace, done))
         gpu.attach_lanes(len(gpu_traces))
-    lane_states = payload["lanes"]
     if len(lanes) != len(lane_states):
         raise CheckpointError(
             f"workload has {len(lanes)} lanes, checkpoint has {len(lane_states)}"
         )
+    system._lanes.extend(lanes)
+
+    # A lane in its compute gap restarts from its gap's calendar entry
+    # (below); every other unfinished lane from the ready queue, in lane
+    # order and never inline: a lane waiting for its window can park in
+    # its first step before a later lane reparks, and the order of the
+    # fast path's parked lanes breaks ties in its replay pass.
     for lane, state in zip(lanes, lane_states):
-        system._lanes.append(lane)
-        if state["phase"] == "done":
+        phase = state["phase"]
+        if phase == "done":
+            lane.retired = True
             continue
         lane.attach_window(in_use=state.get("in_use", 0))
-        lane._releases.clear()
         lane._releases.extend(state.get("releases", ()))
+        lane.index = state["index"]
+        if phase == "parked":
+            engine.schedule(0, lane._restart_parked, state["arrival"],
+                            state.get("ring"), state.get("backed", 0))
+        elif phase == "drain":
+            lane._owed = state["remaining"]
+            engine.schedule(0, lane._drain)
+        elif phase != "gap":
+            # "window", or an emergency "restart": re-issue at once.
+            engine.schedule(0, lane._arrived)
 
-    # Rebuild the calendar with the original (time, seq) keys.  The
-    # releases arrive sorted ascending, which is a valid binary min-heap,
-    # so no heapify (and no re-sequencing) is needed.  Every other entry
-    # is a suspended process's resume: ``at`` maps its lane index or
-    # supervisor name to the key the process restarts from.
+    # Rebuild the calendar with the original (time, seq) keys: window
+    # releases, lanes' gap ends and supervisors' ticks, each owned by
+    # the rebuilt object.
     heap: List[tuple] = []
-    at: Dict[object, Tuple[int, int]] = {}
+    keys: Dict[str, Tuple[int, int]] = {}
     for time, seq, kind, idx in payload["calendar"]:
         if kind == "release":
             heap.append((time, seq, lanes[idx]._window.release, ()))
         elif kind == "lane":
-            at[idx] = (time, seq)
+            heap.append((time, seq, lanes[idx]._arrived, ()))
         elif kind in ("watchdog", "audit", "chaos"):
-            at[kind] = (time, seq)
+            keys[kind] = (time, seq)
         else:
             raise CheckpointError(f"unknown calendar symbol {kind!r}")
+
+    chaos_state = payload.get("chaos")
+    supervisors = system._spawn_supervisors(
+        watchdog=("watchdog" in keys or not master_done),
+        audit=("audit" in keys or not master_done),
+        # A finalized controller had stopped waking before the snapshot;
+        # keep its record-keeping (below) but do not start it.
+        chaos=("chaos" in keys
+               or not (chaos_state or {}).get("finalized", False)),
+    )
+    for name, supervisor in supervisors:
+        key = keys.get(name)
+        if key is None:
+            supervisor.start()
+        else:
+            heap.append((key[0], key[1], supervisor.tick, ()))
+    heapify(heap)
     engine._heap[:] = heap
     engine._seq = payload["seq"]
 
-    alive: List[Process] = []
-    for idx, (lane, state) in enumerate(zip(lanes, lane_states)):
-        phase = state["phase"]
-        if phase == "done":
-            continue
-        # A gap lane waits for its window once its gap entry fires; an
-        # emergency restart re-issues its access at once.
-        entry = "window" if phase in ("gap", "restart") else phase
-        generator = lane.run(
-            state["index"], entry,
-            arrival=state.get("arrival", 0),
-            ring=state.get("ring"),
-            backed=state.get("backed", 0),
-            remaining=state.get("remaining", 0),
-        )
-        proc = engine.process(generator, at=at.get(idx))
-        system._lane_procs[proc] = lane
-        alive.append(proc)
-
-    if payload["master_done"]:
-        system._master_done = True
-        for gpu in system.gpus:
-            if gpu.lazy is not None:
-                gpu.lazy.stop()
-    else:
-        system._spawn_master(alive)
-
-    master_done = payload["master_done"]
-    chaos_state = payload.get("chaos")
-    system._spawn_supervisors(
-        at,
-        watchdog=("watchdog" in at or not master_done),
-        audit=("audit" in at or not master_done),
-        # A finalized controller exited its loop before the snapshot; keep
-        # its record-keeping (below) but spawn no process for it.
-        chaos=("chaos" in at
-               or not (chaos_state or {}).get("finalized", False)),
-    )
     if system._watchdog is not None and payload.get("watchdog") is not None:
         system._watchdog.restore(payload["watchdog"])
     if system.timeline is not None and chaos_state is not None:
         if system.chaos is None:
             from ..faults.schedule import ChaosController
 
-            system.chaos = ChaosController(system, system.timeline, start=False)
+            system.chaos = ChaosController(system, system.timeline)
         system.chaos.restore(chaos_state)
     return system, workload
 
@@ -609,7 +585,8 @@ def load_checkpoint(path) -> dict:
 # ----------------------------------------------------------------------
 
 class CheckpointController:
-    """Engine process that writes a checkpoint every ``every`` cycles.
+    """Periodic callback that writes a checkpoint every ``every`` cycles,
+    counted from the ready-queue entry its constructor makes.
 
     When the instant is not quiescent the controller retries after a
     fixed delay (deterministic: the retry cadence depends only on
@@ -631,25 +608,23 @@ class CheckpointController:
         self.written = 0
         self.retries = 0
         self.last_path: Optional[str] = None
-        self._proc = system.engine.process(self._loop())
+        engine = system.engine
+        engine.schedule(0, engine.defer, self.every, self.tick)
 
-    def _loop(self):
-        system = self.system
-        while True:
-            yield self.every
-            if not self._active():
-                return
-            while True:
-                try:
-                    payload = snapshot_system(system, self.workload)
-                except NotQuiescent:
-                    self.retries += 1
-                    yield self.RETRY_DELAY
-                    if not self._active():
-                        return
-                    continue
-                self._write(payload)
-                break
+    def tick(self) -> None:
+        """Checkpoint now, or retry shortly if the instant is not
+        quiescent; stop once the run is over."""
+        if not self._active():
+            return
+        engine = self.system.engine
+        try:
+            payload = snapshot_system(self.system, self.workload)
+        except NotQuiescent:
+            self.retries += 1
+            engine.defer(self.RETRY_DELAY, self.tick)
+            return
+        self._write(payload)
+        engine.defer(self.every, self.tick)
 
     def _active(self) -> bool:
         """Keep checkpointing while the workload runs — and, in a chaos

@@ -32,7 +32,7 @@ from ..memory.address import AddressLayout
 from ..memory.page_table import PageTable
 from ..memory.physmem import PhysicalMemory
 from ..sim.engine import Engine
-from ..sim.process import Gate, Resource, Store
+from ..sim.process import Countdown, Gate, Resource, Store
 from ..sim.stats import StatsGroup
 from .fault import FarFault
 from .migration import AccessCounters
@@ -180,7 +180,7 @@ class UVMDriver:
         self.stats.histogram("batch_size").record(len(batch))
         if self._tracer.enabled:
             self._tracer.emit("fault.batch", self.name, count=len(batch))
-        self._batch_slots.request().add_callback(_FaultBatch(self, batch).granted)
+        self._batch_slots.request(_FaultBatch(self, batch).granted)
 
     #: bound on stale-reply re-resolutions; retry passes never migrate,
     #: so two racing on-touch faults cannot ping-pong a page forever.
@@ -354,7 +354,7 @@ class UVMDriver:
         if not replicas:
             self.engine.tail(fn, *args)
             return
-        acked = _Countdown(self.engine, len(replicas), self._collapsed, fn, args)
+        acked = Countdown(self.engine, len(replicas), self._collapsed, fn, args)
         for holder, replica_ppn in replicas.items():
             _Invalidation(self, holder, vpn, holder, acked.done)
             self.gpus[holder].memory.free(replica_ppn)
@@ -374,24 +374,6 @@ class UVMDriver:
 # ends a machine hands its result on with Engine.tail.
 
 
-class _Countdown:
-    """``pending`` completions counted down: the last one hands on to
-    ``fn(*args)`` (an ``AllOf`` whose waiter is a continuation)."""
-
-    __slots__ = ("engine", "pending", "fn", "args")
-
-    def __init__(self, engine: Engine, pending: int, fn: Callable[..., None], *args: Any) -> None:
-        self.engine = engine
-        self.pending = pending
-        self.fn = fn
-        self.args = args
-
-    def done(self) -> None:
-        self.pending -= 1
-        if not self.pending:
-            self.engine.tail(self.fn, *self.args)
-
-
 class _FaultBatch:
     """One batch of far faults on a service slot: the fault-handling
     latency, then every fault's resolution, counted down; the slot is
@@ -403,7 +385,7 @@ class _FaultBatch:
         self.driver = driver
         self.faults = faults
 
-    def granted(self, _ev) -> None:
+    def granted(self) -> None:
         """A service slot is ours: start the batch, then go back for the
         next one."""
         driver = self.driver
@@ -416,7 +398,7 @@ class _FaultBatch:
 
     def _resolve(self) -> None:
         driver = self.driver
-        resolved = _Countdown(driver.engine, len(self.faults), driver._batch_slots.release)
+        resolved = Countdown(driver.engine, len(self.faults), driver._batch_slots.release)
         for fault in self.faults:
             _FaultResolution(driver, fault, resolved.done)
 
@@ -456,9 +438,9 @@ class _FaultResolution:
         self._walk_host()
 
     def _walk_host(self) -> None:
-        self.driver.host_walkers.request().add_callback(self._host_walker)
+        self.driver.host_walkers.request(self._host_walker)
 
-    def _host_walker(self, _ev) -> None:
+    def _host_walker(self) -> None:
         driver = self.driver
         driver.engine.defer(driver.config.uvm.host_walk_latency, self._host_walked)
 
@@ -627,16 +609,16 @@ class _Migration:
             # Baseline: broadcast immediately, in parallel with the host
             # walk, which counts as one more ack.
             num_gpus = driver.config.num_gpus
-            self.acked = _Countdown(driver.engine, 1 + num_gpus, self._invalidated)
+            self.acked = Countdown(driver.engine, 1 + num_gpus, self._invalidated)
             for g in range(num_gpus):
                 _Invalidation(driver, g, vpn, dst, self.acked.done)
 
     def _host_walk(self) -> None:
         """Host-side PT walk that invalidates the mapping and (under
         IDYLL) reads + clears the directory bits."""
-        self.driver.host_walkers.request().add_callback(self._host_walker)
+        self.driver.host_walkers.request(self._host_walker)
 
-    def _host_walker(self, _ev) -> None:
+    def _host_walker(self) -> None:
         driver = self.driver
         vpn = self.vpn
         latency = driver.config.uvm.host_walk_latency
@@ -680,7 +662,7 @@ class _Migration:
         if not targets:
             driver.engine.tail(self._invalidated)
             return
-        acked = _Countdown(driver.engine, len(targets), self._invalidated)
+        acked = Countdown(driver.engine, len(targets), self._invalidated)
         for g in targets:
             _Invalidation(driver, g, vpn, self.dst, acked.done)
 

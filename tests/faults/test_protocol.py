@@ -113,11 +113,7 @@ class TestDeadlines:
     def test_deadline_violation_reports_oldest(self):
         engine, tracker = _tracker()
         pending = tracker.begin(1, _VPN)
-
-        def advance():
-            yield 10_000
-
-        engine.process(advance())
+        engine.schedule(10_000, lambda: None)
         engine.run()
         message = tracker.deadline_violation(5_000)
         assert message is not None and f"seq={pending.seq}" in message

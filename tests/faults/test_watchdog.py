@@ -43,17 +43,16 @@ class TestWatchdogUnit:
         engine = Engine()
 
         def ticker():
-            while True:
-                yield 100
+            engine.defer(100, ticker)
 
-        engine.process(ticker())
+        engine.schedule(0, ticker)
         LivenessWatchdog(
             engine,
             interval=50,
             stall_window=500,
             progress_fn=lambda: 0,
             dump_fn=lambda: "diagnostic snapshot",
-        )
+        ).start()
         with pytest.raises(WatchdogError) as exc:
             engine.run(until=100_000)
         assert "no forward progress" in str(exc.value)
@@ -64,11 +63,11 @@ class TestWatchdogUnit:
         beats = [0]
 
         def ticker():
-            for _ in range(50):
+            if beats[0] < 50:
                 beats[0] += 1
-                yield 100
+                engine.defer(100, ticker)
 
-        engine.process(ticker())
+        engine.schedule(0, ticker)
         watchdog = LivenessWatchdog(
             engine,
             interval=50,
@@ -76,6 +75,7 @@ class TestWatchdogUnit:
             progress_fn=lambda: beats[0],
             active_fn=lambda: beats[0] < 50,
         )
+        watchdog.start()
         engine.run()
         assert watchdog.checks > 0
 
@@ -86,18 +86,17 @@ class TestWatchdogUnit:
         beats = [0]
 
         def ticker():
-            while True:
-                beats[0] += 1
-                yield 100
+            beats[0] += 1
+            engine.defer(100, ticker)
 
-        engine.process(ticker())
+        engine.schedule(0, ticker)
         LivenessWatchdog(
             engine,
             interval=50,
             stall_window=10_000,
             progress_fn=lambda: beats[0],
             deadline_fn=lambda: "seq=1 unacked" if engine.now > 1000 else None,
-        )
+        ).start()
         with pytest.raises(WatchdogError) as exc:
             engine.run(until=100_000)
         assert "hard deadline exceeded" in str(exc.value)

@@ -102,7 +102,7 @@ class TestZeroLatencies:
         system = MultiGPUSystem(self.zero_config())
         gpu = system.gpus[0]
         lane = Lane(gpu, 0, [(0, PAGE, False)])
-        system.engine.process(lane.run())
+        system.engine.schedule(0, lane.start)
         system.engine.schedule(0, gpu.l1_tlbs[0].insert, PAGE, pte.make_pte(5))
         system.engine.run()
         assert gpu.l1_tlbs[0].stats.counter("hits").value == 1

@@ -48,3 +48,11 @@ class TestWindowing:
         trace = [(3, PAGE + 512 * (i % 3), i % 2 == 0) for i in range(30)]
         _system, result = run_lane(trace, window=4)
         assert result.accesses == 30
+
+    def test_deep_window_of_zero_gap_accesses(self):
+        """2,000 slots and 3,000 back-to-back accesses to 3 pages: the
+        lane issues until its window fills within one callback, so it
+        must loop there, not recurse once per access."""
+        trace = [(0, PAGE + i % 3, False) for i in range(3000)]
+        _system, result = run_lane(trace, window=2000)
+        assert result.accesses == 3000

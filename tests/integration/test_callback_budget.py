@@ -8,11 +8,12 @@ tier-1 test can bound them exactly where a wall-clock bench cannot.
 The same run also counts Python function calls, from ``sys.setprofile``
 ``call`` events.  The counting drains make no Python call of their own,
 so that count is the run's own; it depends on the interpreter version
-as well as on the model (measured on CPython 3.11).
+as well as on the model (measured on CPython 3.10, 3.11 and 3.12).
 
 Continuations in place of events took the bounds from 15.33 to 10.45
 callbacks per access and from 5.0 to 2.16 ``Process``-owned ones; a
-transfer's one calendar entry is now owned by its ``Link``.
+transfer's one calendar entry is now owned by its ``Link``.  The lanes
+are callback state machines too, so their share is ``Lane``-owned.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ from collections import Counter, defaultdict
 from repro.config import InvalidationScheme, baseline_config
 from repro.experiments.runner import build_app_workload
 from repro.gmmu.gmmu import GMMU
+from repro.gpu.cu import Lane
 from repro.gpu.system import MultiGPUSystem
 from repro.interconnect.link import Link
 from repro.interconnect.topology import link_names
 from repro.sim import engine as engine_mod
-from repro.sim.engine import Engine, Process
+from repro.sim.engine import Engine
 
 #: upper bounds per access for KM/IDYLL, 4 GPUs x 4 lanes x 300 accesses,
 #: seed 7.  The generator-chain event path drained 27.90 callbacks per
@@ -42,16 +44,23 @@ from repro.sim.engine import Engine, Process
 #: 5.0 -> 2.16.  A lane that takes a free window slot at once, with the
 #: ready queue empty, skips the grant's event and ready hop: 9.72
 #: callbacks per access, 1.43 Process-owned, and the bounds went
-#: 10.45 -> 9.72 and 2.16 -> 1.44.
+#: 10.45 -> 9.72 and 2.16 -> 1.44.  With the lanes, the run's end and
+#: the supervisors as callback state machines no Process is left: it
+#: drains 9.716, 1.431 of them owned by a Lane (1.432 Process-owned
+#: before), so the share's bound moved to the lanes at 1.44.
 MAX_TOTAL_PER_ACCESS = 9.72
-MAX_PROCESS_PER_ACCESS = 1.44
+MAX_LANE_PER_ACCESS = 1.44
 
 #: upper bound on Python function calls per access, same run.  Looking
 #: up fixed statistics, routes and TLB sets once, when the system is
 #: built, instead of on every access, and the window grant above took
 #: the run from 137.52 to 96.89 calls per access (CPython 3.11): the
-#: bound went none -> 98.
-MAX_PYTHON_CALLS_PER_ACCESS = 98.0
+#: bound went none -> 98.  Callback lanes, which resume without an
+#: Event, an AllOf or a generator frame, and MSHR misses that test
+#: ``allocate``'s result instead of asking ``vpn in mshr`` first took it
+#: from 96.89 to 91.96 on CPython 3.11 and 3.10, and from 96.75 to
+#: 91.82 on 3.12: the bound went 98 -> 93.
+MAX_PYTHON_CALLS_PER_ACCESS = 93.0
 
 
 def _counting_drains(counts: defaultdict):
@@ -147,7 +156,7 @@ def test_callbacks_per_access_within_budget(monkeypatch):
     accesses = result.accesses
     breakdown = {k: round(v / accesses, 2) for k, v in counts.most_common()}
     assert sum(counts.values()) / accesses <= MAX_TOTAL_PER_ACCESS, breakdown
-    assert counts[Process.__name__] / accesses <= MAX_PROCESS_PER_ACCESS, breakdown
+    assert counts[Lane.__name__] / accesses <= MAX_LANE_PER_ACCESS, breakdown
     assert calls / accesses <= MAX_PYTHON_CALLS_PER_ACCESS, round(calls / accesses, 2)
 
     # One calendar entry per transfer and per walk (none is delayed or

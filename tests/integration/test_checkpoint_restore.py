@@ -17,7 +17,9 @@ per run across the grid below).
 
 import dataclasses
 import glob
+import hashlib
 import json
+import pathlib
 import random
 import subprocess
 import sys
@@ -26,6 +28,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.gpu.system import MultiGPUSystem
+from repro.metrics.export import result_to_json_bytes
 from repro.sim import snapshot as snap
 from repro.uvm.driver import _Invalidation
 from repro.workloads.base import Workload
@@ -347,8 +350,8 @@ class TestUnfiredRestoredEntry:
     """A checkpoint of a restored run taken before every restored gap
     entry has fired.  Restore restarts a lane suspended in its compute
     gap *from* that gap's calendar entry, so until the entry fires the
-    lane's generator has not started: no wait target, and only
-    ``Lane.run``'s parameters in its frame."""
+    restored lane has run no step: its restored ``index`` and that entry
+    are all that say where it is."""
 
     @pytest.mark.parametrize(
         "num_gpus,seed,fastpath", [(2, 5, True), (4, 2, True), (2, 7, False)]
@@ -391,3 +394,39 @@ class TestUnfiredRestoredEntry:
         assert taken[0] < last_gap, "every restored gap entry fired first"
         _system, again = snap.resume_run(gen2[0])
         assert dataclasses.asdict(again) == dataclasses.asdict(base)
+
+
+class TestCheckpointsFromEarlierCode:
+    """Checkpoints that other code wrote.
+
+    The two fixtures were written, with ``checkpoint_every=4000``, by
+    the simulator as it stood while its lanes and supervisors were
+    generator processes: a checkpoint stores lane phases and calendar
+    symbols, never the code that ran them, so a format-3 file must
+    resume under any code that keeps the model.  Each must reproduce
+    the uninterrupted run's result bytes, pinned here by their sha256.
+    A deliberate model change rewrites the fixtures (run the workload
+    below with the new code and keep the checkpoint at the same cycle);
+    a new checkpoint format turns this into a test that the old files
+    fail with ``CheckpointError``."""
+
+    FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+    @pytest.mark.parametrize("name,phases,calendar,digest", [
+        # synth_workload(2, 0), unfaulted, at cycle 36,000.
+        ("synth2_seed0_036000.ckpt",
+         ["gap", "parked", "parked", "parked"], ["lane", "release"],
+         "6e386e1352c010a2f80d56ceb2371fa9afc850d5f67d4ca78478cd7681d31aa2"),
+        # synth_workload(2, 3) with drop_rate=0.05 and delay_rate=0.05,
+        # at cycle 115,250.
+        ("synth2_seed3_faulted_115250.ckpt",
+         ["done", "done", "done", "drain"], ["release", "watchdog"],
+         "01fd3a3353b53b241e743ce03b0412f965b0e18fc92693692c5bbd0172d9dd9f"),
+    ])
+    def test_resumes_to_uninterrupted_result(self, name, phases, calendar, digest):
+        path = self.FIXTURES / name
+        payload = snap.load_checkpoint(path)
+        assert sorted(lane["phase"] for lane in payload["lanes"]) == phases
+        assert sorted(kind for _t, _s, kind, _i in payload["calendar"]) == calendar
+        _system, result = snap.resume_run(path)
+        assert hashlib.sha256(result_to_json_bytes(result)).hexdigest() == digest

@@ -14,6 +14,7 @@ from dataclasses import asdict, replace
 from repro import InvalidationScheme, MultiGPUSystem, baseline_config, build_workload
 from repro.metrics.trace_export import trace_lines
 from repro.sim.engine import Engine
+from repro.sim.process import Gate
 from repro.sim.trace import TraceRecorder
 
 
@@ -75,12 +76,14 @@ def test_same_cycle_events_fire_in_scheduling_order():
 
 
 def test_event_callbacks_resume_in_registration_order():
+    """Continuations waiting on one event (here a gate opening) resume
+    in the order they registered."""
     engine = Engine()
-    event = engine.event()
+    gate = Gate(engine)
     order = []
     for i in range(5):
-        event.add_callback(lambda _ev, i=i: order.append(i))
-    engine.schedule(3, event.succeed)
+        gate.wait(order.append, i)
+    engine.schedule(3, gate.open)
     engine.run()
     assert order == list(range(5))
 

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import AllOf, Engine, Event, Process, SimulationError
-
-
-def _fires_after(engine, delay, value=None):
-    """An event that an ``Engine.schedule`` callback fires ``delay``
-    cycles from now."""
-    ev = engine.event()
-    engine.schedule(delay, ev.succeed, value)
-    return ev
+from repro.sim.engine import Engine, SimulationError
 
 
 class TestEngineBasics:
@@ -119,164 +111,37 @@ class TestTail:
         assert order == ["queued before", "continuation", "queued after"]
 
 
-class TestEvent:
-    def test_succeed_fires_callbacks(self):
-        engine = Engine()
-        ev = engine.event()
-        got = []
-        ev.add_callback(lambda e: got.append(e.value))
-        ev.succeed(123)
-        engine.run()
-        assert got == [123]
-
-    def test_callback_after_trigger_still_fires(self):
-        engine = Engine()
-        ev = engine.event()
-        ev.succeed("x")
-        got = []
-        ev.add_callback(lambda e: got.append(e.value))
-        engine.run()
-        assert got == ["x"]
-
-    def test_double_succeed_rejected(self):
-        engine = Engine()
-        ev = engine.event()
-        ev.succeed()
-        with pytest.raises(SimulationError):
-            ev.succeed()
-
-    def test_value_before_trigger_rejected(self):
-        engine = Engine()
-        ev = engine.event()
-        with pytest.raises(SimulationError):
-            _ = ev.value
-
-
-class TestProcess:
-    def test_process_yields_int_timeouts(self):
-        engine = Engine()
-        trace = []
-
-        def proc():
-            trace.append(engine.now)
-            yield 10
-            trace.append(engine.now)
-            yield 5
-            trace.append(engine.now)
-
-        engine.process(proc())
-        engine.run()
-        assert trace == [0, 10, 15]
-
-    def test_zero_int_yield_continues_immediately(self):
-        engine = Engine()
-
-        def proc():
-            yield 0
-            yield 0
-            return engine.now
-
-        p = engine.process(proc())
-        engine.run()
-        assert p.value == 0
-
-    def test_process_return_value_propagates(self):
-        engine = Engine()
-
-        def child():
-            yield 3
-            return "result"
-
-        def parent():
-            value = yield engine.process(child())
-            return value + "!"
-
-        p = engine.process(parent())
-        engine.run()
-        assert p.value == "result!"
-
-    def test_process_waits_on_event(self):
-        engine = Engine()
-        ev = engine.event()
-        got = []
-
-        def waiter():
-            got.append((yield ev))
-
-        engine.process(waiter())
-        engine.schedule(7, lambda: ev.succeed("ping"))
-        engine.run()
-        assert got == ["ping"]
-
-    def test_yielding_garbage_raises(self):
-        engine = Engine()
-
-        def bad():
-            yield "not a waitable"
-
-        engine.process(bad())
-        with pytest.raises(SimulationError):
-            engine.run()
-
-    def test_many_sequential_processes_terminate(self):
-        engine = Engine()
-        done = []
-
-        def worker(i):
-            yield i + 1
-            done.append(i)
-
-        for i in range(100):
-            engine.process(worker(i))
-        engine.run()
-        assert len(done) == 100
-
-    def test_process_at_starts_from_its_calendar_key(self):
-        """``at`` puts the first step on that ``(time, seq)`` key instead
-        of the ready queue; same-cycle entries order by ``seq``."""
+class TestDefer:
+    def test_positive_delay_is_a_calendar_entry(self):
         engine = Engine()
         log = []
-        engine.schedule(10, log.append, "scheduled")  # key (10, 1)
 
-        def body():
-            log.append(("first step", engine.now))
-            yield 5
-            log.append(("resumed", engine.now))
+        def step(n):
+            log.append((n, engine.now))
+            if n < 2:
+                engine.defer(10, step, n + 1)
 
-        engine.process(body(), at=(10, 0))
+        engine.schedule(0, step, 0)
         engine.run()
-        assert log == [("first step", 10), "scheduled", ("resumed", 15)]
+        assert log == [(0, 0), (1, 10), (2, 20)]
 
-
-class TestAllOf:
-    def test_allof_waits_for_all(self):
+    def test_zero_delay_continues_at_once(self):
+        """Unlike ``schedule(0, ...)``, no ready-queue hop: the
+        continuation runs before work already queued."""
         engine = Engine()
-        events = [_fires_after(engine, d) for d in (5, 15, 10)]
-        combined = AllOf(engine, events)
-        finished_at = []
-        combined.add_callback(lambda _e: finished_at.append(engine.now))
+        order = []
+
+        def first():
+            engine.schedule(0, order.append, "queued")
+            engine.defer(0, order.append, "continued")
+
+        engine.schedule(0, first)
         engine.run()
-        assert finished_at == [15]
+        assert order == ["continued", "queued"]
 
-    def test_allof_empty_fires_immediately(self):
-        engine = Engine()
-        combined = AllOf(engine, [])
-        assert combined.triggered
-
-    def test_allof_collects_values(self):
-        engine = Engine()
-        events = [_fires_after(engine, 1, value="a"), _fires_after(engine, 2, value="b")]
-        combined = AllOf(engine, events)
-        engine.run()
-        assert combined.value == ["a", "b"]
-
-    def test_allof_with_pretriggered_children(self):
-        engine = Engine()
-        ev = engine.event()
-        ev.succeed(1)
-        combined = AllOf(engine, [ev, _fires_after(engine, 4, value=2)])
-        engine.run()
-        assert combined.value == [1, 2]
+    def test_negative_delay_rejected(self):
+        with pytest.raises(SimulationError):
+            Engine().defer(-1, lambda: None)
 
 
 class TestRunBatchUntil:
@@ -318,12 +183,7 @@ class TestRunBatchUntil:
 class TestEngineEdgeCases:
     def test_run_while_running_rejected(self):
         engine = Engine()
-
-        def reentrant():
-            engine.run()
-            yield 1
-
-        engine.process(reentrant())
+        engine.schedule(0, engine.run)
         with pytest.raises(SimulationError):
             engine.run()
 

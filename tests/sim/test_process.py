@@ -1,33 +1,39 @@
-"""Unit tests for Resource / Store / Gate."""
+"""Unit tests for Resource / Store / Gate / Countdown."""
 
 import pytest
 
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.process import Gate, Resource, Store
+from repro.sim.process import Countdown, Gate, Resource, Store
+
+
+def _hold():
+    """A grantee that keeps its server and does nothing else."""
 
 
 class TestResource:
     def test_grants_up_to_capacity(self):
         engine = Engine()
         res = Resource(engine, 2)
-        first = res.request()
-        second = res.request()
-        third = res.request()
-        assert first.triggered and second.triggered
-        assert not third.triggered
+        granted = []
+        for tag in ("first", "second", "third"):
+            res.request(granted.append, tag)
+        assert granted == []  # handed over from the ready queue
+        engine.run()
+        assert granted == ["first", "second"]
         assert res.in_use == 2
         # The queued request is granted by the next release, not before.
         res.release()
-        assert third.triggered
+        engine.run()
+        assert granted == ["first", "second", "third"]
         assert res.in_use == 2
 
     def test_release_wakes_fifo(self):
         engine = Engine()
         res = Resource(engine, 1)
-        res.request()
+        res.request(_hold)
         order = []
         for tag in ("a", "b"):
-            res.request().add_callback(lambda _e, t=tag: order.append(t))
+            res.request(order.append, tag)
         res.release()
         engine.run()
         assert order == ["a"]
@@ -46,8 +52,12 @@ class TestResource:
         request queues."""
         engine = Engine()
         res = Resource(engine, 3)
-        res.request()
-        assert [res.request().triggered for _ in range(3)] == [True, True, False]
+        res.request(_hold)
+        granted = []
+        for tag in range(3):
+            res.request(granted.append, tag)
+        engine.run()
+        assert granted == [0, 1]
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(SimulationError):
@@ -56,9 +66,16 @@ class TestResource:
     def test_handoff_keeps_in_use_constant(self):
         engine = Engine()
         res = Resource(engine, 1)
-        res.request()
-        res.request()  # queued
+        res.request(_hold)
+        res.request(_hold)  # queued
         res.release()  # direct hand-off
+        assert res.in_use == 1
+
+    def test_try_acquire_takes_a_free_server_at_once(self):
+        engine = Engine()
+        res = Resource(engine, 1)
+        assert res.try_acquire()
+        assert not res.try_acquire()
         assert res.in_use == 1
 
 
@@ -129,7 +146,6 @@ class TestGate:
     def test_closed_gate_blocks_until_open(self):
         engine = Engine()
         gate = Gate(engine)
-        assert not gate.is_open
         passed = []
         gate.wait(passed.append, "through")
         engine.run()
@@ -148,3 +164,29 @@ class TestGate:
         gate.open()
         engine.run()
         assert passed == list(range(10))
+
+
+class TestCountdown:
+    def test_last_completion_hands_on(self):
+        engine = Engine()
+        joined = []
+        countdown = Countdown(engine, 3, lambda tag: joined.append((tag, engine.now)), "all")
+        for delay in (5, 15, 10):
+            engine.schedule(delay, countdown.done)
+        engine.run()
+        assert joined == [("all", 15)]
+
+    def test_hand_on_queues_behind_ready_work(self):
+        """The last ``done`` hands on with ``Engine.tail``: behind work
+        already queued this cycle."""
+        engine = Engine()
+        order = []
+        countdown = Countdown(engine, 1, order.append, "joined")
+
+        def finish():
+            engine.schedule(0, order.append, "queued")
+            countdown.done()
+
+        engine.schedule(3, finish)
+        engine.run()
+        assert order == ["queued", "joined"]
