@@ -6,10 +6,9 @@ Acceptance drill for crash-safe, trace-driven chaos campaigns:
 1. generate a seeded failure trace for a 4-GPU topology;
 2. run the campaign uninterrupted, in-process → reference report bytes;
 3. run the *same* campaign as a checkpointing subprocess and SIGKILL it
-   as soon as a checkpoint lands;
-4. resume from a checkpoint taken *mid-episode* (episodes were open at
-   its cycle) and assert the finished campaign's report is
-   byte-identical to step 2's;
+   as soon as a checkpoint lands whose cycle lies inside an episode;
+4. resume from that *mid-episode* checkpoint and assert the finished
+   campaign's report is byte-identical to step 2's;
 5. assert the report carries non-zero recovery metrics, and leave it on
    disk as the job's artifact.
 
@@ -22,6 +21,7 @@ and the bytes match.
 """
 
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -40,9 +40,8 @@ from repro.experiments.campaign import (  # noqa: E402
 from repro.faults.tracegen import generate_trace, save_trace  # noqa: E402
 
 GPUS = 4
-# Horizon far beyond the ~60k-cycle workload: the post-retirement drain
-# phase is long (and slow enough in wall-clock terms) that the saboteur
-# reliably lands its SIGKILL between checkpoints.
+# Horizon far beyond the ~60k-cycle workload: episodes open both while
+# the lanes run and in the long post-retirement drain phase.
 TRACE_ARGS = dict(
     num_gpus=GPUS, horizon=600_000, seed=9,
     link_mttf=25_000, gpu_mttf=40_000,
@@ -72,13 +71,22 @@ def main() -> int:
     print(f"reference: exec_time={ref_result.exec_time} "
           f"recovered={camp['episodes_recovered']}/{camp['episodes_run']}")
 
+    def open_at(cycle: int):
+        return [ep.eid for ep in spec.episodes if ep.start <= cycle < ep.end]
+
+    def mid_episode(ck_dir: Path):
+        """The victim's checkpoints whose cycle lies inside an episode."""
+        return [p for p in sorted(ck_dir.glob("ckpt-*.ckpt"))
+                if open_at(int(p.stem.split("-")[1]))]
+
+    repo = Path(__file__).resolve().parents[1]
     with tempfile.TemporaryDirectory(prefix="chaos-drill-") as tmp:
         tmp = Path(tmp)
         trace_path = save_trace(spec, tmp / "fail.jsonl")
         ck_dir = tmp / "ckpt"
 
         # 2. Victim: same campaign via the CLI, checkpointing; SIGKILL it
-        # once checkpoints start landing.
+        # once a checkpoint has landed mid-episode.
         victim = subprocess.Popen(
             [sys.executable, "-m", "repro", "chaos", "run", "PR",
              "--trace", str(trace_path), "--gpus", str(GPUS),
@@ -87,12 +95,12 @@ def main() -> int:
              "--seed", str(RUN["seed"]),
              "--checkpoint-every", str(CHECKPOINT_EVERY),
              "--checkpoint-dir", str(ck_dir)],
-            cwd=Path(__file__).resolve().parents[1],
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            cwd=repo,
+            env={**os.environ, "PYTHONPATH": str(repo / "src")},
         )
         deadline = time.monotonic() + 300
         while time.monotonic() < deadline:
-            if list(ck_dir.glob("ckpt-*.ckpt")):
+            if mid_episode(ck_dir):
                 break
             if victim.poll() is not None:
                 break
@@ -104,8 +112,9 @@ def main() -> int:
                   f"(returncode {victim.returncode})")
             assert victim.returncode == -signal.SIGKILL
         else:
-            # The drain outran the poll loop — the resume checks below
-            # still hold, but say so loudly.
+            # The victim finished before the poll loop saw a mid-episode
+            # checkpoint — the resume checks below still hold, but say so
+            # loudly.
             print("saboteur: victim finished before the kill landed "
                   f"(returncode {victim.returncode})")
 
@@ -115,12 +124,9 @@ def main() -> int:
               f"last at cycle {int(ckpts[-1].stem.split('-')[1])}")
 
         # 3. Resume from a mid-episode checkpoint: episodes open at its
-        # cycle, so timeline cursor + open recovery records ride in RCKP.
-        def open_at(cycle: int):
-            return [ep.eid for ep in spec.episodes
-                    if ep.start <= cycle < ep.end]
-
-        mid = [p for p in ckpts if open_at(int(p.stem.split("-")[1]))]
+        # cycle, so the timeline cursor and open recovery records are
+        # part of the pickled system.
+        mid = mid_episode(ck_dir)
         assert mid, "no checkpoint landed mid-episode"
         chosen = mid[-1]
         cycle = int(chosen.stem.split("-")[1])

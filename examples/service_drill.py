@@ -165,7 +165,12 @@ def main():
                     break
                 time.sleep(0.2)
             assert victim is not None, "no backend worker ever appeared"
-            time.sleep(1.0)  # let the simulation get going
+            # Kill once the task is on a worker, not after a fixed
+            # sleep: the job takes about a second on a fast host, so a
+            # sleep can outlast it and the kill would hit an idle worker.
+            while "dispatch" not in STREAMED and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert "dispatch" in STREAMED, "the task was never dispatched"
             say(f"SIGKILLing backend worker pid={victim}")
             os.kill(victim, signal.SIGKILL)
 

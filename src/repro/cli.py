@@ -144,8 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "write a restorable checkpoint roughly every CYCLES simulated "
-            "cycles (at the next quiescent instant; see DESIGN.md §9)"
+            "write a restorable checkpoint every CYCLES simulated cycles "
+            "(see DESIGN.md §9)"
         ),
     )
     run.add_argument(
@@ -586,9 +586,7 @@ def _cmd_run(args) -> int:
         if args.checkpoint_every:
             controller = system._controller
             print(
-                f"wrote {controller.written} checkpoint(s) to "
-                f"{args.checkpoint_dir} ({controller.retries} quiescence "
-                f"retries)",
+                f"wrote {controller.written} checkpoint(s) to {args.checkpoint_dir}",
                 file=sys.stderr if args.json == "-" else None,
             )
         if args.trace:
@@ -849,8 +847,7 @@ def _cmd_chaos_run(args) -> int:
     if args.checkpoint_every and system._controller is not None:
         controller = system._controller
         print(
-            f"wrote {controller.written} checkpoint(s) to "
-            f"{args.checkpoint_dir} ({controller.retries} quiescence retries)"
+            f"wrote {controller.written} checkpoint(s) to {args.checkpoint_dir}"
         )
     report = campaign_report(system, result)
     print(format_report(report))

@@ -82,14 +82,6 @@ class InPTEDirectory:
         bits = pte_bits.directory_bits(word, self.num_bits)
         return [g for g in range(self.num_gpus) if bits & (1 << (g % self.num_bits))]
 
-    def snapshot(self) -> dict:
-        """Stats only — directory state lives in the host page table's
-        PTE bits, which are snapshotted with the table itself."""
-        return {"stats": self.stats.snapshot()}
-
-    def restore(self, state: dict) -> None:
-        self.stats.restore(state["stats"])
-
     def clear(self, vpn: int) -> None:
         """Clear every access bit (mappings are being invalidated)."""
         word = self.host_page_table.entry(vpn)

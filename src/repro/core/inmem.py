@@ -114,27 +114,6 @@ class VMTableDirectory:
         bits = entry[0] if entry is not None else self._table.get(vpn, 0)
         return [g for g in range(self.num_gpus) if bits & self._bit_of(g)]
 
-    # -- checkpointing -----------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return {
-            "table": dict(self._table),
-            "sets": [
-                [(vpn, entry[0], entry[1]) for vpn, entry in s.items()]
-                for s in self._sets
-            ],
-            "stats": self.stats.snapshot(),
-        }
-
-    def restore(self, state: dict) -> None:
-        self._table.clear()
-        self._table.update(state["table"])
-        for entry_set, items in zip(self._sets, state["sets"]):
-            entry_set.clear()
-            for vpn, bits, dirty in items:
-                entry_set[vpn] = [bits, dirty]
-        self.stats.restore(state["stats"])
-
     # -- introspection -----------------------------------------------------------
 
     def cache_hit_rate(self) -> float:

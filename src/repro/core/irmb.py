@@ -177,24 +177,6 @@ class IRMB:
             self._tracer.emit("irmb.remove", self.name, vpn)
         return True
 
-    # -- checkpointing -------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Plain-data state (base LRU order and offsets preserved)."""
-        return {
-            "entries": [
-                (base, sorted(offsets))
-                for base, offsets in self._entries.items()
-            ],
-            "stats": self.stats.snapshot(),
-        }
-
-    def restore(self, state: dict) -> None:
-        self._entries.clear()
-        for base, offsets in state["entries"]:
-            self._entries[base] = set(offsets)
-        self.stats.restore(state["stats"])
-
     # -- lazy writeback (walker idle, §6.3) ----------------------------------
 
     def pop_lru_entry(self) -> Optional[List[int]]:

@@ -211,16 +211,6 @@ class LazyInvalidationController:
             return
         self._writeback()
 
-    def snapshot(self) -> dict:
-        """Stats only: at a quiescent instant nothing is queued for or in
-        a walk (the IRMB itself is snapshotted by its owner GPU)."""
-        if self._queued or self._inflight_walks:
-            raise RuntimeError("lazy controller snapshot with work in flight")
-        return {"stats": self.stats.snapshot()}
-
-    def restore(self, state: dict) -> None:
-        self.stats.restore(state["stats"])
-
     def stop(self) -> None:
         """Stop the background writeback loop (end of simulation)."""
         self._stopped = True

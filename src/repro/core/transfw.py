@@ -56,20 +56,6 @@ class TransFW:
         """Drop a fingerprint (its page migrated away)."""
         self._table.pop(vpn, None)
 
-    def snapshot(self) -> dict:
-        return {
-            "table": list(self._table.items()),
-            "rng": self._rng.getstate(),
-            "stats": self.stats.snapshot(),
-        }
-
-    def restore(self, state: dict) -> None:
-        self._table.clear()
-        for vpn, owner in state["table"]:
-            self._table[vpn] = owner
-        self._rng.setstate(state["rng"])
-        self.stats.restore(state["stats"])
-
     def probe(self, vpn: int) -> Optional[int]:
         """GPU believed to hold a valid translation, or None.
 

@@ -9,7 +9,7 @@ windows, walker-stall storms, and IRMB-pressure waves.  The driver:
   watchdog would deadlock on any abandoned invalidation, since the base
   fault rates are usually zero and the supervisors key off them);
 * supports periodic checkpointing and mid-episode resume (the timeline
-  cursor and open episode records ride in the RCKP payload);
+  cursor and open episode records are part of the pickled system);
 * condenses the run into a JSON-serialisable campaign report —
   per-episode time-to-recover, retry/degradation deltas, watchdog
   near-misses, audit results, and per-link injection attribution.
@@ -65,7 +65,6 @@ def run_campaign(
     lanes: int,
     accesses_per_lane: int,
     seed: int,
-    tracer=None,
     checkpoint_every: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
     resume_from: Optional[str] = None,
@@ -83,7 +82,6 @@ def run_campaign(
             resume_from,
             checkpoint_every=checkpoint_every,
             checkpoint_dir=checkpoint_dir,
-            tracer=tracer,
         )
     workload = build_app_workload(
         app,
@@ -94,7 +92,7 @@ def run_campaign(
         accesses_per_lane=accesses_per_lane,
         seed=seed,
     )
-    system = MultiGPUSystem(config, seed=seed, tracer=tracer)
+    system = MultiGPUSystem(config, seed=seed)
     result = system.run(
         workload,
         checkpoint_every=checkpoint_every,

@@ -124,23 +124,33 @@ def simulate(
     participate in cache keys: a checkpointed (or resumed) run produces
     the same result as an uninterrupted one (see
     :mod:`repro.sim.snapshot`), so they are observability knobs, not
-    inputs.
+    inputs.  For the same reason a checkpoint that cannot be loaded
+    (other package source wrote it, or it is damaged) is not an error
+    here: the run starts over from the beginning.
     """
     if resume_from is not None:
-        from ..sim.snapshot import resume_run
+        from ..sim.snapshot import CheckpointError, resume_run
 
-        system, result = resume_run(
-            resume_from,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-        )
-        if result.aborted:
+        try:
+            system, result = resume_run(
+                resume_from,
+                checkpoint_every=checkpoint_every,
+                checkpoint_dir=checkpoint_dir,
+            )
+        except CheckpointError as exc:
             print(
-                f"[repro] WARNING: resumed run aborted "
-                f"(checkpoint={resume_from}): {result.abort_reason}",
+                f"[repro] WARNING: cannot resume (checkpoint={resume_from}): "
+                f"{exc}; running app={app} from the start",
                 file=sys.stderr,
             )
-        return result
+        else:
+            if result.aborted:
+                print(
+                    f"[repro] WARNING: resumed run aborted "
+                    f"(checkpoint={resume_from}): {result.abort_reason}",
+                    file=sys.stderr,
+                )
+            return result
     if workload is None:
         workload = build_app_workload(
             app,

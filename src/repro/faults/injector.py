@@ -146,22 +146,6 @@ class FaultInjector:
             return True
         return False
 
-    # -- checkpointing -------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return {
-            "streams": {tag: rng.getstate() for tag, rng in self._streams.items()},
-            "stats": self.stats.snapshot(),
-        }
-
-    def restore(self, state: dict) -> None:
-        self._streams.clear()
-        for tag, rng_state in state["streams"].items():
-            rng = stream(self.seed, f"faults:{tag}")
-            rng.setstate(rng_state)
-            self._streams[tag] = rng
-        self.stats.restore(state["stats"])
-
     # -- accounting ---------------------------------------------------------
 
     def injected_total(self) -> int:

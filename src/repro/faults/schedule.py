@@ -10,7 +10,7 @@ layers a time-varying overlay on the injector:
 * :class:`FaultTimeline` — a cursor-cached view over a
   :class:`~repro.config.ChaosTraceSpec`: which episodes are active *now*.
   Episode activity is a pure function of the clock, so the overlay needs
-  no activation events of its own and checkpoint restore cannot drift.
+  no activation events of its own.
 * :class:`ScheduledFaultInjector` — a :class:`FaultInjector` subclass
   whose decisions consult the timeline.  Base streams are drawn exactly
   as the parent does (same tags, same draw counts), so a chaos run with
@@ -23,9 +23,7 @@ layers a time-varying overlay on the injector:
   the post-episode drain, and closes each record with recovery metrics
   (time-to-recover, retry/degradation deltas, watchdog near-misses,
   a residency audit).  Its wake schedule is a pure function of
-  ``(now, timeline, open records)``, so a restored controller resumes
-  the exact schedule; its pending calendar entry is checkpointed
-  symbolically and re-emitted verbatim (the watchdog resume pattern).
+  ``(now, timeline, open records)``.
 """
 
 from __future__ import annotations
@@ -49,8 +47,7 @@ CHAOS_FAULT_KINDS = (
     "chaos.walker_stall", "chaos.irmb_evict",
 )
 
-#: recovery-poll cadence; polls land on absolute multiples of this so a
-#: restored controller recomputes the identical schedule.
+#: recovery-poll cadence; polls land on absolute multiples of this.
 RECOVERY_POLL = 2500
 
 
@@ -59,8 +56,9 @@ class FaultTimeline:
     a given cycle.  An episode is active over ``[start, end)``.
 
     Queries with non-decreasing ``now`` advance a cursor (O(1) amortised
-    per episode); a backwards query rebuilds from the start — correct,
-    just slower, and only ever hit by restores.
+    per episode), as the running model's are; a backwards query (a
+    report or test asking about an earlier cycle) rebuilds from the
+    start — correct, just slower.
     """
 
     def __init__(self, spec: ChaosTraceSpec) -> None:
@@ -242,30 +240,6 @@ class ScheduledFaultInjector(FaultInjector):
             self._note(ep, "chaos.irmb_evict")
             forced = True
         return forced
-
-    # -- checkpointing ------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        state = super().snapshot()
-        state["chaos_streams"] = {
-            tag: rng.getstate() for tag, rng in self._chaos_streams.items()
-        }
-        state["episode_stats"] = {
-            eid: dict(rec) for eid, rec in self._episode_stats.items()
-        }
-        return state
-
-    def restore(self, state: dict) -> None:
-        super().restore(state)
-        self._chaos_streams.clear()
-        for tag, rng_state in state.get("chaos_streams", {}).items():
-            rng = stream(self.seed, f"chaos:{tag}")
-            rng.setstate(rng_state)
-            self._chaos_streams[tag] = rng
-        self._episode_stats = {
-            eid: dict(rec) for eid, rec in state.get("episode_stats", {}).items()
-        }
-        self.timeline.reset()
 
     # -- accounting ---------------------------------------------------------
 
@@ -508,41 +482,3 @@ class ChaosController:
             ),
             "episodes": episodes,
         }
-
-    # -- checkpointing ------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return {
-            "cursor": self._cursor,
-            "open": {
-                eid: {
-                    "baseline": dict(rec["baseline"]),
-                    "near_misses": rec["near_misses"],
-                    "max_stall": rec["max_stall"],
-                }
-                for eid, rec in self._open.items()
-            },
-            "reports": [dict(r) for r in self._reports],
-            "skipped": self._skipped,
-            "last_progress": self._last_progress,
-            "last_change": self._last_change,
-            "finalized": self._finalized,
-        }
-
-    def restore(self, state: dict) -> None:
-        by_eid = {ep.eid: ep for ep in self.timeline.episodes}
-        self._cursor = state["cursor"]
-        self._open = {
-            eid: {
-                "episode": by_eid[eid],
-                "baseline": dict(rec["baseline"]),
-                "near_misses": rec["near_misses"],
-                "max_stall": rec["max_stall"],
-            }
-            for eid, rec in state["open"].items()
-        }
-        self._reports = [dict(r) for r in state["reports"]]
-        self._skipped = state["skipped"]
-        self._last_progress = state["last_progress"]
-        self._last_change = state["last_change"]
-        self._finalized = state["finalized"]

@@ -278,25 +278,6 @@ class GMMU:
             busy += self.engine.now - self._any_since
         return busy
 
-    def snapshot(self) -> dict:
-        """Plain-data state at a quiescent instant (no walk in flight)."""
-        if self._any_inflight:
-            raise RuntimeError("GMMU snapshot with walks in flight")
-        return {
-            "inval_busy": self._inval_busy,
-            "any_busy": self._any_busy,
-            "pwc": self.pwc.snapshot(),
-            "stats": self.stats.snapshot(),
-        }
-
-    def restore(self, state: dict) -> None:
-        self._inval_busy = state["inval_busy"]
-        self._any_busy = state["any_busy"]
-        self._inval_inflight = self._inval_since = 0
-        self._any_inflight = self._any_since = 0
-        self.pwc.restore(state["pwc"])
-        self.stats.restore(state["stats"])
-
     def wait_idle(self, fn: Callable[..., None], *args: Any) -> None:
         """Call ``fn(*args)`` from the ready queue the next time a walker
         is *available* — the walk queue is empty and at least one walker

@@ -20,8 +20,9 @@ per wait: :meth:`Lane.start`, the end of a compute gap
 (``_arrived``), an unpark (``_unparked``), the window grant and issue
 loop (``_issue``) and the end-of-trace drain (``_drain``).  Its
 position is plain data — ``index``, the next access to issue, and
-``_owed``, the drain's grants still to take — so checkpoint restore
-restarts a lane by setting them and queueing the state it was in.
+``_owed``, the drain's grants still to take — and its pending wait is
+a calendar entry or a waiter holding one of those methods, so a
+pickled system carries every lane mid-step.
 """
 
 from __future__ import annotations
@@ -61,25 +62,16 @@ class Lane:
         self.index = 0
         #: window grants the end-of-trace drain has still to take.
         self._owed = 0
-        #: the lane has drained its window and called ``done``.
-        self.retired = False
         #: this lane's in-flight slow (full-pipeline) accesses.  Parking
         #: requires zero: a slow access holds a window slot with an
         #: event-driven (unknown) release time that the replay ring
         #: cannot model.
         self._slow = 0
 
-    def attach_window(self, in_use: int = 0) -> None:
-        """Build the lane's in-flight window with ``in_use`` slots held.
-
-        A fresh lane builds an empty one as it starts.  Checkpoint
-        restore builds it before the lane restarts, with the slots held
-        by the in-flight accesses whose release events it pushes back
-        onto the calendar."""
+    def attach_window(self) -> None:
+        """Build the lane's empty in-flight window (as it starts)."""
         capacity = self.gpu.config.inflight_per_cu
-        window = Resource(self.gpu.engine, capacity)
-        window._in_use = in_use
-        self._window = window
+        self._window = Resource(self.gpu.engine, capacity)
         self._capacity = capacity
         self._owed = capacity
 
@@ -166,19 +158,6 @@ class Lane:
         engine = self.gpu.engine
         engine.defer(max(arrival - engine._now, 0), self._arrived)
 
-    def _restart_parked(self, arrival: int, ring, backed: int) -> None:
-        """Checkpoint restore of a lane parked before access ``index``
-        with replay state ``(arrival, ring, backed)``: park it again, or,
-        restored without a fast path (tracing, fault injection,
-        ``fastpath_enabled=False``), materialise the saved window state
-        exactly as an unpark would and go on on the event path."""
-        fp = self.gpu.fastpath
-        if fp is not None:
-            fp.repark(self, self.index, arrival, ring, backed)
-            return
-        self._materialise(ring or (), backed)
-        self._unparked(self.index, arrival)
-
     def _materialise(self, ring, backed: int) -> None:
         """Leave parking with the release ring ``ring``: back every entry
         past the calendar-backed prefix of ``backed`` that releases in
@@ -206,6 +185,5 @@ class Lane:
             if ready or not window.try_acquire():
                 window.request(self._drain)
                 return
-        self.retired = True
         if self.done is not None:
             ready.append((self.done, ()))

@@ -89,6 +89,7 @@ from typing import Dict, Optional, Set, Tuple
 from ..memory import pte as pte_bits
 from ..memory.physmem import PhysicalMemory
 from ..sim.engine import Engine
+from ..sim.process import Resource
 
 __all__ = ["FastPath", "ParkedLane"]
 
@@ -127,10 +128,11 @@ class FastPath:
         self.driver = driver
         self.batch_limit = max(1, config.fastpath_batch_limit)
         self._parked: Dict[object, ParkedLane] = {}
-        #: id() of every parked lane's window Resource — identifies
-        #: calendar entries (window.release bound methods) that are
-        #: benign to consume mid-replay.
-        self._parked_windows: Set[int] = set()
+        #: every parked lane's window Resource — identifies calendar
+        #: entries (window.release bound methods) that are benign to
+        #: consume mid-replay.  Held by object, not by ``id()``, so the
+        #: set survives a checkpoint's pickle round trip.
+        self._parked_windows: Set[Resource] = set()
         # Visibility counters (plain ints, deliberately *not* StatsGroup
         # members: fast-path bookkeeping must never appear in collected
         # results, which are asserted equal to event-path results).
@@ -173,34 +175,14 @@ class FastPath:
         if not self._parked:
             engine.batcher = self.try_batch
         self._parked[lane] = rec
-        self._parked_windows.add(id(window))
+        self._parked_windows.add(window)
         self.parks += 1
-
-    def repark(self, lane, index: int, arrival: int, ring, backed: int) -> None:
-        """Re-register a lane parked at checkpoint time with its saved
-        replay state (checkpoint restore).  Unlike :meth:`park` this must
-        not recompute ``arrival`` — the saved value already accounts for
-        the partially-elapsed gap — nor trim the release ring, which was
-        snapshotted verbatim."""
-        engine = self.engine
-        rec = ParkedLane(
-            lane,
-            index,
-            arrival,
-            deque(ring),
-            backed,
-            lane.gpu.inval_generation,
-        )
-        if not self._parked:
-            engine.batcher = self.try_batch
-        self._parked[lane] = rec
-        self._parked_windows.add(id(lane._window))
 
     def _unpark(self, rec: ParkedLane) -> None:
         lane = rec.lane
         window = lane._window
         del self._parked[lane]
-        self._parked_windows.discard(id(window))
+        self._parked_windows.discard(window)
         engine = self.engine
         if not self._parked:
             engine.batcher = None
@@ -307,8 +289,7 @@ class FastPath:
                 return True
             if heap:
                 entry = heap[0]
-                owner = getattr(entry[2], "__self__", None)
-                if owner is not None and id(owner) in parked_windows:
+                if getattr(entry[2], "__self__", None) in parked_windows:
                     # Next event is a parked lane's own window release —
                     # benign: consume it and keep replaying.
                     engine.run_batch_until(entry[0])

@@ -323,55 +323,6 @@ class GPU:
         # that order: the caller runs right after, in the same callback.
         fn(*args)
 
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Aggregate plain-data state at a quiescent instant."""
-        state = {
-            "inval_epoch": dict(self._inval_epoch),
-            "page_table": self.page_table.snapshot(),
-            "memory": self.memory.snapshot(),
-            "gmmu": self.gmmu.snapshot(),
-            "l1_tlbs": [t.snapshot() for t in self.l1_tlbs],
-            "l1_mshrs": [m.snapshot() for m in self.l1_mshrs],
-            "l2_tlb": self.l2_tlb.snapshot(),
-            "l2_mshr": self.l2_mshr.snapshot(),
-            "instructions": self.instructions,
-            "inval_generation": self.inval_generation,
-            "stats": self.stats.snapshot(),
-        }
-        if self.irmb is not None:
-            state["irmb"] = self.irmb.snapshot()
-        if self.lazy is not None:
-            state["lazy"] = self.lazy.snapshot()
-        if self.transfw is not None:
-            state["transfw"] = self.transfw.snapshot()
-        return state
-
-    def restore(self, state: dict) -> None:
-        self._inval_epoch.clear()
-        self._inval_epoch.update(state["inval_epoch"])
-        self.page_table.restore(state["page_table"])
-        self.memory.restore(state["memory"])
-        self.gmmu.restore(state["gmmu"])
-        for tlb, tlb_state in zip(self.l1_tlbs, state["l1_tlbs"]):
-            tlb.restore(tlb_state)
-        for mshr, mshr_state in zip(self.l1_mshrs, state["l1_mshrs"]):
-            mshr.restore(mshr_state)
-        self.l2_tlb.restore(state["l2_tlb"])
-        self.l2_mshr.restore(state["l2_mshr"])
-        self.instructions = state["instructions"]
-        self.inval_generation = state["inval_generation"]
-        self.stats.restore(state["stats"])
-        if self.irmb is not None:
-            self.irmb.restore(state["irmb"])
-        if self.lazy is not None:
-            self.lazy.restore(state["lazy"])
-        if self.transfw is not None:
-            self.transfw.restore(state["transfw"])
-
 
 class _Access:
     """One slow memory access, run as a callback state machine.
@@ -657,4 +608,3 @@ class _Access:
         self.gpu._n_completed.value += 1
         lane._window.release()
         lane._slow -= 1
-

@@ -54,11 +54,11 @@ class MultiGPUSystem:
     def __init__(self, config: SystemConfig, seed: int = 7, tracer=None) -> None:
         if MultiGPUSystem._collect_pending:
             # A system that has run is a cyclic object graph (the driver
-            # and its GPUs refer to each other, and so do a link and its
-            # interconnect), so only a full collection frees it.  The
-            # event path allocates too few objects to trigger one often,
-            # so a process that runs systems one after another would hold
-            # several dead ones at once: free them before building anew.
+            # and its GPUs refer to each other), so only a full
+            # collection frees it.  The event path allocates too few
+            # objects to trigger one often, so a process that runs
+            # systems one after another would hold several dead ones at
+            # once: free them before building anew.
             MultiGPUSystem._collect_pending = False
             gc.collect()
         self.config = config
@@ -122,13 +122,12 @@ class MultiGPUSystem:
         self.abort_reason: str = ""
         self.abort_dump: str = ""
         self.audits_run: int = 0
-        # Run-time registries (populated by run()/restore): checkpointing
-        # classifies calendar entries by the identity of these objects.
-        self._lanes: list = []
         #: every lane has retired (see _lanes_retired).
         self._master_done: bool = False
         self._watchdog = None
         self._auditor = None
+        #: the checkpoint controller (see repro.sim.snapshot); a
+        #: checkpoint pickles the system with it detached.
         self._controller = None
         #: chaos campaign supervisor (spawned with the other supervisors
         #: when a failure-trace timeline is armed).
@@ -184,13 +183,10 @@ class MultiGPUSystem:
             for lane_id, trace in enumerate(gpu_traces):
                 if lane_id >= self.config.trace_lanes:
                     raise ValueError("workload has more lanes than config.trace_lanes")
-                lane = Lane(gpu, lane_id, trace, done)
-                self.engine.schedule(0, lane.start)
-                self._lanes.append(lane)
+                self.engine.schedule(0, Lane(gpu, lane_id, trace, done).start)
             gpu.attach_lanes(len(gpu_traces))
 
-        for _name, supervisor in self._spawn_supervisors():
-            supervisor.start()
+        self._start_supervisors()
         if checkpoint_every:
             from ..sim.snapshot import CheckpointController
 
@@ -219,20 +215,12 @@ class MultiGPUSystem:
         """Lanes still running, or invalidations still unacked."""
         return not self._master_done or self.driver.tracker.has_pending()
 
-    def _spawn_supervisors(self, watchdog: bool = True, audit: bool = True,
-                           chaos: bool = True) -> list:
-        """Build the watchdog, periodic auditor, and chaos-campaign
-        controller per the fault config / failure-trace timeline, and
-        return the ones built as ``(name, supervisor)`` pairs in start
-        order.  A fresh run starts each; checkpoint restore puts a
-        supervisor's pending tick back at its calendar key instead.
-
-        ``watchdog``/``audit``/``chaos`` let a restore skip a supervisor
-        that had already lapsed at snapshot time.
-        """
+    def _start_supervisors(self) -> None:
+        """Build and start the watchdog, periodic auditor, and
+        chaos-campaign controller per the fault config / failure-trace
+        timeline."""
         faults = self.config.faults
-        built = []
-        if watchdog and faults.watchdog_active:
+        if faults.watchdog_active:
             self._watchdog = LivenessWatchdog(
                 self.engine,
                 interval=faults.watchdog_interval,
@@ -242,14 +230,13 @@ class MultiGPUSystem:
                 deadline_fn=self._deadline_violation,
                 active_fn=self.still_active,
             )
-            built.append(("watchdog", self._watchdog))
-        if audit and faults.audit_interval > 0:
+            self._watchdog.start()
+        if faults.audit_interval > 0:
             self._auditor = AuditLoop(self, faults.audit_interval, self.still_active)
-            built.append(("audit", self._auditor))
-        if chaos and self.timeline is not None:
+            self._auditor.start()
+        if self.timeline is not None:
             self.chaos = ChaosController(self, self.timeline)
-            built.append(("chaos", self.chaos))
-        return built
+            self.chaos.start()
 
     def _protocol_dump(self) -> str:
         return protocol_dump(self)
@@ -287,11 +274,6 @@ class MultiGPUSystem:
             self.abort_dump = abort.dump
             if not self._master_done:
                 self.finish_time = self.engine.now
-            if self._controller is not None:
-                # Best-effort emergency checkpoint next to the periodic
-                # ones, so an aborted run can be re-examined or resumed
-                # (with faults disabled) from its last consistent state.
-                self._controller.write_emergency(workload)
 
         if self.chaos is not None:
             # A run can finish (or abort) between controller polls; close

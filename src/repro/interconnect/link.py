@@ -33,7 +33,7 @@ class Link:
 
     __slots__ = (
         "engine", "bandwidth_gbps", "latency", "clock_ghz", "stats", "_free_at",
-        "_n_transfers", "_n_bytes", "_t_transfer", "_ser_cache", "owner",
+        "_n_transfers", "_n_bytes", "_t_transfer", "_ser_cache",
     )
 
     def __init__(
@@ -43,7 +43,6 @@ class Link:
         latency: int,
         clock_ghz: float = 1.0,
         name: str = "link",
-        owner=None,
     ) -> None:
         if bandwidth_gbps <= 0:
             raise ValueError("bandwidth must be positive")
@@ -61,9 +60,6 @@ class Link:
         self._n_bytes = self.stats.counter("bytes")
         self._t_transfer = self.stats.latency("transfer_time")
         self._ser_cache: dict = {}
-        #: optional Interconnect back-reference carrying the system-wide
-        #: in-flight transfer gauge the batched fast path consults.
-        self.owner = owner
 
     @property
     def name(self) -> str:
@@ -91,8 +87,6 @@ class Link:
         port — the fault injector's knob for delaying (and, with a large
         enough value, reordering) individual packets on the wire.
         """
-        if self.owner is not None:
-            self.owner.inflight += 1
         if extra_delay:
             self.stats.counter("delayed_transfers").add()
             self.engine.defer(extra_delay, self._enqueue, num_bytes, fn, args)
@@ -122,19 +116,6 @@ class Link:
         self._n_transfers.value += 1
         self._n_bytes.value += num_bytes
         self._t_transfer.record(self.engine._now - t0)
-        if self.owner is not None:
-            self.owner.inflight -= 1
         # Popped from the calendar, so the ready queue is empty: the
         # continuation is the next callback either way (Engine.tail).
         fn(*args)
-
-    def snapshot(self) -> dict:
-        """Stats only: at a quiescent instant the port is free and no
-        payload is on the wire."""
-        if self._free_at > self.engine._now:
-            raise RuntimeError("link snapshot with a transfer in flight")
-        return {"stats": self.stats.snapshot()}
-
-    def restore(self, state: dict) -> None:
-        self.stats.restore(state["stats"])
-

@@ -52,9 +52,6 @@ class Interconnect:
         self.engine = engine
         self.config = config
         self.num_gpus = num_gpus
-        #: transfers currently in flight across all links — a cheap
-        #: system-wide quiescence gauge for the batched fast path.
-        self.inflight = 0
         #: optional chaos overlay (ScheduledFaultInjector).  When set,
         #: every transfer asks it for an episode-dependent extra delay —
         #: a downed link stalls traffic to the end of its outage.
@@ -71,7 +68,6 @@ class Interconnect:
                 config.nvlink_latency,
                 config.clock_ghz,
                 name=f"nvlink{g}.out",
-                owner=self,
             )
             for g in range(num_gpus)
         }
@@ -80,11 +76,11 @@ class Interconnect:
         for g in range(num_gpus):
             self._pcie_up[g] = Link(
                 engine, config.pcie_bandwidth_gbps, config.pcie_latency,
-                config.clock_ghz, name=f"pcie{g}.up", owner=self,
+                config.clock_ghz, name=f"pcie{g}.up",
             )
             self._pcie_down[g] = Link(
                 engine, config.pcie_bandwidth_gbps, config.pcie_latency,
-                config.clock_ghz, name=f"pcie{g}.down", owner=self,
+                config.clock_ghz, name=f"pcie{g}.down",
             )
 
     def _route_error(self, *gpus: int) -> ValueError:
@@ -133,24 +129,6 @@ class Interconnect:
         if self.chaos is not None:
             extra_delay += self.chaos.link_transfer_delay(link)
         link.transfer(num_bytes, fn, *args, extra_delay=extra_delay)
-
-    def snapshot(self) -> dict:
-        if self.inflight:
-            raise RuntimeError("interconnect snapshot with transfers in flight")
-        return {
-            "nvlink_out": {g: l.snapshot() for g, l in self._nvlink_out.items()},
-            "pcie_up": {g: l.snapshot() for g, l in self._pcie_up.items()},
-            "pcie_down": {g: l.snapshot() for g, l in self._pcie_down.items()},
-        }
-
-    def restore(self, state: dict) -> None:
-        self.inflight = 0
-        for g, l in self._nvlink_out.items():
-            l.restore(state["nvlink_out"][g])
-        for g, l in self._pcie_up.items():
-            l.restore(state["pcie_up"][g])
-        for g, l in self._pcie_down.items():
-            l.restore(state["pcie_down"][g])
 
     def nvlink_bytes(self) -> int:
         return sum(l.stats.counter("bytes").value for l in self._nvlink_out.values())

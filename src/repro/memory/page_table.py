@@ -66,15 +66,6 @@ class PageTable:
             if pte_bits.is_valid(word):
                 yield vpn
 
-    # -- checkpointing ----------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return {"entries": dict(self._entries)}
-
-    def restore(self, state: dict) -> None:
-        self._entries.clear()
-        self._entries.update(state["entries"])
-
     # -- walk geometry ----------------------------------------------------
 
     def node_id(self, vpn: int, level: int) -> Tuple[int, int]:

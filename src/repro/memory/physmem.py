@@ -68,16 +68,3 @@ class PhysicalMemory:
 
     def vpn_of(self, ppn: int) -> Optional[int]:
         return self.resident.get(ppn)
-
-    def snapshot(self) -> dict:
-        return {
-            "next": self._next,
-            "free": list(self._free),
-            "resident": dict(self.resident),
-        }
-
-    def restore(self, state: dict) -> None:
-        self._next = state["next"]
-        self._free[:] = state["free"]
-        self.resident.clear()
-        self.resident.update(state["resident"])

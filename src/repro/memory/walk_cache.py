@@ -81,18 +81,6 @@ class PageWalkCache:
     def invalidate_all(self) -> None:
         self._tags.clear()
 
-    def snapshot(self) -> dict:
-        return {
-            "tags": list(self._tags.keys()),
-            "stats": self.stats.snapshot(),
-        }
-
-    def restore(self, state: dict) -> None:
-        self._tags.clear()
-        for tag in state["tags"]:
-            self._tags[tuple(tag)] = None
-        self.stats.restore(state["stats"])
-
     def hit_rate(self) -> float:
         hits = self._hits.value
         misses = self._misses.value

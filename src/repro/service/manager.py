@@ -19,7 +19,9 @@ One manager owns the whole job lifecycle behind the HTTP layer:
   resurrects terminal jobs for status/artifact queries, re-admits
   queued jobs, and resumes previously-running jobs from their newest
   RCKP checkpoint (recorded at graceful drain, or discovered on disk
-  after a SIGKILL).
+  after a SIGKILL).  A task's checkpoints are deleted once it is done
+  or quarantined, and a job's whole checkpoint directory once the job
+  is done.
 * **Graceful drain**: stop admission, let running tasks finish within
   the drain budget, then preempt the stragglers — journaling each
   preempted task's newest checkpoint so the next boot continues it
@@ -33,6 +35,7 @@ threads touch the queue, the journal, and the job table under one lock.
 from __future__ import annotations
 
 import os
+import shutil
 import threading
 import time
 from pathlib import Path
@@ -327,10 +330,15 @@ class JobManager:
                 self._translate(event)
         self._finish_drain()
 
-    def _ckpt_dir(self, job_id: str, task_key: str) -> str:
-        return str(
-            Path(self.cache.root) / "service-ckpt" / job_id / task_key[:16]
-        )
+    def _ckpt_dir(self, job_id: str, task_key: Optional[str] = None) -> str:
+        path = Path(self.cache.root) / "service-ckpt" / job_id
+        return str(path if task_key is None else path / task_key[:16])
+
+    def _drop_checkpoints(self, job_id: str, task_key: Optional[str] = None) -> None:
+        """Delete checkpoints nothing will resume: a finished task's, or
+        all of a finished job's, including those of task keys that
+        other package source derived."""
+        shutil.rmtree(self._ckpt_dir(job_id, task_key), ignore_errors=True)
 
     def _admit_from_queue(self) -> None:
         """Move queued jobs into the pool while it has headroom."""
@@ -407,6 +415,8 @@ class JobManager:
                 )
         elif kind == "done":
             _, key, result, attempts = event
+            for job_id in self._owners(key):
+                self._drop_checkpoints(job_id, key)
             self._task_done(
                 key, aborted=bool(getattr(result, "aborted", False)),
                 attempts=attempts,
@@ -415,6 +425,7 @@ class JobManager:
         elif kind == "quarantined":
             _, key, _result, reason = event
             for job_id in self._owners(key):
+                self._drop_checkpoints(job_id, key)
                 with self._lock:
                     record = self._jobs.get(job_id)
                     if record is None or record.state in ("done", "failed"):
@@ -478,6 +489,7 @@ class JobManager:
                 self.journal.record("done", record.id)
                 finished.append(record.id)
         for job_id in finished:
+            self._drop_checkpoints(job_id)
             self.events.emit(
                 job_id, "done", artifact=f"/jobs/{job_id}/artifact"
             )

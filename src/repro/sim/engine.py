@@ -317,15 +317,3 @@ class LivenessWatchdog:
                 f"cycles (metric stuck at {progress})"
             )
         self.engine.defer(self.interval, self.tick)
-
-    def snapshot(self) -> dict:
-        return {
-            "checks": self.checks,
-            "last_progress": self._last_progress,
-            "last_change": self._last_change,
-        }
-
-    def restore(self, state: dict) -> None:
-        self.checks = state["checks"]
-        self._last_progress = state["last_progress"]
-        self._last_change = state["last_change"]

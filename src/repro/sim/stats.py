@@ -135,7 +135,8 @@ class StatsGroup:
         return out
 
     def snapshot(self) -> dict:
-        """Plain-data state for checkpointing (see repro.sim.snapshot)."""
+        """Plain-data view of every statistic (the model-digest test
+        hashes it)."""
         return {
             "counters": {n: c.value for n, c in self.counters.items()},
             "latencies": {
@@ -146,23 +147,3 @@ class StatsGroup:
                 n: dict(h.buckets) for n, h in self.histograms.items()
             },
         }
-
-    def restore(self, state: dict) -> None:
-        """Restore from :meth:`snapshot`.
-
-        Mutates existing Counter/LatencyStat objects in place — hot
-        paths hold pre-bound references to them, so identity must be
-        preserved.
-        """
-        for name, value in state["counters"].items():
-            self.counter(name).value = value
-        for name, (count, total, lo, hi) in state["latencies"].items():
-            lat = self.latency(name)
-            lat.count = count
-            lat.total = total
-            lat.min = lo
-            lat.max = hi
-        for name, buckets in state["histograms"].items():
-            hist = self.histogram(name)
-            hist.buckets.clear()
-            hist.buckets.update(buckets)

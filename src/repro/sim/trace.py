@@ -152,28 +152,6 @@ class TraceRecorder:
         self._seq = 0
         self.dropped = 0
 
-    def snapshot(self) -> dict:
-        """Plain-data state for checkpointing (records as tuples)."""
-        return {
-            "capacity": self.capacity,
-            "seq": self._seq,
-            "dropped": self.dropped,
-            "records": [
-                (r.seq, r.cycle, r.event, r.unit, r.vpn, r.fields)
-                for r in self._records
-            ],
-        }
-
-    def restore(self, state: dict) -> None:
-        """Restore ring contents so a continued run traces identically."""
-        self._records.clear()
-        for seq, cycle, event, unit, vpn, fields in state["records"]:
-            self._records.append(
-                TraceRecord(seq, cycle, event, unit, vpn, tuple(fields))
-            )
-        self._seq = state["seq"]
-        self.dropped = state["dropped"]
-
 
 class NullTracer:
     """Disabled tracer: every emission site sees ``enabled == False``."""

@@ -70,13 +70,3 @@ class MSHR:
             for fn, args in waiters:
                 append((fn, args + value_args))
         return len(waiters)
-
-    def snapshot(self) -> dict:
-        """Stats only: checkpoints are taken at quiescent instants,
-        where no miss is outstanding (asserted by the caller)."""
-        if self._pending:
-            raise RuntimeError("MSHR snapshot with outstanding misses")
-        return {"stats": self.stats.snapshot()}
-
-    def restore(self, state: dict) -> None:
-        self.stats.restore(state["stats"])

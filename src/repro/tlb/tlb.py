@@ -115,20 +115,6 @@ class TLB:
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
 
-    def snapshot(self) -> dict:
-        """Plain-data state for checkpointing (LRU order preserved)."""
-        return {
-            "sets": [list(s.items()) for s in self._sets],
-            "stats": self.stats.snapshot(),
-        }
-
-    def restore(self, state: dict) -> None:
-        for entry_set, items in zip(self._sets, state["sets"]):
-            entry_set.clear()
-            for vpn, word in items:
-                entry_set[vpn] = word
-        self.stats.restore(state["stats"])
-
     def hit_rate(self) -> float:
         hits = self._hits.value
         misses = self._misses.value

@@ -107,10 +107,6 @@ class UVMDriver:
         self._generation: Dict[int, int] = {}
         #: pages pinned by the first-touch policy.
         self._pinned: Set[int] = set()
-        #: far faults raised but not yet resolved — covers the whole
-        #: lifecycle (interrupt in flight, queued, batching window,
-        #: resolution, reply); a quiescence gauge for the fast path.
-        self._inflight_faults = 0
         # The fault service loop starts from the ready queue.
         engine.schedule(0, self._next_batch)
 
@@ -144,7 +140,6 @@ class UVMDriver:
         ``retry`` marks the refetch of a reply that went stale before it
         was installed: it is resolved without migrating."""
         fault = FarFault(gpu_id, vpn, is_write, self.engine._now, fn, args, retry)
-        self._inflight_faults += 1
         self.gpus[gpu_id].driver_busy += 1
         self._n_far_faults.value += 1
         if self._tracer.enabled:
@@ -263,52 +258,6 @@ class UVMDriver:
         """Migrate ``vpn`` to ``dst``; ``fn(*args)`` runs once the
         migration (or the one it found in flight) is over."""
         _Migration(self, vpn, dst, push_mapping, fn, args)
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Aggregate plain-data state at a quiescent instant: no fault,
-        migration, or invalidation may be in flight."""
-        if (
-            self._inflight_faults
-            or self._gates
-            or self._migrating
-            or len(self.fault_queue)
-            or self.tracker.has_pending()
-        ):
-            raise RuntimeError("driver snapshot with episodes in flight")
-        state = {
-            "stale_accepted": sorted(self._stale_accepted),
-            "host_page_table": self.host_page_table.snapshot(),
-            "counters": self.counters.snapshot(),
-            "replicas": self.replicas.snapshot(),
-            "generation": dict(self._generation),
-            "pinned": sorted(self._pinned),
-            "stats": self.stats.snapshot(),
-            "tracker": self.tracker.snapshot(),
-        }
-        if self.directory is not None:
-            state["directory"] = self.directory.snapshot()
-        return state
-
-    def restore(self, state: dict) -> None:
-        self._stale_accepted.clear()
-        self._stale_accepted.update(tuple(p) for p in state["stale_accepted"])
-        self.host_page_table.restore(state["host_page_table"])
-        self.counters.restore(state["counters"])
-        self.replicas.restore(state["replicas"])
-        self._generation.clear()
-        self._generation.update(state["generation"])
-        self._pinned.clear()
-        self._pinned.update(state["pinned"])
-        # The tracker shares the driver's StatsGroup, so restoring stats
-        # once here covers both.
-        self.stats.restore(state["stats"])
-        self.tracker.restore(state["tracker"])
-        if self.directory is not None:
-            self.directory.restore(state["directory"])
 
     # ------------------------------------------------------------------
     # Page replication (§7.4)
@@ -525,7 +474,6 @@ class _FaultResolution:
                 "fault.resolve", driver.name, fault.vpn,
                 gpu=fault.gpu_id, cycles=engine._now - fault.raised_at,
             )
-        driver._inflight_faults -= 1
         driver.gpus[fault.gpu_id].driver_busy -= 1
         # Two waiters, the GPU's continuation and then the batch count:
         # the first runs at once if the ready queue is empty (it would be

@@ -57,18 +57,6 @@ class AccessCounters:
         """Counters clear when the page migrates."""
         self._counts.pop(vpn, None)
 
-    def snapshot(self) -> dict:
-        return {
-            "counts": {vpn: dict(per) for vpn, per in self._counts.items()},
-            "stats": self.stats.snapshot(),
-        }
-
-    def restore(self, state: dict) -> None:
-        self._counts.clear()
-        for vpn, per in state["counts"].items():
-            self._counts[vpn] = dict(per)
-        self.stats.restore(state["stats"])
-
 
 def should_migrate_on_fault(policy: MigrationPolicy, resolves_to_remote: bool) -> bool:
     """Does this policy migrate at far-fault time (vs. remote-map)?"""

@@ -136,28 +136,6 @@ class InvalidationTracker:
         else:
             self._pending_pairs[key] = count
 
-    # -- checkpointing ------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """State at a quiescent instant (no invalidation outstanding).
-        The shared stats group is snapshotted by the driver, not here."""
-        if self._pending:
-            raise RuntimeError("tracker snapshot with pending invalidations")
-        return {
-            "next_seq": self._next_seq,
-            "suspects": sorted(self.suspects),
-            "clean_streak": dict(self._clean_streak),
-        }
-
-    def restore(self, state: dict) -> None:
-        self._next_seq = state["next_seq"]
-        self._pending.clear()
-        self._pending_pairs.clear()
-        self.suspects.clear()
-        self.suspects.update(state["suspects"])
-        self._clean_streak.clear()
-        self._clean_streak.update(state["clean_streak"])
-
     # -- queries (watchdog / auditor) --------------------------------------
 
     def has_pending(self) -> bool:

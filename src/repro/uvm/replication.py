@@ -44,18 +44,6 @@ class ReplicaDirectory:
     def is_replicated(self, vpn: int) -> bool:
         return bool(self._replicas.get(vpn))
 
-    def snapshot(self) -> dict:
-        return {
-            "replicas": {vpn: dict(per) for vpn, per in self._replicas.items()},
-            "stats": self.stats.snapshot(),
-        }
-
-    def restore(self, state: dict) -> None:
-        self._replicas.clear()
-        for vpn, per in state["replicas"].items():
-            self._replicas[vpn] = dict(per)
-        self.stats.restore(state["stats"])
-
     def collapse(self, vpn: int) -> Dict[int, int]:
         """Remove all replicas of ``vpn``; returns {gpu: ppn} so the caller
         can free the frames and invalidate the PTEs."""

@@ -91,3 +91,52 @@ class TestFigureFunctions:
         assert set(series) == {"measured", "paper"}
         assert series["paper"]["MT"] == 185.52
         assert all(v >= 0 for v in series["measured"].values())
+
+
+class TestResumeFrom:
+    """``simulate(resume_from=...)`` is how the sweep supervisor, the
+    fabric and the job service continue preempted runs."""
+
+    RUN = dict(lanes=2, accesses_per_lane=150, seed=7)
+
+    def _checkpoint(self, tmp_path):
+        from repro.experiments.runner import simulate
+
+        config = baseline_config(num_gpus=2)
+        fresh = simulate("PR", config, **self.RUN)
+        simulate("PR", config, **self.RUN, checkpoint_every=5000,
+                 checkpoint_dir=str(tmp_path))
+        paths = sorted(tmp_path.glob("ckpt-*.ckpt"))
+        assert paths
+        return config, fresh, paths[len(paths) // 2]
+
+    def test_resumes_a_checkpoint(self, tmp_path):
+        from repro.experiments.runner import simulate
+
+        config, fresh, path = self._checkpoint(tmp_path)
+        assert simulate("PR", config, **self.RUN, resume_from=str(path)) == fresh
+
+    def test_checkpoint_from_other_source_reruns_from_the_start(
+        self, tmp_path, capsys
+    ):
+        """Any source edit changes the code digest a checkpoint is framed
+        under, and such a file cannot be loaded.  A resumed run equals an
+        uninterrupted one, so the runner runs the spec from the start;
+        ``repro run --resume`` still refuses the file (exit 2)."""
+        from repro.cli import main
+        from repro.experiments.runner import simulate
+        from repro.sim.snapshot import _HEADER, CheckpointError, resume_run
+
+        config, fresh, path = self._checkpoint(tmp_path)
+        data = path.read_bytes()
+        magic, version, code, length = _HEADER.unpack_from(data)
+        other = b"0" * 16 if code != b"0" * 16 else b"1" * 16
+        path.write_bytes(
+            _HEADER.pack(magic, version, other, length) + data[_HEADER.size:]
+        )
+        with pytest.raises(CheckpointError, match="other package source"):
+            resume_run(path)
+        assert main(["run", "--resume", str(path)]) == 2
+        assert "other package source" in capsys.readouterr().err
+        assert simulate("PR", config, **self.RUN, resume_from=str(path)) == fresh
+        assert "cannot resume" in capsys.readouterr().err

@@ -1,21 +1,17 @@
-"""Watchdog abort × checkpointing: the emergency snapshot property.
+"""Watchdog abort × checkpointing.
 
-When the liveness watchdog (or an invariant auditor) kills a run that
-has the checkpoint controller armed, the abort path must flush a
-best-effort ``emergency.ckpt`` next to the periodic checkpoints — in
-addition to the partial-stats dump the result already carries — and
-that checkpoint must restore cleanly in a system with the faults
-disabled (the lossy ``exact=False`` snapshot drops in-flight episode
-state and the restore-side sanitizer reconciles translation state, so
-the revived run completes instead of re-deadlocking).
+A run that aborts keeps what explains it — the protocol-state dump and
+its partial statistics — and the periodic checkpoints it wrote before
+the abort.  There is no emergency checkpoint: each periodic one is an
+exact cut of the run, so resuming it reproduces the same abort.
 """
 
-import os
+import dataclasses
 from dataclasses import replace
 
 import pytest
 
-from repro.config import FaultConfig, InvalidationScheme, baseline_config
+from repro.config import InvalidationScheme, baseline_config
 from repro.gpu.system import MultiGPUSystem
 from repro.sim import snapshot as snap
 from repro.workloads.base import Workload
@@ -46,51 +42,29 @@ def _lossy_config():
     )
 
 
-class TestEmergencyCheckpoint:
-    def _abort_with_checkpointing(self, tmp_path):
+class TestAbortedCheckpointedRun:
+    def test_checkpoints_resume_to_the_same_abort(self, tmp_path):
+        plain_system = MultiGPUSystem(_lossy_config(), seed=7)
+        plain = plain_system.run(_migration_workload())
+        assert plain.aborted and plain.abort_reason and plain_system.abort_dump
+        # Partial statistics: the accesses retired before the abort.
+        assert 0 < plain.accesses < _migration_workload().total_accesses()
+
         system = MultiGPUSystem(_lossy_config(), seed=7)
         result = system.run(
             _migration_workload(), checkpoint_every=1000, checkpoint_dir=tmp_path
         )
-        return system, result
-
-    def test_abort_flushes_emergency_checkpoint(self, tmp_path):
-        system, result = self._abort_with_checkpointing(tmp_path)
-        assert result.aborted
-        assert result.abort_reason  # partial-stats dump path unchanged
-        assert system.abort_dump
-        path = tmp_path / "emergency.ckpt"
-        assert path.exists(), "abort did not flush an emergency checkpoint"
-        assert system._controller.last_path == str(path) or path.exists()
-
-    def test_emergency_checkpoint_is_wellformed(self, tmp_path):
-        _system, _result = self._abort_with_checkpointing(tmp_path)
-        payload = snap.load_checkpoint(tmp_path / "emergency.ckpt")
-        assert payload["exact"] is False
-        assert payload["now"] > 0
-
-    def test_emergency_restore_completes_without_faults(self, tmp_path):
-        """The revived run (faults off) must finish cleanly — no abort,
-        no deadlock, lanes drive to completion."""
-        _system, aborted = self._abort_with_checkpointing(tmp_path)
-        assert aborted.aborted
-        override = replace(_lossy_config(), faults=FaultConfig())
-        system, result = snap.resume_run(
-            tmp_path / "emergency.ckpt", override_config=override
-        )
-        assert not result.aborted, result.abort_reason
-        assert system._master_done
-        assert result.exec_time >= 0
-        # Partial statistics carried across the restore: the clean run
-        # keeps the pre-abort progress rather than starting from zero.
-        assert result.accesses > 0
-
-    def test_no_emergency_checkpoint_without_controller(self, tmp_path):
-        system = MultiGPUSystem(_lossy_config(), seed=7)
-        result = system.run(_migration_workload())
-        assert result.aborted
+        want = dataclasses.asdict(plain)
+        assert dataclasses.asdict(result) == want
+        assert system.abort_dump == plain_system.abort_dump
         assert not (tmp_path / "emergency.ckpt").exists()
-        assert list(tmp_path.iterdir()) == []
+        paths = sorted(tmp_path.glob("ckpt-*.ckpt"))
+        assert [p.name for p in tmp_path.iterdir() if p not in paths] == []
+        assert len(paths) >= 3, "the run aborts only after several checkpoints"
+        for path in paths:
+            resumed_system, resumed = snap.resume_run(path)
+            assert dataclasses.asdict(resumed) == want, path.name
+            assert resumed_system.abort_dump == plain_system.abort_dump
 
 
 class TestFastpathFaultComposition:

@@ -223,64 +223,71 @@ class TestReplayKernelCorners:
 class TestCheckpointMidBatch:
     """Checkpoints taken while lanes are parked must round-trip: the
     parked replay state (index, arrival, release ring) is part of the
-    snapshot, and resuming must reproduce the uninterrupted result."""
+    pickled system, and resuming must reproduce the uninterrupted
+    result."""
 
     def _workload(self):
         return TestEngagement.tlb_resident_workload(
             num_gpus=2, lanes=2, accesses=1500, pages=8
         )
 
-    def test_checkpoint_while_parked_resumes_identically(self, tmp_path):
-        import glob
-
-        from dataclasses import asdict
-        from repro.sim import snapshot as snap
-
-        config = small_config(2)
-        workload = self._workload()
-        base = MultiGPUSystem(config, seed=7).run(workload)
-        system = MultiGPUSystem(config, seed=7)
-        checkpointed = system.run(
-            workload, checkpoint_every=3000, checkpoint_dir=tmp_path
-        )
-        assert system.fastpath is not None and system.fastpath.parks > 0
-        assert asdict(checkpointed) == asdict(base)
-        paths = sorted(glob.glob(str(tmp_path / "ckpt-*.ckpt")))
-        assert paths, "no checkpoints written"
-        # At least one snapshot must actually catch a lane mid-batch;
-        # otherwise this test is vacuous.
-        parked_snapshots = [
-            p
-            for p in paths
-            if any(
-                lane["phase"] == "parked"
-                for lane in snap.load_checkpoint(p)["lanes"]
-            )
-        ]
-        assert parked_snapshots, "no checkpoint caught a parked lane"
-        for path in parked_snapshots[:2] + paths[-1:]:
-            _sys, resumed = snap.resume_run(path)
-            assert asdict(resumed) == asdict(base), f"resume of {path} diverged"
-
-    def test_parked_ring_pickles_to_plain_ints(self, tmp_path):
-        """The snapshot layer pickles parked replay state, so it must be
-        plain Python ints (any other integer type would silently change
-        the checkpoint bytes)."""
+    def _checkpoints(self, tmp_path):
+        """Checkpoint a parking run every 3,000 cycles; returns the
+        system, its result and each checkpoint's path with its loaded
+        ``(system, workload)``."""
         import glob
 
         from repro.sim import snapshot as snap
 
         system = MultiGPUSystem(small_config(2), seed=7)
-        system.run(self._workload(), checkpoint_every=3000,
-                   checkpoint_dir=tmp_path)
+        result = system.run(
+            self._workload(), checkpoint_every=3000, checkpoint_dir=tmp_path
+        )
         paths = sorted(glob.glob(str(tmp_path / "ckpt-*.ckpt")))
+        assert paths, "no checkpoints written"
+        return system, result, [(p, snap.load_checkpoint(p)) for p in paths]
+
+    def test_checkpoint_while_parked_resumes_identically(self, tmp_path):
+        from dataclasses import asdict
+        from repro.sim import snapshot as snap
+
+        base = MultiGPUSystem(small_config(2), seed=7).run(self._workload())
+        system, checkpointed, loaded = self._checkpoints(tmp_path)
+        assert system.fastpath is not None and system.fastpath.parks > 0
+        assert asdict(checkpointed) == asdict(base)
+        # At least one checkpoint must actually catch a lane mid-batch;
+        # otherwise this test is vacuous.
+        parked = [path for path, (sys_, _wl) in loaded if sys_.fastpath._parked]
+        assert parked, "no checkpoint caught a parked lane"
+        for path in parked[:2] + [loaded[-1][0]]:
+            _sys, resumed = snap.resume_run(path)
+            assert asdict(resumed) == asdict(base), f"resume of {path} diverged"
+
+    def test_parked_ring_pickles_to_plain_ints(self, tmp_path):
+        """A checkpoint pickles parked replay state, so it must be plain
+        Python ints (any other integer type would silently change the
+        checkpoint bytes)."""
+        _system, _result, loaded = self._checkpoints(tmp_path)
         seen_parked = False
-        for path in paths:
-            for lane in snap.load_checkpoint(path)["lanes"]:
-                if lane["phase"] != "parked":
-                    continue
+        for _path, (system, _workload) in loaded:
+            for rec in system.fastpath._parked.values():
                 seen_parked = True
-                assert type(lane["index"]) is int
-                assert type(lane["arrival"]) is int
-                assert all(type(r) is int for r in lane["ring"])
+                assert type(rec.index) is int
+                assert type(rec.arrival) is int
+                assert type(rec.backed) is int
+                assert all(type(r) is int for r in rec.ring)
+        assert seen_parked, "no checkpoint caught a parked lane"
+
+    def test_parked_windows_survive_a_load(self, tmp_path):
+        """The batcher consumes a parked lane's window release as benign
+        by finding the window in ``_parked_windows``; after a load that
+        set must still hold every parked lane's window, and nothing
+        else."""
+        _system, _result, loaded = self._checkpoints(tmp_path)
+        seen_parked = False
+        for _path, (system, _workload) in loaded:
+            fastpath = system.fastpath
+            windows = {lane._window for lane in fastpath._parked}
+            seen_parked = seen_parked or bool(windows)
+            assert fastpath._parked_windows == windows
         assert seen_parked, "no checkpoint caught a parked lane"

@@ -85,7 +85,8 @@ class TestZeroLatencies:
         gpu = system.gpus[0]
         gpu.l1_tlbs[0].insert(PAGE, pte.make_pte(5))
         lane = Lane(gpu, 0, [])
-        lane.attach_window(in_use=1)
+        lane.attach_window()
+        assert lane._window.try_acquire()
         lane._slow = 1
         gpu.access(lane, PAGE, False)
         assert gpu.l1_tlbs[0].stats.counter("hits").value == 1

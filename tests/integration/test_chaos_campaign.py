@@ -16,8 +16,8 @@ from repro.faults.schedule import ScheduledFaultInjector
 from repro.faults.tracegen import generate_trace
 
 # Dense trace whose horizon comfortably outlives the ~46k-cycle
-# workload: the post-retirement drain phase is where quiescent instants
-# (and therefore checkpoints) are plentiful, with episodes still open.
+# workload, so episodes are open both while the lanes run and in the
+# post-retirement drain phase.
 TRACE = generate_trace(
     2, 80_000, seed=3,
     link_mttf=8_000, gpu_mttf=12_000,

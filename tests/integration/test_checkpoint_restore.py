@@ -7,18 +7,15 @@ running to completion yields a :class:`SimulationResult` that is
 field-for-field identical to the uninterrupted run, with byte-identical
 event traces when tracing is on.
 
-Workloads here are synthetic, gap-heavy, mostly-local traces: real app
-traces keep the UVM driver saturated with fault episodes, so quiescent
-instants (the only points a checkpoint can capture) are rare — see the
-honest-assessment note in DESIGN.md §9.  The property is about
-*restore fidelity*, which these traces exercise hard (14–46 checkpoints
-per run across the grid below).
+A checkpoint is a pickle of the running system, so it can be taken at
+any cycle: the workloads here are the Table-3 app traces the figures
+run, whose drivers are never idle — faults, migrations and shootdowns
+are in flight at almost every checkpoint.
 """
 
 import dataclasses
+import functools
 import glob
-import hashlib
-import json
 import pathlib
 import random
 import subprocess
@@ -26,94 +23,97 @@ import sys
 
 import pytest
 
-from repro.config import SystemConfig
+from repro.config import InvalidationScheme, SystemConfig
+from repro.faults.profiles import parse_fault_spec
 from repro.gpu.system import MultiGPUSystem
-from repro.metrics.export import result_to_json_bytes
 from repro.sim import snapshot as snap
 from repro.uvm.driver import _Invalidation
 from repro.workloads.base import Workload
+from repro.workloads.suite import APPS, build_workload
 
-#: every (gpus, seed) pair: 20 seeds x {1, 2, 4} GPUs.
-GRID = [(gpus, seed) for gpus in (1, 2, 4) for seed in range(20)]
-
-
-def synth_workload(num_gpus, seed, lanes=2, accesses=300):
-    """Mostly-local pages with a 10% shared-page burst mix and generous
-    compute gaps, so the system has quiescent windows to checkpoint in."""
-    rng = random.Random(seed)
-    traces = []
-    for g in range(num_gpus):
-        gpu_lanes = []
-        for _lane in range(lanes):
-            trace = []
-            local = [g * 1000 + p for p in range(40)]
-            shared = list(range(90000, 90020))
-            for _ in range(accesses):
-                vpn = rng.choice(shared) if rng.random() < 0.1 else rng.choice(local)
-                gap = rng.choice((40, 120, 400, 900))
-                trace.append((gap, vpn, rng.random() < 0.2))
-            gpu_lanes.append(trace)
-        traces.append(gpu_lanes)
-    return Workload(name=f"synth{seed}", traces=traces)
+SCHEMES = list(InvalidationScheme)
 
 
-def _run_plain(num_gpus, seed, **config_kwargs):
-    config = SystemConfig(num_gpus=num_gpus, **config_kwargs)
-    return MultiGPUSystem(config, seed=seed).run(synth_workload(num_gpus, seed))
+def _apps(num_gpus):
+    """The Table-3 apps that build on ``num_gpus`` GPUs (MT's transpose
+    needs two)."""
+    return [app for app in APPS if num_gpus > 1 or app != "MT"]
+
+
+#: 20 (app, scheme, seed) triples on each of 1, 2 and 4 GPUs.
+GRID = [
+    (gpus, _apps(gpus)[seed % len(_apps(gpus))], SCHEMES[seed % len(SCHEMES)], seed)
+    for gpus in (1, 2, 4)
+    for seed in range(20)
+]
+
+
+def app_workload(app, num_gpus, seed, lanes=2, accesses=150):
+    return build_workload(
+        app, num_gpus=num_gpus, lanes=lanes, accesses_per_lane=accesses, seed=seed
+    )
+
+
+def _config(num_gpus, scheme=InvalidationScheme.IDYLL, **kwargs):
+    return SystemConfig(num_gpus=num_gpus, invalidation_scheme=scheme, **kwargs)
+
+
+def _checkpointed(config, workload, seed, every, directory):
+    """Run with checkpoints; returns the result and the checkpoint paths."""
+    result = MultiGPUSystem(config, seed=seed).run(
+        workload, checkpoint_every=every, checkpoint_dir=directory
+    )
+    return result, sorted(glob.glob(str(pathlib.Path(directory) / "ckpt-*.ckpt")))
+
+
+def _assert_resumes(path, want):
+    _system, resumed = snap.resume_run(path)
+    got = dataclasses.asdict(resumed)
+    if got != want:
+        diffs = {k: (got[k], want[k]) for k in got if got[k] != want[k]}
+        raise AssertionError(f"resume of {path} diverged: {diffs}")
 
 
 class TestCheckpointEquivalence:
-    @pytest.mark.parametrize("num_gpus,seed", GRID)
-    def test_resume_matches_uninterrupted(self, tmp_path, num_gpus, seed):
+    @pytest.mark.parametrize("num_gpus,app,scheme,seed", GRID)
+    def test_resume_matches_uninterrupted(self, tmp_path, num_gpus, app, scheme, seed):
         """Tentpole property: checkpointing changes nothing, and every
         checkpoint resumes to the exact uninterrupted result."""
-        base = _run_plain(num_gpus, seed)
-        config = SystemConfig(num_gpus=num_gpus)
-        system = MultiGPUSystem(config, seed=seed)
-        checkpointed = system.run(
-            synth_workload(num_gpus, seed),
-            checkpoint_every=4000,
-            checkpoint_dir=tmp_path,
+        config = _config(num_gpus, scheme)
+        base = MultiGPUSystem(config, seed=seed).run(app_workload(app, num_gpus, seed))
+        # About eight checkpoints, at whatever the run is doing then.
+        every = max(1, base.exec_time // 9)
+        checkpointed, paths = _checkpointed(
+            config, app_workload(app, num_gpus, seed), seed, every, tmp_path
         )
         want = dataclasses.asdict(base)
         assert dataclasses.asdict(checkpointed) == want, (
             "checkpointed run diverged from plain run"
         )
-        paths = sorted(glob.glob(str(tmp_path / "ckpt-*.ckpt")))
-        assert paths, "no checkpoints written (workload lost its quiescent gaps?)"
-        # Resume up to four evenly spaced checkpoints (first/last always).
-        step = max(1, (len(paths) - 1) // 3) if len(paths) > 1 else 1
-        sample = sorted({0, len(paths) - 1} | set(range(0, len(paths), step)))
-        for i in sample:
-            _system, resumed = snap.resume_run(paths[i])
-            got = dataclasses.asdict(resumed)
-            if got != want:
-                diffs = {k: (got[k], want[k]) for k in got if got[k] != want[k]}
-                raise AssertionError(f"resume of {paths[i]} diverged: {diffs}")
+        assert len(paths) >= 8, "a checkpoint is due every `every` cycles"
+        # Resume four evenly spaced checkpoints (first/last always).
+        step = max(1, (len(paths) - 1) // 3)
+        for i in sorted({0, len(paths) - 1} | set(range(0, len(paths), step))):
+            _assert_resumes(paths[i], want)
 
     def test_resume_without_fastpath(self, tmp_path):
-        base = _run_plain(2, 5, fastpath_enabled=False)
-        config = SystemConfig(num_gpus=2, fastpath_enabled=False)
-        system = MultiGPUSystem(config, seed=5)
-        system.run(
-            synth_workload(2, 5), checkpoint_every=4000, checkpoint_dir=tmp_path
+        config = _config(2, fastpath_enabled=False)
+        base = MultiGPUSystem(config, seed=5).run(app_workload("KM", 2, 5))
+        _result, paths = _checkpointed(
+            config, app_workload("KM", 2, 5), 5, 4000, tmp_path
         )
-        paths = sorted(glob.glob(str(tmp_path / "ckpt-*.ckpt")))
         assert paths
         for path in (paths[0], paths[len(paths) // 2], paths[-1]):
-            _system, resumed = snap.resume_run(path)
-            assert dataclasses.asdict(resumed) == dataclasses.asdict(base)
+            _assert_resumes(path, dataclasses.asdict(base))
 
     def test_checkpoint_chaining(self, tmp_path):
         """A restored run can itself checkpoint, and those second-
         generation checkpoints also resume to the same result."""
-        base = _run_plain(2, 7)
-        system = MultiGPUSystem(SystemConfig(num_gpus=2), seed=7)
-        system.run(
-            synth_workload(2, 7), checkpoint_every=5000,
-            checkpoint_dir=tmp_path / "gen1",
+        config = _config(2)
+        base = MultiGPUSystem(config, seed=7).run(app_workload("PR", 2, 7))
+        _result, gen1 = _checkpointed(
+            config, app_workload("PR", 2, 7), 7, 5000, tmp_path / "gen1"
         )
-        gen1 = sorted(glob.glob(str(tmp_path / "gen1" / "ckpt-*.ckpt")))
         assert gen1
         _sys2, resumed = snap.resume_run(
             gen1[0], checkpoint_every=5000, checkpoint_dir=tmp_path / "gen2"
@@ -122,8 +122,67 @@ class TestCheckpointEquivalence:
         gen2 = sorted(glob.glob(str(tmp_path / "gen2" / "ckpt-*.ckpt")))
         assert gen2, "restored run wrote no checkpoints of its own"
         for path in (gen2[0], gen2[-1]):
-            _sys3, again = snap.resume_run(path)
-            assert dataclasses.asdict(again) == dataclasses.asdict(base)
+            _assert_resumes(path, dataclasses.asdict(base))
+
+
+class TestEveryCycle:
+    """Small runs checkpointed at every cycle, with the fast path on;
+    every checkpoint is loaded and resumed in memory as it is taken.
+
+    MM on two GPUs migrates a page and shoots it down.  The TLB-resident
+    trace with one-slot windows parks its lanes, and some of its ticks
+    run inside the fast path's ``run_batch_until``, while the batcher
+    consumes a parked lane's window release."""
+
+    @staticmethod
+    def _tlb_resident():
+        base = 1 << 20
+        return Workload(name="tlbres", traces=[[
+            [(1, base + lane, i % 5 == 2) for i in range(20)] for lane in range(2)
+        ]])
+
+    @pytest.mark.parametrize("case", ["MM", "tlb-resident-one-slot"])
+    def test_every_cycle_resumes_exactly(self, tmp_path, monkeypatch, case):
+        if case == "MM":
+            config = _config(2, trace_lanes=1)
+            build = functools.partial(app_workload, "MM", 2, 3, lanes=1, accesses=16)
+        else:
+            config = _config(1, trace_lanes=2, inflight_per_cu=1)
+            build = self._tlb_resident
+        want = dataclasses.asdict(MultiGPUSystem(config, seed=3).run(build()))
+        taken = []
+        in_batcher = []
+
+        def resume_at_once(payload, _path):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name != "run_batch_until":
+                frame = frame.f_back
+            if frame is not None:
+                in_batcher.append(payload[0].engine.now)
+            system, workload = snap.loads_checkpoint(snap.dumps_checkpoint(payload))
+            # The checkpoint holds neither the controller nor a running
+            # engine.
+            assert system._controller is None and not system.engine._running
+            got = dataclasses.asdict(system._finish(workload))
+            if got != want:
+                diffs = {k: (got[k], want[k]) for k in got if got[k] != want[k]}
+                raise AssertionError(
+                    f"checkpoint at cycle {payload[0].engine.now} diverged: {diffs}"
+                )
+            taken.append(payload[0].engine.now)
+
+        monkeypatch.setattr(snap, "save_checkpoint", resume_at_once)
+        system = MultiGPUSystem(config, seed=3)
+        result = system.run(build(), checkpoint_every=1, checkpoint_dir=tmp_path)
+        monkeypatch.undo()
+        assert dataclasses.asdict(result) == want
+        assert system.fastpath is not None
+        assert taken == list(range(1, len(taken) + 1))
+        assert len(taken) >= result.exec_time - 1
+        if case == "MM":
+            assert result.migrations and result.invalidations_sent
+        else:
+            assert system.fastpath.replayed and in_batcher
 
 
 class TestDivergenceRegression:
@@ -147,7 +206,7 @@ class TestDivergenceRegression:
 
     SHARED_BASE = 1 << 20
 
-    def _workload(self, max_gap=900):
+    def _workload(self):
         rng = random.Random(11)
         traces = []
         for _gpu in range(2):
@@ -155,7 +214,7 @@ class TestDivergenceRegression:
             for _lane in range(2):
                 gpu_lanes.append(
                     [
-                        (rng.randint(40, max_gap),
+                        (rng.randint(40, 900),
                          self.SHARED_BASE + rng.randrange(8), False)
                         for _ in range(1500)
                     ]
@@ -163,19 +222,8 @@ class TestDivergenceRegression:
             traces.append(gpu_lanes)
         return Workload(name="gapheavy", traces=traces)
 
-    def _checkpoint_workload(self):
-        """Longer gaps: with every race defence on, the 900-cycle
-        workload leaves no quiescent instant to checkpoint at."""
-        return self._workload(max_gap=1500)
-
     def _config(self, **kwargs):
-        from repro.config import InvalidationScheme
-
-        return SystemConfig(
-            num_gpus=2,
-            invalidation_scheme=InvalidationScheme.IDYLL,
-            **kwargs,
-        )
+        return _config(2, **kwargs)
 
     def test_fastpath_matches_event_path(self):
         """The latent bug the divergence was a shadow of: on this
@@ -195,48 +243,15 @@ class TestDivergenceRegression:
         gap-heavy shared-page run must resume to the uninterrupted
         result (mid-run checkpoints used to land on exec_time 710006
         instead of 711277)."""
-        base = MultiGPUSystem(self._config(), seed=7).run(self._checkpoint_workload())
-        system = MultiGPUSystem(self._config(), seed=7)
-        checkpointed = system.run(
-            self._checkpoint_workload(), checkpoint_every=3000, checkpoint_dir=tmp_path
+        base = MultiGPUSystem(self._config(), seed=7).run(self._workload())
+        checkpointed, paths = _checkpointed(
+            self._config(), self._workload(), 7, 60_000, tmp_path
         )
         want = dataclasses.asdict(base)
         assert dataclasses.asdict(checkpointed) == want
-        paths = sorted(glob.glob(str(tmp_path / "ckpt-*.ckpt")))
-        assert len(paths) >= 8, "workload lost its quiescent windows"
+        assert len(paths) == base.exec_time // 60_000
         for path in paths:
-            _system, resumed = snap.resume_run(path)
-            got = dataclasses.asdict(resumed)
-            if got != want:
-                diffs = {k: (got[k], want[k]) for k in got if got[k] != want[k]}
-                raise AssertionError(f"resume of {path} diverged: {diffs}")
-
-    def test_parked_lane_resumes_without_fastpath(self, tmp_path):
-        """A checkpoint holding parked lanes must resume under
-        ``fastpath_enabled=False`` (this used to crash: the restored
-        lane called ``repark`` on a missing fast path) and still
-        reproduce the uninterrupted result."""
-        base = MultiGPUSystem(self._config(), seed=7).run(self._checkpoint_workload())
-        system = MultiGPUSystem(self._config(), seed=7)
-        system.run(
-            self._checkpoint_workload(), checkpoint_every=3000, checkpoint_dir=tmp_path
-        )
-        paths = sorted(glob.glob(str(tmp_path / "ckpt-*.ckpt")))
-        parked_paths = [
-            p
-            for p in paths
-            if any(
-                lane["phase"] == "parked"
-                for lane in snap.load_checkpoint(p)["lanes"]
-            )
-        ]
-        assert parked_paths, "no checkpoint captured a parked lane"
-        path = parked_paths[len(parked_paths) // 2]
-        override = dataclasses.replace(
-            snap.load_checkpoint(path)["config"], fastpath_enabled=False
-        )
-        _system, resumed = snap.resume_run(path, override_config=override)
-        assert dataclasses.asdict(resumed) == dataclasses.asdict(base)
+            _assert_resumes(path, want)
 
 
 class TestTracedResume:
@@ -248,15 +263,16 @@ class TestTracedResume:
     def test_trace_bytes_identical_after_resume(self, tmp_path):
         from repro.sim.trace import TraceRecorder
 
-        workload = synth_workload(2, 13)
-        config = SystemConfig(num_gpus=2)
+        config = _config(2)
         base_tracer = TraceRecorder()
-        base = MultiGPUSystem(config, seed=13, tracer=base_tracer).run(workload)
+        base = MultiGPUSystem(config, seed=13, tracer=base_tracer).run(
+            app_workload("SC", 2, 13)
+        )
 
         ckpt_tracer = TraceRecorder()
         system = MultiGPUSystem(config, seed=13, tracer=ckpt_tracer)
         system.run(
-            synth_workload(2, 13), checkpoint_every=6000, checkpoint_dir=tmp_path
+            app_workload("SC", 2, 13), checkpoint_every=6000, checkpoint_dir=tmp_path
         )
         assert self._lines(ckpt_tracer) == self._lines(base_tracer), (
             "checkpointing perturbed the event trace"
@@ -274,12 +290,13 @@ class TestFreshProcessResume:
     def test_restore_in_subprocess(self, tmp_path):
         """The acceptance criterion's fresh-process restore: a separate
         interpreter loads the checkpoint and must reproduce the stats."""
-        base = _run_plain(2, 17)
-        system = MultiGPUSystem(SystemConfig(num_gpus=2), seed=17)
-        system.run(
-            synth_workload(2, 17), checkpoint_every=6000, checkpoint_dir=tmp_path
+        import json
+
+        config = _config(2)
+        base = MultiGPUSystem(config, seed=17).run(app_workload("MT", 2, 17))
+        _result, paths = _checkpointed(
+            config, app_workload("MT", 2, 17), 17, 6000, tmp_path
         )
-        paths = sorted(glob.glob(str(tmp_path / "ckpt-*.ckpt")))
         assert paths
         script = (
             "import dataclasses, json, sys\n"
@@ -305,128 +322,64 @@ class TestFaultedCheckpoints:
         checkpointed run and every resume agree with the faulted
         uninterrupted run.
 
-        An acked invalidation's retry timer stays on the calendar until
-        it fires and returns at once; a snapshot drops it.  At least one
-        checkpoint must land over such a timer (a snapshot that took it
-        for live work would refuse every one of those instants) and
-        resume exactly."""
-        faults = dict(
-            drop_rate=0.05, delay_rate=0.1, duplicate_rate=0.05,
-            audit_interval=7000,
-        )
-        config = SystemConfig(num_gpus=2).with_faults(**faults)
-        base = MultiGPUSystem(config, seed=19).run(synth_workload(2, 19))
+        A checkpoint must land while an invalidation is unacked, its
+        retry timer still live on the calendar — a shootdown whose
+        request or ack the injector dropped — and resume exactly.  The
+        periodic invariant auditor is armed, so every resume must also
+        carry its audit loop on (``audits_run`` is part of the result)."""
+        config = _config(2).with_faults(parse_fault_spec("light,audit=7000"))
+        base = MultiGPUSystem(config, seed=19).run(app_workload("PR", 2, 19, accesses=200))
+        assert base.audits_run > 0
 
-        real_snapshot = snap.snapshot_system
+        real_save = snap.save_checkpoint
         over_timer = []
 
-        def spying(system, workload, exact=True):
-            timers = [
-                entry for entry in system.engine._heap
-                if getattr(entry[2], "__func__", None) is _Invalidation._timed_out
-            ]
-            payload = real_snapshot(system, workload, exact)
-            if timers:
-                assert all(entry[2].__self__.pending.acked for entry in timers)
-                over_timer.append(tmp_path / f"ckpt-{system.engine.now:012d}.ckpt")
-            return payload
+        def spying(payload, path):
+            system = payload[0]
+            if any(
+                getattr(entry[2], "__func__", None) is _Invalidation._timed_out
+                and not entry[2].__self__.pending.acked
+                for entry in system.engine._heap
+            ):
+                over_timer.append(path)
+            return real_save(payload, path)
 
-        monkeypatch.setattr(snap, "snapshot_system", spying)
-        system = MultiGPUSystem(config, seed=19)
-        checkpointed = system.run(
-            synth_workload(2, 19), checkpoint_every=5000, checkpoint_dir=tmp_path
+        monkeypatch.setattr(snap, "save_checkpoint", spying)
+        checkpointed, paths = _checkpointed(
+            config, app_workload("PR", 2, 19, accesses=200), 19, 2000, tmp_path
         )
         monkeypatch.undo()
         assert dataclasses.asdict(checkpointed) == dataclasses.asdict(base)
-        paths = sorted(glob.glob(str(tmp_path / "ckpt-*.ckpt")))
         assert paths, "faulted run wrote no checkpoints"
-        assert over_timer, "no checkpoint was taken over an acked retry timer"
-        for path in (paths[0], paths[len(paths) // 2], paths[-1], str(over_timer[0])):
-            _system, resumed = snap.resume_run(path)
-            assert dataclasses.asdict(resumed) == dataclasses.asdict(base)
-
-
-class TestUnfiredRestoredEntry:
-    """A checkpoint of a restored run taken before every restored gap
-    entry has fired.  Restore restarts a lane suspended in its compute
-    gap *from* that gap's calendar entry, so until the entry fires the
-    restored lane has run no step: its restored ``index`` and that entry
-    are all that say where it is."""
-
-    @pytest.mark.parametrize(
-        "num_gpus,seed,fastpath", [(2, 5, True), (4, 2, True), (2, 7, False)]
-    )
-    def test_checkpoint_before_restored_gaps_fire(
-        self, tmp_path, monkeypatch, num_gpus, seed, fastpath
-    ):
-        base = _run_plain(num_gpus, seed, fastpath_enabled=fastpath)
-        config = SystemConfig(num_gpus=num_gpus, fastpath_enabled=fastpath)
-        MultiGPUSystem(config, seed=seed).run(
-            synth_workload(num_gpus, seed), checkpoint_every=4000,
-            checkpoint_dir=tmp_path / "gen1",
-        )
-        gen1 = sorted(glob.glob(str(tmp_path / "gen1" / "ckpt-*.ckpt")))
-        assert gen1
-        source = snap.load_checkpoint(gen1[len(gen1) // 2])
-
-        # Every 30 cycles is below the smallest compute gap (40); keep
-        # only the first second-generation snapshot.
-        real_snapshot = snap.snapshot_system
-        taken = []
-
-        def first_only(system, workload, exact=True):
-            if taken:
-                raise snap.NotQuiescent("one snapshot is enough")
-            taken.append(system.engine.now)
-            return real_snapshot(system, workload, exact)
-
-        monkeypatch.setattr(snap, "snapshot_system", first_only)
-        _system, restored = snap.resume_run(
-            source, checkpoint_every=30, checkpoint_dir=tmp_path / "gen2"
-        )
-        monkeypatch.undo()
-        assert dataclasses.asdict(restored) == dataclasses.asdict(base)
-        gen2 = glob.glob(str(tmp_path / "gen2" / "ckpt-*.ckpt"))
-        assert len(gen2) == 1
-        last_gap = max(
-            time for time, _seq, kind, _idx in source["calendar"] if kind == "lane"
-        )
-        assert taken[0] < last_gap, "every restored gap entry fired first"
-        _system, again = snap.resume_run(gen2[0])
-        assert dataclasses.asdict(again) == dataclasses.asdict(base)
+        assert over_timer, "no checkpoint was taken over an unacked retry timer"
+        want = dataclasses.asdict(base)
+        sample = {paths[0], paths[len(paths) // 2], paths[-1]}
+        for path in sorted(sample | {over_timer[0], over_timer[-1]}):
+            _assert_resumes(path, want)
 
 
 class TestCheckpointsFromEarlierCode:
     """Checkpoints that other code wrote.
 
-    The two fixtures were written, with ``checkpoint_every=4000``, by
-    the simulator as it stood while its lanes and supervisors were
-    generator processes: a checkpoint stores lane phases and calendar
-    symbols, never the code that ran them, so a format-3 file must
-    resume under any code that keeps the model.  Each must reproduce
-    the uninterrupted run's result bytes, pinned here by their sha256.
-    A deliberate model change rewrites the fixtures (run the workload
-    below with the new code and keep the checkpoint at the same cycle);
-    a new checkpoint format turns this into a test that the old files
-    fail with ``CheckpointError``."""
+    The two fixtures are format-3 checkpoints, written with
+    ``checkpoint_every=4000`` by the simulator as it stood while its
+    lanes and supervisors were generator processes and a checkpoint
+    stored lane phases and calendar symbols.  A checkpoint is now a
+    pickle of the running system, which only the source that wrote it
+    can load, so an older file must fail with ``CheckpointError``
+    before anything is unpickled."""
 
     FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
-    @pytest.mark.parametrize("name,phases,calendar,digest", [
-        # synth_workload(2, 0), unfaulted, at cycle 36,000.
-        ("synth2_seed0_036000.ckpt",
-         ["gap", "parked", "parked", "parked"], ["lane", "release"],
-         "6e386e1352c010a2f80d56ceb2371fa9afc850d5f67d4ca78478cd7681d31aa2"),
-        # synth_workload(2, 3) with drop_rate=0.05 and delay_rate=0.05,
-        # at cycle 115,250.
-        ("synth2_seed3_faulted_115250.ckpt",
-         ["done", "done", "done", "drain"], ["release", "watchdog"],
-         "01fd3a3353b53b241e743ce03b0412f965b0e18fc92693692c5bbd0172d9dd9f"),
-    ])
-    def test_resumes_to_uninterrupted_result(self, name, phases, calendar, digest):
-        path = self.FIXTURES / name
-        payload = snap.load_checkpoint(path)
-        assert sorted(lane["phase"] for lane in payload["lanes"]) == phases
-        assert sorted(kind for _t, _s, kind, _i in payload["calendar"]) == calendar
-        _system, result = snap.resume_run(path)
-        assert hashlib.sha256(result_to_json_bytes(result)).hexdigest() == digest
+    def test_is_refused(self):
+        for name in (
+            # a 2-GPU synthetic run, unfaulted, at cycle 36,000.
+            "synth2_seed0_036000.ckpt",
+            # the same with drop_rate=0.05 and delay_rate=0.05, at 115,250.
+            "synth2_seed3_faulted_115250.ckpt",
+        ):
+            path = self.FIXTURES / name
+            with pytest.raises(snap.CheckpointError, match="format version 3"):
+                snap.load_checkpoint(path)
+            with pytest.raises(snap.CheckpointError, match="format version 3"):
+                snap.resume_run(path)

@@ -7,6 +7,7 @@ stop and restart managers over the same cache root the way a restarted
 server process would.
 """
 
+import os
 import time
 
 from repro.experiments.cache import ResultCache
@@ -86,12 +87,11 @@ class TestJournalRecovery:
         """A job preempted by shutdown mid-flight is journaled and
         finishes on the next boot with byte-identical results.
 
-        App workloads rarely hit a quiescent instant, so the preempt
-        snapshot usually records no checkpoint and the next boot reruns
-        from scratch — the contract is completion and byte-equality,
-        with checkpoint resume as an optimisation (its plumbing is
-        pinned separately below, its byte-equality by the snapshot
-        suite)."""
+        The next boot resumes from the newest checkpoint if one landed
+        before the preempt, and reruns from scratch if none did — the
+        contract is completion and byte-equality either way, with
+        checkpoint resume as an optimisation (its plumbing is pinned
+        separately below, its byte-equality by the snapshot suite)."""
         cache_root = str(tmp_path / "cache")
         manager = JobManager(
             ResultCache(cache_root), workers=1, checkpoint_every=5_000,
@@ -119,6 +119,9 @@ class TestJournalRecovery:
             revived = wait_terminal(reborn, record.id)
             assert revived.state == "done"
             assert reborn.artifact(record.id) == direct_bytes(SLOW)
+            # The result is cached, so nothing will read the job's
+            # checkpoints again: they are deleted, not left to pile up.
+            assert not os.path.exists(reborn._ckpt_dir(record.id))
         finally:
             reborn.close(drain=False)
 
@@ -132,7 +135,6 @@ class TestJournalRecovery:
         record = crashed.submit(SLOW)
         key = record.spec.task_keys()[0]
         ckpt_dir = crashed._ckpt_dir(record.id, key)
-        import os
         os.makedirs(ckpt_dir, exist_ok=True)
         for stamp in ("000000005000", "000000015000"):
             with open(os.path.join(ckpt_dir, f"ckpt-{stamp}.ckpt"), "wb"):
