@@ -512,6 +512,28 @@ def _cmd_run(args) -> int:
     if args.resume:
         from .sim.snapshot import CheckpointError, resume_run
 
+        # A checkpoint resumes the system it holds, with that run's
+        # tracer, injector, auditor and fast path: these flags would be
+        # ignored, so they are refused.
+        unusable = [
+            flag
+            for flag, given in (
+                ("--trace", args.trace is not None),
+                ("--faults", args.faults is not None),
+                ("--audit", args.audit is not None),
+                ("--no-fastpath", args.no_fastpath),
+            )
+            if given
+        ]
+        if unusable:
+            print(
+                f"error: --resume cannot apply {', '.join(unusable)}: a resumed "
+                "run keeps the tracing, faults, audits and fast path of the run "
+                "that wrote the checkpoint",
+                file=sys.stderr,
+            )
+            return 2
+
         try:
             system, result = resume_run(
                 args.resume,

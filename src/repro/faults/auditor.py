@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..memory import pte as pte_bits
-from ..memory.physmem import PhysicalMemory
+from ..memory.physmem import pte_owner
 from ..sim.engine import SimulationAbort
 
 __all__ = ["InvariantViolation", "AuditLoop", "audit_system", "protocol_dump"]
@@ -95,7 +95,7 @@ def _audit_checks(system) -> List[str]:
     for vpn in host_pt.valid_vpns():
         word = host_pt.entry(vpn)
         ppn = pte_bits.ppn(word)
-        owner = PhysicalMemory.owner_of(ppn)
+        owner = pte_owner(word)
         if not 0 <= owner < len(system.gpus):
             if report(f"host PTE vpn={vpn:#x} points at nonexistent gpu{owner}"):
                 return violations

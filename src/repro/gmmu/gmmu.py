@@ -19,11 +19,13 @@ nothing here and is not modelled.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional
 
 from ..config import GMMUConfig
 from ..memory.page_table import PageTable
+from ..memory.pte import PTE_VALID
 from ..memory.walk_cache import PageWalkCache
 from ..sim.engine import Engine
 from ..sim.stats import StatsGroup
@@ -36,6 +38,8 @@ __all__ = ["GMMU"]
 _DEMAND = WalkKind.DEMAND
 _INVALIDATE = WalkKind.INVALIDATE
 
+_heappush = heapq.heappush
+
 
 class GMMU:
     """Page-table walking engine of one GPU."""
@@ -46,6 +50,7 @@ class GMMU:
         "_inval_inflight", "_inval_since", "_inval_busy",
         "_any_inflight", "_any_since", "_any_busy", "_kind_stats",
         "_n_aborted", "_n_inval_necessary", "_n_inval_unnecessary",
+        "_levels", "_level_latency", "_pt_entries",
     )
 
     def __init__(
@@ -97,16 +102,24 @@ class GMMU:
         self._n_aborted = group.counter("aborted_walks")
         self._n_inval_necessary = group.counter("invalidations.necessary")
         self._n_inval_unnecessary = group.counter("invalidations.unnecessary")
+        # Bound once: every walk reads these.
+        self._levels = page_table.layout.levels
+        self._level_latency = config.walk_latency_per_level
+        self._pt_entries = page_table._entries
 
     # -- submission --------------------------------------------------------
 
-    def submit(self, request: WalkRequest) -> None:
-        """Start the walk now if nothing is queued and a walker thread is
-        free, else queue it behind the walks already waiting."""
-        stats = request.stats = self._kind_stats[request.kind]
-        stats[0].value += 1
+    def walk(self, vpn: int, kind: WalkKind, fn: Callable[..., None], *args: Any,
+             word: Optional[int] = None) -> WalkRequest:
+        """Submit a walk whose continuation is ``fn(*args, result)`` and
+        return its request: the walk starts now if nothing is queued and
+        a walker thread is free, else it queues behind the walks already
+        waiting."""
         now = self.engine._now
-        if request.kind is _INVALIDATE:
+        request = WalkRequest(vpn, kind, now, fn, args, word)
+        stats = request.stats = self._kind_stats[kind]
+        stats[0].value += 1
+        if kind is _INVALIDATE:
             if self._inval_inflight == 0:
                 self._inval_since = now
             self._inval_inflight += 1
@@ -115,17 +128,9 @@ class GMMU:
         self._any_inflight += 1
         if self._busy < self._threads and not self._queue:
             self._busy += 1
-            if not self._walk(request):
-                self._release()
+            self._walk(request)  # a fresh request is never aborted
         else:
             self._queue.append(request)
-
-    def walk(self, vpn: int, kind: WalkKind, fn: Callable[..., None], *args: Any,
-             word: Optional[int] = None) -> WalkRequest:
-        """Build and submit a walk whose continuation is ``fn(*args,
-        result)``; returns the request."""
-        request = WalkRequest(vpn, kind, self.engine._now, fn, args, word)
-        self.submit(request)
         return request
 
     # -- idleness (used by lazy-invalidation writeback, §6.3) ---------------
@@ -153,8 +158,9 @@ class GMMU:
         # the untraced fast path pays a single branch.
         tracer = self._tracer
         traced = tracer.enabled
-        request.started_at = self.engine._now
-        queue_wait = request.started_at - request.issued_at
+        engine = self.engine
+        now = request.started_at = engine._now
+        queue_wait = now - request.issued_at
         request.stats[1].record(queue_wait)
 
         if request.aborted:
@@ -163,11 +169,11 @@ class GMMU:
             if traced:
                 tracer.emit("walk.abort", self.name, request.vpn, kind=request.kind.value)
             self._account_done(request)
-            self.engine._ready.append((request.fn, request.args + (None,)))
+            engine._ready.append((request.fn, request.args + (None,)))
             return False
 
-        cached_level = self.pwc.deepest_cached_level(request.vpn)
-        levels = self.page_table.walk_levels(request.vpn, cached_level)
+        # PageTable.walk_levels, inlined: every level on a PWC miss.
+        levels = self.pwc.deepest_cached_level(request.vpn) or self._levels
         if traced:
             tracer.emit(
                 "walk.start", self.name, request.vpn,
@@ -181,34 +187,47 @@ class GMMU:
                         "fault.inject", self.name, request.vpn,
                         kind="walker_stall", cycles=stall,
                     )
-                self.engine.defer(stall, self._walk_levels, request, levels)
+                engine.defer(stall, self._walk_levels, request, levels)
                 return True
-        self._walk_levels(request, levels)
+        # _walk_levels, inlined: Engine.schedule of the retirement.
+        delay = levels * self._level_latency
+        if delay:
+            engine._seq += 1
+            _heappush(engine._heap, (now + delay, engine._seq, self._walk_done, (request, levels)))
+        else:
+            engine._ready.append((self._walk_done, (request, levels)))
         return True
 
     def _walk_levels(self, request: WalkRequest, levels: int) -> None:
-        # ``schedule``, not ``defer``: a zero-cycle walk retires one
-        # ready hop later rather than inline, so a thread handed down a
-        # long queue of them never recurses.
-        self.engine.schedule(
-            levels * self.config.walk_latency_per_level, self._walk_done, request, levels
-        )
+        """Schedule a stalled walk's retirement once its stall is over.
+
+        ``schedule``, not ``defer``: a zero-cycle walk retires one ready
+        hop later rather than inline, so a thread handed down a long
+        queue of them never recurses."""
+        self.engine.schedule(levels * self._level_latency, self._walk_done, request, levels)
 
     def _walk_done(self, request: WalkRequest, levels: int) -> None:
+        engine = self.engine
+        now = engine._now
+        vpn = request.vpn
+        kind = request.kind
         _, _, lat_levels, lat_total = request.stats
-        self.pwc.fill(request.vpn)
+        self.pwc.fill(vpn)
         lat_levels.record(levels)
 
-        if request.kind is _DEMAND:
-            result = self.page_table.translate(request.vpn)
-        elif request.kind is _INVALIDATE:
+        if kind is _DEMAND:
+            # PageTable.translate, inlined: the word if present and valid.
+            result = self._pt_entries.get(vpn)
+            if result is not None and not result & PTE_VALID:
+                result = None
+        elif kind is _INVALIDATE:
             if request.aborted:
                 # A fresh mapping raced in while we were walking: leave it.
                 self._n_aborted.value += 1
                 request.was_valid = False
                 result = False
             else:
-                request.was_valid = self.page_table.invalidate(request.vpn)
+                request.was_valid = self.page_table.invalidate(vpn)
                 if request.was_valid:
                     self._n_inval_necessary.value += 1
                 else:
@@ -216,19 +235,26 @@ class GMMU:
                 result = request.was_valid
         else:  # UPDATE
             assert request.word is not None, "UPDATE walk needs a PTE word"
-            self.page_table.set_entry(request.vpn, request.word)
+            self.page_table.set_entry(vpn, request.word)
             result = request.word
 
-        total = self.engine._now - request.issued_at
+        total = now - request.issued_at
         lat_total.record(total)
         tracer = self._tracer
         if tracer.enabled:
             tracer.emit(
-                "walk.done", self.name, request.vpn,
-                kind=request.kind.value, levels=levels, cycles=total,
+                "walk.done", self.name, vpn,
+                kind=kind.value, levels=levels, cycles=total,
             )
-        self._account_done(request)
-        ready = self.engine._ready
+        # _account_done, inlined.
+        if kind is _INVALIDATE:
+            self._inval_inflight -= 1
+            if self._inval_inflight == 0:
+                self._inval_busy += now - self._inval_since
+        self._any_inflight -= 1
+        if self._any_inflight == 0:
+            self._any_busy += now - self._any_since
+        ready = engine._ready
         if ready:
             # A zero-cycle walk retiring behind other ready work: the
             # continuation queues behind that work.
@@ -255,6 +281,8 @@ class GMMU:
             self.engine._ready.extend(waiters)
 
     def _account_done(self, request: WalkRequest) -> None:
+        """A walk left the GMMU: close the busy-time integrators (the
+        retirement inlines this; an aborted queued walk calls it)."""
         now = self.engine._now
         if request.kind is _INVALIDATE:
             self._inval_inflight -= 1

@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Optional, Tuple
 
 from ..sim.process import Resource
 from ..workloads.base import TraceBuffer, _as_buffer
+from .gpu import _Access
 
 __all__ = ["Lane"]
 
@@ -93,9 +94,11 @@ class Lane:
         tail rule of :meth:`~repro.sim.engine.Engine.tail`), else from
         the ready queue when one is granted."""
         window = self._window
-        if self.gpu.engine._ready or not window.try_acquire():
+        # Resource.try_acquire, inlined here and in the issue loop.
+        if self.gpu.engine._ready or window._in_use >= self._capacity:
             window.request(self._issue)
             return
+        window._in_use += 1
         self._issue()
 
     def _issue(self) -> None:
@@ -113,6 +116,7 @@ class Lane:
         vpns = self._vpns
         writes = self._writes
         n = self._n
+        capacity = self._capacity
         fp = gpu.fastpath
         lane_id = self.lane_id
         i = self.index
@@ -128,7 +132,7 @@ class Lane:
                 engine.schedule(latency, window.release)
             else:
                 self._slow += 1
-                gpu.access(self, vpn, is_write)
+                _Access(gpu, self, lane_id, vpn, is_write)
             i += 1
             self.index = i
             if i >= n:
@@ -143,9 +147,10 @@ class Lane:
                 engine._seq += 1
                 heappush(engine._heap, (engine._now + gap, engine._seq, self._arrived, ()))
                 return
-            if engine._ready or not window.try_acquire():
+            if engine._ready or window._in_use >= capacity:
                 window.request(self._issue)
                 return
+            window._in_use += 1
 
     def _unparked(self, index: int, arrival: int) -> None:
         """Back from the fast path, at or before ``arrival``, the arrival

@@ -86,8 +86,7 @@ from collections import OrderedDict, deque
 from heapq import heapify, heappop, heapreplace
 from typing import Dict, Optional, Set, Tuple
 
-from ..memory import pte as pte_bits
-from ..memory.physmem import PhysicalMemory
+from ..memory.physmem import pte_owner
 from ..sim.engine import Engine
 from ..sim.process import Resource
 
@@ -202,7 +201,7 @@ class FastPath:
         sets = gpu.l1_tlbs[lane.lane_id]._sets
         entry_set = sets[vpn % len(sets)]
         word = entry_set.get(vpn)
-        if word is None or PhysicalMemory.owner_of(pte_bits.ppn(word)) != gpu.gpu_id:
+        if word is None or pte_owner(word) != gpu.gpu_id:
             return None
         irmb = gpu.irmb
         if irmb is not None and not irmb.is_empty and irmb.peek(vpn):

@@ -25,7 +25,7 @@ from ..interconnect.topology import Interconnect
 from ..memory import pte as pte_bits
 from ..memory.address import AddressLayout
 from ..memory.page_table import PageTable
-from ..memory.physmem import PhysicalMemory
+from ..memory.physmem import PhysicalMemory, pte_owner
 from ..sim.engine import Engine
 from ..sim.stats import StatsGroup
 from ..tlb.mshr import MSHR
@@ -176,7 +176,7 @@ class GPU:
             return None
         if is_write and self.config.page_replication and self.driver.replicas.is_replicated(vpn):
             return None
-        if PhysicalMemory.owner_of(pte_bits.ppn(word)) != self.gpu_id:
+        if pte_owner(word) != self.gpu_id:
             return None
         l1.lookup(vpn)  # record the hit and refresh LRU
         self._n_local.value += 1
@@ -188,7 +188,8 @@ class GPU:
         :class:`~repro.gpu.cu.Lane`): translate, stall while the page
         migrates, then perform the data access.  On completion the
         access retires, frees the lane's window slot and leaves the
-        lane's slow-access count."""
+        lane's slow-access count.  A lane's issue loop builds the
+        :class:`_Access` itself."""
         _Access(self, lane, lane.lane_id, vpn, is_write)
 
     # ------------------------------------------------------------------
@@ -259,7 +260,9 @@ class GPU:
         self.inval_generation += 1
         self.l2_tlb.shootdown(vpn)
         for l1 in self._lane_l1s:
-            l1.shootdown(vpn)
+            # Most L1 TLBs lack the page: only one that holds it is called.
+            if vpn in l1._sets[vpn % l1._n_sets]:
+                l1.shootdown(vpn)
 
     def _flush_raced_fills(self, vpn: int) -> None:
         """Flush TLB entries that raced with an INVALIDATE walk.
@@ -274,7 +277,9 @@ class GPU:
         """
         flushed = self.l2_tlb.shootdown(vpn)
         for l1 in self._lane_l1s:
-            flushed = l1.shootdown(vpn) or flushed
+            if vpn in l1._sets[vpn % l1._n_sets]:
+                l1.shootdown(vpn)
+                flushed = True
         if flushed:
             # The fast path must revalidate any lane parked on this page.
             self.inval_generation += 1
@@ -363,13 +368,9 @@ class _Access:
         #: the far fault's fetch-time invalidation epoch.
         self.epoch = 0
         self.t_miss = self.t_fault = self.t_stall = 0
-        self._translate()
+        gpu.engine.defer(gpu._l1_latency, self._l1_lookup)
 
     # -- translation: L1 TLB, L2 TLB + IRMB ---------------------------------
-
-    def _translate(self) -> None:
-        gpu = self.gpu
-        gpu.engine.defer(gpu._l1_latency, self._l1_lookup)
 
     def _l1_lookup(self) -> None:
         gpu = self.gpu
@@ -541,7 +542,7 @@ class _Access:
             gpu.transfw.forget(vpn)
             self._raise_fault()
             return
-        actual_owner = PhysicalMemory.owner_of(pte_bits.ppn(remote_word))
+        actual_owner = pte_owner(remote_word)
         if actual_owner == gpu.gpu_id:
             word = pte_bits.make_pte(pte_bits.ppn(remote_word))
         else:
@@ -553,39 +554,36 @@ class _Access:
     # -- migration stall, then the data access ------------------------------
 
     def _translated(self, word: int) -> None:
-        """Requests to a migrating page stall until the new mapping is
-        established, then re-translate (§5.2's page migration waiting)."""
+        """Translation is done.  Requests to a migrating page stall until
+        the new mapping is established, then re-translate (§5.2's page
+        migration waiting); a write to a replicated page collapses the
+        replicas first; then the data is fetched."""
         gpu = self.gpu
         self.word = word
         gate = gpu._gates.get(self.vpn)
-        if gate is None:
-            self._data_access()
+        if gate is not None:
+            self.t_stall = gpu.engine._now
+            gate.wait(self._gate_opened)
             return
-        self.t_stall = gpu.engine._now
-        gate.wait(self._gate_opened)
-
-    def _gate_opened(self) -> None:
-        gpu = self.gpu
-        gpu._t_migration_stall.record(gpu.engine._now - self.t_stall)
-        self._translate()
-
-    def _data_access(self) -> None:
-        """Serve the data once translation is done: local DRAM or remote
-        GPU memory over NVLink (remote data is not cached, §3.2)."""
-        gpu = self.gpu
         if (
             self.is_write
             and gpu.config.page_replication
             and gpu.driver.replicas.is_replicated(self.vpn)
         ):
-            # A write to a replicated page collapses the replicas first.
             gpu.engine.schedule(0, gpu.driver.collapse_replicas, self.vpn, self._fetch)
             return
         self._fetch()
 
-    def _fetch(self) -> None:
+    def _gate_opened(self) -> None:
         gpu = self.gpu
-        owner = PhysicalMemory.owner_of(pte_bits.ppn(self.word))
+        gpu._t_migration_stall.record(gpu.engine._now - self.t_stall)
+        gpu.engine.defer(gpu._l1_latency, self._l1_lookup)
+
+    def _fetch(self) -> None:
+        """Serve the data: local DRAM or remote GPU memory over NVLink
+        (remote data is not cached, §3.2)."""
+        gpu = self.gpu
+        owner = pte_owner(self.word)
         if owner == gpu.gpu_id:
             gpu._n_local.value += 1
             gpu.engine.defer(gpu._dram_latency, self._retire)

@@ -110,7 +110,10 @@ class Interconnect:
         link = self._nvlink_out[src]
         if self.chaos is not None:
             extra_delay += self.chaos.link_transfer_delay(link)
-        link.transfer(num_bytes, fn, *args, extra_delay=extra_delay)
+        if extra_delay:
+            link.transfer(num_bytes, fn, *args, extra_delay=extra_delay)
+        else:
+            link._enqueue(num_bytes, fn, args)
 
     def gpu_to_host(self, gpu: int, num_bytes: int, fn: Callable[..., None],
                     *args: Any, extra_delay: int = 0) -> None:
@@ -119,7 +122,10 @@ class Interconnect:
         link = self._pcie_up[gpu]
         if self.chaos is not None:
             extra_delay += self.chaos.link_transfer_delay(link)
-        link.transfer(num_bytes, fn, *args, extra_delay=extra_delay)
+        if extra_delay:
+            link.transfer(num_bytes, fn, *args, extra_delay=extra_delay)
+        else:
+            link._enqueue(num_bytes, fn, args)
 
     def host_to_gpu(self, gpu: int, num_bytes: int, fn: Callable[..., None],
                     *args: Any, extra_delay: int = 0) -> None:
@@ -128,7 +134,10 @@ class Interconnect:
         link = self._pcie_down[gpu]
         if self.chaos is not None:
             extra_delay += self.chaos.link_transfer_delay(link)
-        link.transfer(num_bytes, fn, *args, extra_delay=extra_delay)
+        if extra_delay:
+            link.transfer(num_bytes, fn, *args, extra_delay=extra_delay)
+        else:
+            link._enqueue(num_bytes, fn, args)
 
     def nvlink_bytes(self) -> int:
         return sum(l.stats.counter("bytes").value for l in self._nvlink_out.values())

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-__all__ = ["PhysicalMemory", "MemoryExhausted"]
+from .pte import PPN_MASK, PPN_SHIFT
+
+__all__ = ["PhysicalMemory", "MemoryExhausted", "pte_owner"]
 
 
 class MemoryExhausted(RuntimeError):
@@ -68,3 +70,9 @@ class PhysicalMemory:
 
     def vpn_of(self, ppn: int) -> Optional[int]:
         return self.resident.get(ppn)
+
+
+def pte_owner(word: int) -> int:
+    """Which GPU's memory the page a PTE word maps lives in:
+    ``PhysicalMemory.owner_of(pte.ppn(word))`` in one call."""
+    return ((word & PPN_MASK) >> PPN_SHIFT) // PhysicalMemory.PPN_STRIDE

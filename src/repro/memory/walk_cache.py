@@ -1,9 +1,8 @@
 """Page-walk cache (PWC): an LRU cache over page-table node pointers.
 
-Tags are ``(level, node_prefix)`` pairs — holding the pointer to the
-page-table node at ``level`` lets a walk start there instead of at the
-root, so a walk's cost in memory accesses equals the deepest cached
-level.  The 128 entries are shared by all walker threads (Table 2) and,
+A tag names one page-table node: holding the pointer to the node at
+``level`` lets a walk start there instead of at the root, so a walk's
+cost in memory accesses equals the deepest cached level.  The 128 entries are shared by all walker threads (Table 2) and,
 crucially for the paper, by *invalidation* walks — which is how the
 baseline's invalidation storms thrash demand walks (§5.2), and why
 IRMB-batched invalidations with a common base amortise to one upper-level
@@ -13,7 +12,7 @@ fill plus leaf accesses (§6.3).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Optional
 
 from .address import BITS_PER_LEVEL, AddressLayout
 from ..sim.stats import StatsGroup
@@ -30,12 +29,15 @@ class PageWalkCache:
         self.entries = entries
         self.layout = layout
         self.stats = StatsGroup(name)
-        self._tags: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
+        self._tags: "OrderedDict[int, None]" = OrderedDict()
         # Bound once: every walk probes and fills, level by level.
-        # ``(level, shift)`` pairs, leaf-most first: ``vpn >> shift`` is
-        # ``layout.prefix(vpn, level)`` without its range check.
+        # ``(level, mask)`` pairs, leaf-most first.  The tag of the node
+        # at ``level`` is ``vpn & mask | level``: the VPN with the bits
+        # below that node (``layout.prefix(vpn, level)``) cleared and the
+        # level written into them, so it is one int per node and level.
         self._probe_order = tuple(
-            (level, BITS_PER_LEVEL * level) for level in range(1, layout.levels)
+            (level, ~((1 << (BITS_PER_LEVEL * level)) - 1))
+            for level in range(1, layout.levels)
         )
         self._fill_order = self._probe_order[::-1]
         self._hits = self.stats.counter("hits")
@@ -53,8 +55,8 @@ class PageWalkCache:
         LRU state of the hit tag only.
         """
         tags = self._tags
-        for level, shift in self._probe_order:
-            tag = (level, vpn >> shift)
+        for level, mask in self._probe_order:
+            tag = vpn & mask | level
             if tag in tags:
                 tags.move_to_end(tag)
                 self._hits.value += 1
@@ -66,10 +68,10 @@ class PageWalkCache:
         """Install node pointers learned by a walk, levels ``levels-1``
         down to ``down_to_level``."""
         tags = self._tags
-        for level, shift in self._fill_order:
+        for level, mask in self._fill_order:
             if level < down_to_level:
                 break
-            tag = (level, vpn >> shift)
+            tag = vpn & mask | level
             if tag in tags:
                 tags.move_to_end(tag)
                 continue

@@ -30,7 +30,7 @@ from ..interconnect.topology import Interconnect
 from ..memory import pte as pte_bits
 from ..memory.address import AddressLayout
 from ..memory.page_table import PageTable
-from ..memory.physmem import PhysicalMemory
+from ..memory.physmem import pte_owner
 from ..sim.engine import Engine
 from ..sim.process import Countdown, Gate, Resource, Store
 from ..sim.stats import StatsGroup
@@ -187,7 +187,7 @@ class UVMDriver:
         # Another fault may have populated the page while we walked.
         word = self.host_page_table.translate(vpn)
         if word is not None:
-            owner = PhysicalMemory.owner_of(pte_bits.ppn(word))
+            owner = pte_owner(word)
             self._record_resident(vpn, gpu_id)
             if owner == gpu_id:
                 word = pte_bits.make_pte(pte_bits.ppn(word))
@@ -404,7 +404,7 @@ class _FaultResolution:
             driver.engine.tail(driver._first_touch, vpn, gpu_id, self._resolved)
             return
 
-        owner = PhysicalMemory.owner_of(pte_bits.ppn(word))
+        owner = pte_owner(word)
         if owner == gpu_id:
             driver._record_resident(vpn, gpu_id)
             self._resolved(pte_bits.make_pte(pte_bits.ppn(word)))
@@ -428,7 +428,7 @@ class _FaultResolution:
         driver = self.driver
         vpn, gpu_id = self.fault.vpn, self.fault.gpu_id
         new_word = driver.host_page_table.translate(vpn)
-        if new_word is not None and PhysicalMemory.owner_of(pte_bits.ppn(new_word)) == gpu_id:
+        if new_word is not None and pte_owner(new_word) == gpu_id:
             self._resolved(pte_bits.make_pte(pte_bits.ppn(new_word)))
             return
         # Migration raced/failed; fall through to a remote mapping.
@@ -439,7 +439,7 @@ class _FaultResolution:
         driver = self.driver
         driver._record_resident(self.fault.vpn, self.fault.gpu_id)
         driver._n_remote_mappings.value += 1
-        owner = PhysicalMemory.owner_of(pte_bits.ppn(word))
+        owner = pte_owner(word)
         self._resolved(pte_bits.make_remote_pte(pte_bits.ppn(word), owner))
 
     def _resolved(self, word: int) -> None:
@@ -531,7 +531,7 @@ class _Migration:
             self._done()
             return
         old_ppn = self.old_ppn = pte_bits.ppn(word)
-        src = self.src = PhysicalMemory.owner_of(old_ppn)
+        src = self.src = pte_owner(word)
         if src == dst:
             self._done()
             return

@@ -47,14 +47,11 @@ class TraceBuffer:
 
     @classmethod
     def from_records(cls, records: Iterable[Access]) -> "TraceBuffer":
-        gaps = array("q")
-        vpns = array("q")
-        writes = bytearray()
-        for gap, vpn, is_write in records:
-            gaps.append(gap)
-            vpns.append(vpn)
-            writes.append(1 if is_write else 0)
-        return cls(gaps, vpns, writes)
+        columns = tuple(zip(*records))
+        if not columns:
+            return cls(array("q"), array("q"), bytearray())
+        gaps, vpns, writes = columns
+        return cls(array("q", gaps), array("q", vpns), bytearray(map(bool, writes)))
 
     def __len__(self) -> int:
         return len(self.gaps)

@@ -116,6 +116,31 @@ class TestResumeFrom:
         config, fresh, path = self._checkpoint(tmp_path)
         assert simulate("PR", config, **self.RUN, resume_from=str(path)) == fresh
 
+    def test_cli_refuses_flags_a_resume_cannot_apply(self, tmp_path, capsys):
+        """``repro run --resume`` plays the pickled run as it was: asked
+        to trace, fault, audit or drop the fast path, it exits 2 and
+        names the flags instead of ignoring them."""
+        from repro.cli import main
+
+        _config, _fresh, path = self._checkpoint(tmp_path)
+        trace = tmp_path / "resumed.jsonl"
+        refused = [
+            (["--trace", str(trace)], "--trace"),
+            (["--faults", "light"], "--faults"),
+            (["--audit", "500"], "--audit"),
+            (["--no-fastpath"], "--no-fastpath"),
+        ]
+        for extra, flag in refused:
+            assert main(["run", "--resume", str(path), *extra]) == 2
+            err = capsys.readouterr().err
+            assert f"cannot apply {flag}" in err
+        assert main([
+            "run", "--resume", str(path), "--trace", str(trace), "--audit", "500",
+        ]) == 2
+        assert "cannot apply --trace, --audit" in capsys.readouterr().err
+        assert not trace.exists()
+        assert main(["run", "--resume", str(path)]) == 0
+
     def test_checkpoint_from_other_source_reruns_from_the_start(
         self, tmp_path, capsys
     ):

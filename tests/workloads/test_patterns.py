@@ -135,6 +135,11 @@ class TestMixed:
         assert a_part == a
         assert b_part == b
 
+    def test_empty_parts_are_never_picked(self):
+        a = [(0, 1, False), (0, 2, False)]
+        assert patterns.mixed(rng(), [[], a, []]) == a
+        assert patterns.mixed(rng(), [[], []]) == []
+
     @given(st.lists(st.integers(1, 30), min_size=1, max_size=4))
     def test_merged_length_is_sum(self, sizes):
         parts = [[(0, i * 100 + j, False) for j in range(n)] for i, n in enumerate(sizes)]

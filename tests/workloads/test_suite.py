@@ -50,6 +50,14 @@ class TestBuiltTraces:
         assert w.total_accesses() == 2 * 2 * 100
         assert w.footprint_pages() > 0
 
+    @pytest.mark.parametrize("app", APP_ORDER)
+    def test_tiny_traces_build(self, app):
+        """A budget too small to give every sub-pattern an access (KM and
+        IM at 10 accesses per lane) still merges what there is."""
+        for accesses in (1, 3, 10):
+            w = build_workload(app, num_gpus=2, lanes=1, accesses_per_lane=accesses)
+            assert w.total_accesses() == 2 * accesses
+
     def test_deterministic_per_seed(self):
         a = build_workload("PR", num_gpus=2, lanes=2, accesses_per_lane=50, seed=3)
         b = build_workload("PR", num_gpus=2, lanes=2, accesses_per_lane=50, seed=3)
